@@ -1,23 +1,17 @@
 """Aberth-Ehrlich iteration kernels.
 
-The grid scan in spectra evaluates every grid point with the same kernel,
-so this is the one hot loop in the package.  When numba is importable and
-the environment flag BANDSCHUR_JIT is not "0", the functions below are
-compiled with @njit (nogil, cached); otherwise the identical Python source
-runs as-is, so both paths perform the same floating operations in the
-same order.
+aberth_sweeps solves one polynomial with scalar Python arithmetic; it is the
+engine of spectra.poly_roots and the independent reference the grid scan is
+checked against.  scan_moduli runs the same Gauss-Seidel sweep for every
+grid point at once: each root update is one set of numpy operations over
+the points that have not yet converged.  Both are deterministic, so
+repeated runs give byte-identical results.
 """
-
-import os
 
 import numpy as np
 
-JIT_ENABLED = os.environ.get("BANDSCHUR_JIT", "1") != "0"
-if JIT_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:
-        JIT_ENABLED = False
+# No compiled path exists; the constant remains because benchmark reports read it.
+JIT_ENABLED = False
 
 
 def aberth_sweeps(coeffs, z, tol_abs, max_iter):
@@ -35,7 +29,7 @@ def aberth_sweeps(coeffs, z, tol_abs, max_iter):
             pv = coeffs[deg]
             for m in range(deg - 1, -1, -1):
                 pv = pv * z[i] + coeffs[m]
-            if abs(pv) > tol_abs:
+            if not abs(pv) <= tol_abs:  # a NaN residual is not converged
                 done = False
                 break
         if done:
@@ -68,46 +62,71 @@ def aberth_sweeps(coeffs, z, tol_abs, max_iter):
         pv = coeffs[deg]
         for m in range(deg - 1, -1, -1):
             pv = pv * z[i] + coeffs[m]
-        if abs(pv) > tol_abs:
+        if not abs(pv) <= tol_abs:
             done = False
             break
     return done
 
 
-def scan_moduli(base, c_index, vre, vim, z0, tol, max_iter, moduli, ok):
+def _horner(coeffs, z):
+    """p(z) for ascending coefficients, by Horner's rule."""
+    pv = coeffs[-1]
+    for cm in coeffs[-2::-1]:
+        pv = pv * z + cm
+    return pv
+
+
+def scan_moduli(base, c_index, vre, vim, z0, tol, max_iter):
     """Sorted root moduli of base(z) - v*z^c_index for a batch of v values.
 
-    Writes into moduli[p, :] (ascending per point) and ok[p]; the caller
-    owns allocation so thread workers can fill disjoint slices.
+    The same iteration as aberth_sweeps, run for all points at once: every
+    point starts from the iterates z0 and stops when each |p(z_i)| <=
+    tol * max|c_m| of its own coefficients, and a stopped point leaves the
+    batch.  Returns (moduli, ok): moduli[p] ascending, and ok[p] False where
+    max_iter sweeps missed the target (moduli[p] then hold the last iterate).
     """
-    npts = vre.shape[0]
     deg = base.shape[0] - 1
-    coeffs = np.empty(deg + 1, np.complex128)
-    z = np.empty(deg, np.complex128)
-    for p in range(npts):
-        for m in range(deg + 1):
-            coeffs[m] = base[m]
-        coeffs[c_index] = base[c_index] - complex(vre[p], vim[p])
-        scale = 0.0
-        for m in range(deg + 1):
-            a = abs(coeffs[m])
-            if a > scale:
-                scale = a
-        for i in range(deg):
-            z[i] = z0[i]
-        ok[p] = aberth_sweeps(coeffs, z, tol * scale, max_iter)
-        for i in range(deg):
-            moduli[p, i] = abs(z[i])
-        for i in range(1, deg):
-            key = moduli[p, i]
-            j = i - 1
-            while j >= 0 and moduli[p, j] > key:
-                moduli[p, j + 1] = moduli[p, j]
-                j -= 1
-            moduli[p, j + 1] = key
+    npts = vre.shape[0]
+    # one column per point for the shifted coefficient, scalars for the rest
+    shifted = (base[c_index] - (vre + 1j * vim))[:, None]
+    fixed_scale = np.abs(np.delete(base, c_index)).max()
+    tol_abs = tol * np.maximum(np.abs(shifted), fixed_scale)
+    coeffs = list(base)
+    coeffs[c_index] = shifted
+    moduli = np.empty((npts, deg), np.float64)
+    ok = np.zeros(npts, np.bool_)
+    idx = np.arange(npts)
+    z = np.tile(np.asarray(z0, np.complex128), (npts, 1))
+    with np.errstate(all="ignore"):
+        for sweep in range(max_iter + 1):
+            done = (np.abs(_horner(coeffs, z)) <= tol_abs).all(axis=1)
+            if done.any():
+                ok[idx[done]] = True
+                moduli[idx[done]] = np.abs(z[done])
+                keep = ~done
+                idx, z = idx[keep], z[keep]
+                shifted, tol_abs = shifted[keep], tol_abs[keep]
+                coeffs[c_index] = shifted
+            if sweep == max_iter or idx.size == 0:
+                break
+            for i in range(deg):
+                zi = z[:, i:i + 1]
+                pv = coeffs[deg]
+                dv = 0j
+                for m in range(deg - 1, -1, -1):
+                    dv = dv * zi + pv
+                    pv = pv * zi + coeffs[m]
+                s = 0j
+                for j in range(deg):
+                    if j != i:
+                        diff = zi - z[:, j:j + 1]
+                        s = s + np.where(diff != 0, 1.0 / diff, 0j)
+                w = pv / dv
+                denom = 1.0 - w * s
+                step = np.where((dv != 0) & (denom != 0), zi - w / denom, zi)
+                # stationary point of p: fall back to the pairwise repulsion
+                step = np.where((dv == 0) & (s != 0), zi + 1.0 / s, step)
+                z[:, i:i + 1] = np.where(pv != 0, step, zi)
+    moduli[idx] = np.abs(z)
+    moduli.sort(axis=1)
     return moduli, ok
-
-
-if JIT_ENABLED:
-    aberth_sweeps = njit(cache=True, nogil=True)(aberth_sweeps)
-    scan_moduli = njit(cache=True, nogil=True)(scan_moduli)

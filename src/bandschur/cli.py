@@ -25,6 +25,7 @@ from .shapes import (
     shape_from_minor,
 )
 from .spectra import (
+    DEFAULT_TOL,
     GridSpec,
     finite_section_spectrum,
     limit_set_scan,
@@ -52,6 +53,12 @@ SYMBOL_HELP = (
     "comma-separated band coefficients s_0,...,s_n; each value is a complex "
     "number written as a, bi, or a+bi / a-bi (example: 1,0.5-2i,3); "
     "s_0 must be 1 and is prepended automatically when omitted"
+)
+
+SCAN_TOL_HELP = (
+    "relative modulus-gap threshold (default: 1e-2); near a double root the "
+    f"scanned gaps are only good to about sqrt({DEFAULT_TOL:g}) = "
+    f"{DEFAULT_TOL ** 0.5:g}, so a tol below about 1e-4 is below that noise"
 )
 
 DUAL_ROUTE_TOL = 1e-8
@@ -458,6 +465,13 @@ def _crosscheck_hits(sym: BandedSymbol, c: int, report) -> None:
             )
 
 
+def _scan_failure_status(failures: int) -> tuple[int, str | None]:
+    """Exit code and stderr line for a scan with this many unconverged points."""
+    if failures:
+        return 1, f"{failures} grid points did not converge"
+    return 0, None
+
+
 def _run_limitset(args) -> tuple[str, int, str | None]:
     sym = _parse_symbol_flag(args.symbol)
     if not 0 < args.c < sym.band:
@@ -467,7 +481,7 @@ def _run_limitset(args) -> tuple[str, int, str | None]:
     grid = _parse_grid_flag(args.grid)
     if args.tol < 0:
         raise UsageError(f"--tol must be >= 0, got {args.tol}")
-    report = limit_set_scan(sym, args.c, grid, args.tol, threads=args.threads)
+    report = limit_set_scan(sym, args.c, grid, args.tol)
     _crosscheck_hits(sym, args.c, report)
     if args.format == "json":
         out = _dump_json(report.to_json_obj())
@@ -481,10 +495,7 @@ def _run_limitset(args) -> tuple[str, int, str | None]:
                 f"note: {report.note}",
             ]
         )
-    err = None
-    if report.failures:
-        err = f"{len(report.failures)} grid points did not converge"
-    return out, 0, err
+    return out, *_scan_failure_status(len(report.failures))
 
 
 def _run_eigs(args) -> tuple[str, int, str | None]:
@@ -520,9 +531,7 @@ def _run_compare(args) -> tuple[str, int, str | None]:
     grid = _parse_grid_flag(args.grid)
     if args.tol < 0:
         raise UsageError(f"--tol must be >= 0, got {args.tol}")
-    result = spectrum_vs_limitset(
-        sym, args.c, args.k, grid, args.tol, threads=args.threads
-    )
+    result = spectrum_vs_limitset(sym, args.c, args.k, grid, args.tol)
     if args.format == "json":
         out = _dump_json(result.to_json_obj())
     else:
@@ -534,7 +543,7 @@ def _run_compare(args) -> tuple[str, int, str | None]:
                 f"max-distance: {result.max_distance:.12g}",
             ]
         )
-    return out, 0, None
+    return out, *_scan_failure_status(result.failure_count)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -625,12 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", required=True, help="re_min,re_max,im_min,im_max,nx,ny",
     )
     p.add_argument(
-        "--tol", type=float, default=1e-2,
-        help="relative modulus-gap threshold (default: 1e-2)",
-    )
-    p.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads for the scan (default: all cores)",
+        "--tol", type=float, default=1e-2, help=SCAN_TOL_HELP,
     )
     fmt_flag(p, ("csv", "json", "text"), "csv")
     p.set_defaults(func=_run_limitset)
@@ -660,12 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", required=True, help="re_min,re_max,im_min,im_max,nx,ny",
     )
     p.add_argument(
-        "--tol", type=float, default=1e-2,
-        help="relative modulus-gap threshold (default: 1e-2)",
-    )
-    p.add_argument(
-        "--threads", type=int, default=None,
-        help="worker threads for the scan (default: all cores)",
+        "--tol", type=float, default=1e-2, help=SCAN_TOL_HELP,
     )
     fmt_flag(p, ("text", "json"), "text")
     p.set_defaults(func=_run_compare)

@@ -216,6 +216,20 @@ class TestLimitsetCommand:
         assert code == 2
         assert "grid" in err
 
+    def test_unconverged_points_exit_one(self, capsys):
+        # Roots near 1e6 put the stop test below the rounding floor at 99
+        # of the 451 points; the report still prints in full.
+        code, out, err = run(
+            capsys,
+            [
+                "limitset", "--symbol", "1,1e6,1", "--c", "1",
+                "--grid=-3e6,3e6,-1,1,41,11", "--format", "text",
+            ],
+        )
+        assert code == 1
+        assert out.splitlines()[:2] == ["hits: 0", "failures: 99"]
+        assert err == "error: 99 grid points did not converge\n"
+
 
 class TestEigsCommand:
     def test_contiguous_by_c(self, capsys):
@@ -271,6 +285,25 @@ class TestCompareCommand:
         )
         assert code == 1
         assert "empty hit set" in err
+
+    def test_unconverged_points_exit_one(self, capsys):
+        # The 61-point rows hit v = 1e6, where the limit set crosses the
+        # real axis, and 220 of the 671 points do not converge.
+        code, out, err = run(
+            capsys,
+            [
+                "compare", "--symbol", "1,1e6,1", "--c", "1", "--k", "10",
+                "--grid=-3e6,3e6,-1,1,61,11",
+            ],
+        )
+        assert code == 1
+        assert out == (
+            "k: 10\n"
+            "hits: 1\n"
+            "median-distance: 1.30972146831\n"
+            "max-distance: 1.91898594773\n"
+        )
+        assert err == "error: 220 grid points did not converge\n"
 
 
 class TestHarness:

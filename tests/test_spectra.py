@@ -2,18 +2,19 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+from bandschur import _kernels
 from bandschur.shapes import MinorSpec
 from bandschur.spectra import (
+    DEFAULT_TOL,
+    MAX_SWEEPS,
     ComparisonResult,
     GridSpec,
     RootConvergenceError,
+    _initial_circle,
     finite_section_spectrum,
     limit_set_scan,
     poly_roots,
@@ -169,13 +170,6 @@ class TestLimitSetScan:
         assert report.hits == ()
         assert report.failures == ()
 
-    def test_thread_count_does_not_change_hits(self):
-        grid = GridSpec.parse("-3,3,-1,1,31,11")
-        one = limit_set_scan(TRIDIAG, 1, grid, tol=1e-2, threads=1)
-        four = limit_set_scan(TRIDIAG, 1, grid, tol=1e-2, threads=4)
-        assert one.hits == four.hits
-        assert one.failures == four.failures
-
     def test_conjugation_symmetry_for_real_symbol(self):
         sym = BandedSymbol((1, 0.5, 0.25))
         grid = GridSpec.parse("-2,2,-1,1,21,11")
@@ -266,36 +260,67 @@ class TestSpectrumVsLimitSet:
             spectrum_vs_limitset(TRIDIAG, 1, 4, grid, tol=1e-3)
 
 
-class TestPurePythonPath:
-    def test_env_flag_selects_pure_kernels_with_same_results(self):
-        # Run a small scan in a subprocess with the JIT disabled and compare
-        # hit coordinates and gaps against the in-process result.
-        grid_text = "-3,3,-1,1,31,11"
+def _grid_points(grid):
+    """Grid values in the scan's row-major order."""
+    return [
+        complex(re_v, im_v)
+        for im_v in grid.im_values()
+        for re_v in grid.re_values()
+    ]
+
+
+class TestScanAgainstPolyRoots:
+    """The batched scan kernel against the scalar root finder, point by point."""
+
+    @pytest.mark.parametrize(
+        "coeffs, c, grid_text",
+        [
+            ((1, 0, 1), 1, "-3,3,-1,1,31,11"),  # double roots at v = +-2
+            ((1, -0.4, 0.5, 0.6, -0.8), 2, "-3,3,-3,3,24,24"),
+        ],
+    )
+    def test_every_point_matches_root_modulus_profile(self, coeffs, c, grid_text):
+        sym = BandedSymbol(coeffs)
         grid = GridSpec.parse(grid_text)
-        report = limit_set_scan(TRIDIAG, 1, grid, tol=1e-2, threads=1)
-        script = (
-            "from bandschur import _kernels\n"
-            "assert not _kernels.JIT_ENABLED\n"
-            "from bandschur.spectra import GridSpec, limit_set_scan\n"
-            "from bandschur.toeplitz import BandedSymbol\n"
-            "report = limit_set_scan(BandedSymbol((1, 0, 1)), 1, "
-            f"GridSpec.parse({grid_text!r}), tol=1e-2, threads=1)\n"
-            "print(report.to_csv(), end='')\n"
+        points = np.array(_grid_points(grid))
+        base = np.asarray(coeffs, dtype=np.complex128)
+        moduli, ok = _kernels.scan_moduli(
+            base, c, points.real, points.imag, _initial_circle(base, 0),
+            DEFAULT_TOL, MAX_SWEEPS,
         )
-        env = dict(os.environ, BANDSCHUR_JIT="0")
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert lines[0] == "re_v,im_v,gap"
-        assert len(lines) == 1 + len(report.hits)
-        for line, (re_v, im_v, gap) in zip(lines[1:], report.hits):
-            pre, pim, pgap = map(float, line.split(","))
-            assert pre == float(f"{re_v:.12g}")
-            assert pim == float(f"{im_v:.12g}")
-            assert abs(pgap - gap) <= 1e-6
+        assert ok.all()
+        # tol = 1 makes every converged point a hit, so the hits carry every gap
+        report = limit_set_scan(sym, c, grid, tol=1.0)
+        assert report.failures == ()
+        assert len(report.hits) == len(points)
+        for v, row, (re_v, im_v, gap) in zip(points, moduli, report.hits):
+            assert complex(re_v, im_v) == v
+            profile = root_modulus_profile(sym, c, v)
+            assert np.all(np.abs(row - profile) <= 1e-9 * profile)
+            direct = (profile[c] - profile[c - 1]) / profile[c]
+            assert abs(direct - gap) <= 2e-9
+
+    @pytest.mark.parametrize(
+        "coeffs, grid_text, n_failed",
+        [
+            # large roots put the stop test below the rounding floor
+            ((1, 1e6, 1), "-3e6,3e6,-1,1,41,11", 99),
+            # iterates overflow to NaN, which must not pass the stop test
+            ((1, 1e200, 1), "-1,1,-1,1,3,3", 9),
+        ],
+    )
+    def test_failures_are_the_points_poly_roots_rejects(
+        self, coeffs, grid_text, n_failed
+    ):
+        sym = BandedSymbol(coeffs)
+        grid = GridSpec.parse(grid_text)
+        report = limit_set_scan(sym, 1, grid, tol=1e-2)
+        failed = {complex(re_v, im_v) for re_v, im_v, _ in report.failures}
+        rejected = set()
+        for v in _grid_points(grid):
+            try:
+                root_modulus_profile(sym, 1, v)
+            except RootConvergenceError:
+                rejected.add(v)
+        assert len(failed) == n_failed
+        assert failed == rejected
