@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .polyring import MultiPoly
-from .recurrence import char_coeffs, recurrence_residual, verify_recurrence
+from .recurrence import verify_recurrence
 from .schur import schur_jacobi_trudi, symbolic_det
 from .shapes import (
     MinorSpec,
@@ -178,6 +179,13 @@ def _require_nvars(nvars: int) -> int:
     return nvars
 
 
+def _require_tol(tol: float) -> None:
+    if not math.isfinite(tol):
+        raise UsageError(f"--tol must be finite, got {tol}")
+    if tol < 0:
+        raise UsageError(f"--tol must be >= 0, got {tol}")
+
+
 def _fmt_parts(parts) -> str:
     return "(" + ",".join(str(p) for p in parts) + ")"
 
@@ -248,6 +256,9 @@ def _run_minor_det(args) -> tuple[str, int, str | None]:
     else:
         band = sym.band
     spec = _make_spec(args.alpha, args.beta, band)
+    if args.nvars is not None and sym is not None and sym.coeffs[-1] == 0:
+        # the dual route needs all n roots of the symbol
+        raise UsageError("--symbol: top coefficient s_n must be nonzero")
 
     det_sym = None
     det_num = None
@@ -279,7 +290,7 @@ def _run_minor_det(args) -> tuple[str, int, str | None]:
         obj["det_numeric"] = format_complex(det_num)
         obj["det_evaluated"] = format_complex(value)
         obj["rel_diff"] = rel
-        if rel > DUAL_ROUTE_TOL:
+        if not rel <= DUAL_ROUTE_TOL:
             code, err = 1, f"symbolic and numeric routes disagree: {rel:.3e}"
     elif det_sym is not None:
         lines.append(f"det: {det_sym}")
@@ -359,24 +370,20 @@ def _run_recurrence(args) -> tuple[str, int, str | None]:
     kmin = min_k(spec)
     if args.jmax < kmin:
         raise UsageError(f"--jmax must be >= min_k = {kmin} for this spec")
-    coeffs = char_coeffs(spec.band, spec.c - spec.r)
-    residuals = [
-        (j, recurrence_residual(spec, j)) for j in range(args.jmax + 1)
-    ]
     report = verify_recurrence(spec, args.jmax)
 
     if args.format == "json":
         obj = {
             "report": report.to_json_obj(),
-            "b": coeffs.order,
+            "b": report.b,
             "residuals": [
-                {"j": j, "zero": poly.is_zero} for j, poly in residuals
+                {"j": j, "zero": p.is_zero} for j, p in enumerate(report.residuals)
             ],
         }
         out = _dump_json(obj)
     else:
-        lines = [f"b: {coeffs.order}", f"min_k: {kmin}"]
-        for j, poly in residuals:
+        lines = [f"b: {report.b}", f"min_k: {kmin}"]
+        for j, poly in enumerate(report.residuals):
             if poly.is_zero:
                 lines.append(f"j={j}: zero")
             else:
@@ -402,6 +409,7 @@ def _run_widom(args) -> tuple[str, int, str | None]:
         raise UsageError(f"--k must be >= 0, got {args.k}")
     if sym.coeffs[-1] == 0:
         raise UsageError("--symbol: top coefficient s_n must be nonzero")
+    _require_tol(args.tol)
 
     t_roots = poly_roots(list(sym.coeffs))
     check_separated(t_roots, "symbol roots")
@@ -414,7 +422,7 @@ def _run_widom(args) -> tuple[str, int, str | None]:
     spec = MinorSpec((), tuple(range(1, args.c + 1)), n)
     det = det_numeric(build_minor_numeric(sym, spec, args.k))
     rel = [abs(v - det) / max(1.0, abs(det)) for v in (w_orig, w_mod, hall)]
-    worst = max(rel)
+    worst = math.nan if any(map(math.isnan, rel)) else max(rel)
 
     if args.format == "json":
         obj = {
@@ -444,7 +452,7 @@ def _run_widom(args) -> tuple[str, int, str | None]:
                 f"max-rel-diff: {worst:.12g}",
             ]
         )
-    if worst > args.tol:
+    if not worst <= args.tol:
         return out, 1, f"formula values disagree beyond {args.tol}: {worst:.3e}"
     return out, 0, None
 
@@ -479,8 +487,7 @@ def _run_limitset(args) -> tuple[str, int, str | None]:
     if sym.coeffs[-1] == 0:
         raise UsageError("--symbol: top coefficient s_n must be nonzero")
     grid = _parse_grid_flag(args.grid)
-    if args.tol < 0:
-        raise UsageError(f"--tol must be >= 0, got {args.tol}")
+    _require_tol(args.tol)
     report = limit_set_scan(sym, args.c, grid, args.tol)
     _crosscheck_hits(sym, args.c, report)
     if args.format == "json":
@@ -529,8 +536,7 @@ def _run_compare(args) -> tuple[str, int, str | None]:
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     grid = _parse_grid_flag(args.grid)
-    if args.tol < 0:
-        raise UsageError(f"--tol must be >= 0, got {args.tol}")
+    _require_tol(args.tol)
     result = spectrum_vs_limitset(sym, args.c, args.k, grid, args.tol)
     if args.format == "json":
         out = _dump_json(result.to_json_obj())

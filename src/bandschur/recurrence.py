@@ -10,7 +10,8 @@ prod over subsets (t - x_{i1}...x_{id}) as sum Q_{b-m} t^m defines Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -32,6 +33,7 @@ class CharCoeffs:
         return len(self.q) - 1
 
 
+@lru_cache(maxsize=None)
 def char_coeffs(band: int, extra: int) -> CharCoeffs:
     """Coefficients from the product over all `extra`-subsets of variables.
 
@@ -89,6 +91,7 @@ class RecurrenceReport:
     j_hi: int
     all_zero: bool
     first_failure: int | None
+    residuals: tuple[MultiPoly, ...] = field(repr=False)  # j = 0..j_hi, not in JSON
 
     def to_json_obj(self) -> dict:
         return {
@@ -105,20 +108,18 @@ class RecurrenceReport:
 
 
 def verify_recurrence(spec: MinorSpec, j_max: int) -> RecurrenceReport:
-    """Check the residual vanishes for every j in [min_k(spec), j_max]."""
+    """Compute each residual j = 0..j_max once; those from min_k must vanish."""
     lo = min_k(spec)
     if j_max < lo:
         raise ValueError(f"j_max = {j_max} below min_k = {lo} for {spec}")
-    first_failure = None
-    for j in range(lo, j_max + 1):
-        if not recurrence_residual(spec, j).is_zero:
-            first_failure = j
-            break
+    residuals = tuple(recurrence_residual(spec, j) for j in range(j_max + 1))
+    failures = [j for j in range(lo, j_max + 1) if not residuals[j].is_zero]
     return RecurrenceReport(
         spec=spec,
         b=comb(spec.band, spec.c - spec.r),
         j_lo=lo,
         j_hi=j_max,
-        all_zero=first_failure is None,
-        first_failure=first_failure,
+        all_zero=not failures,
+        first_failure=failures[0] if failures else None,
+        residuals=residuals,
     )

@@ -105,59 +105,60 @@ def symbolic_det(matrix: PolyMatrix, method: str = "auto") -> MultiPoly:
     """
     if method == "berkowitz":
         return _det_berkowitz(matrix)
-    if method == "banded":
-        return _det_banded(matrix)
-    if method != "auto":
+    if method not in ("auto", "banded"):
         raise ValueError(f"unknown method {method!r}")
-    if matrix.size <= 2 or _band_window(matrix) <= 12:
-        return _det_banded(matrix)
-    return _det_berkowitz(matrix)
+    pattern = _nonzero_pattern(matrix)
+    if pattern is None:
+        return MultiPoly.zero(matrix.nvars)
+    if method == "auto" and matrix.size > 2 and _band_window(*pattern) > 12:
+        return _det_berkowitz(matrix)
+    return _det_banded(matrix, *pattern)
 
 
-def _nonzero_rows(matrix: PolyMatrix) -> list[list[int]]:
-    return [
-        [i for i in range(matrix.size) if not matrix.entries[i][j].is_zero]
-        for j in range(matrix.size)
-    ]
+def _nonzero_pattern(
+    matrix: PolyMatrix,
+) -> tuple[list[list[int]], list[int]] | None:
+    """Nonzero rows of each column, and their running minimum from the right.
 
-
-def _band_window(matrix: PolyMatrix) -> int:
-    """Largest row spread the matching expansion would have to track."""
+    future_min[j] is the smallest nonzero row in columns j..m-1, with
+    future_min[m] = m.  None when a column is all zero: the determinant is 0.
+    """
     m = matrix.size
-    nz = _nonzero_rows(matrix)
+    nz = [
+        [i for i in range(m) if not matrix.entries[i][j].is_zero]
+        for j in range(m)
+    ]
     if any(not rows for rows in nz):
-        return 0  # a zero column: determinant is zero, trivially "banded"
-    future_min = [0] * (m + 1)
-    future_min[m] = m
+        return None
+    future_min = [m] * (m + 1)
     for j in range(m - 1, -1, -1):
         future_min[j] = min(nz[j][0], future_min[j + 1])
+    return nz, future_min
+
+
+def _band_window(nz: list[list[int]], future_min: list[int]) -> int:
+    """Largest row spread the matching expansion would have to track."""
     width = 0
     hi = -1
-    for j in range(m):
+    for j in range(len(nz)):
         hi = max(hi, nz[j][-1])
         width = max(width, hi - future_min[j + 1] + 1)
     return width
 
 
-def _det_banded(matrix: PolyMatrix) -> MultiPoly:
+def _det_banded(
+    matrix: PolyMatrix, nz: list[list[int]], future_min: list[int]
+) -> MultiPoly:
     """Column-by-column matching expansion with a used-row frontier.
 
     Walks the columns in order, choosing the matched row for each; states
     are sets of used rows, which stay confined to a window for banded
     nonzero patterns.  Signs come from counting inversions as rows are
     chosen.  Division-free: only (partial sum) x (entry) products occur.
+    nz and future_min come from _nonzero_pattern.
     """
     m = matrix.size
     nvars = matrix.nvars
-    if m == 0:
-        return MultiPoly.one(nvars)
-    nz = _nonzero_rows(matrix)
-    if any(not rows for rows in nz):
-        return MultiPoly.zero(nvars)
-    future_min = [m] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        future_min[j] = min(nz[j][0], future_min[j + 1])
-
     one_key: Monomial = (0,) * nvars
     states: dict[frozenset[int], dict[Monomial, int]] = {
         frozenset(): {one_key: 1}

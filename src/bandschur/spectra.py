@@ -16,6 +16,7 @@ scan is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,6 +114,9 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(math.isfinite(v) for v in bounds):
+            raise ValueError("grid bounds must be finite")
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"grid needs nx, ny >= 1, got {self.nx}, {self.ny}")
         if self.re_max < self.re_min or self.im_max < self.im_min:
@@ -213,7 +217,7 @@ def limit_set_scan(
         raise ValueError(f"need 0 < c < band = {n}, got c = {c}")
     if sym.coeffs[-1] == 0:
         raise ValueError("top band coefficient is zero: degree drops")
-    if tol < 0:
+    if not tol >= 0:  # also rejects NaN, which would mark no point a hit
         raise ValueError(f"tol must be >= 0, got {tol}")
     base = np.asarray(sym.coeffs, dtype=np.complex128)
     z0 = _initial_circle(base, seed)

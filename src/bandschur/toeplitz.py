@@ -10,6 +10,7 @@ Schur polynomial; verify_minor_schur checks that identity exactly.
 
 from __future__ import annotations
 
+import cmath
 from functools import lru_cache
 
 import numpy as np
@@ -17,6 +18,8 @@ import numpy as np
 from .polyring import MultiPoly, elementary_symmetric
 from .schur import PolyMatrix, schur_jacobi_trudi, symbolic_det
 from .shapes import MinorSpec, min_k, shape_from_minor, surviving
+
+MINOR_CACHE_SIZE = 32  # >= C(n, c - r) + 1, the minors one residual reads, n <= 6
 
 
 def parse_complex(text: str) -> complex:
@@ -78,6 +81,8 @@ class BandedSymbol:
             raise ValueError("symbol needs at least s_0, s_1")
         if coeffs[0] != 1:
             raise ValueError(f"s_0 must be 1, got {coeffs[0]}")
+        if not all(cmath.isfinite(v) for v in coeffs):
+            raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
@@ -142,9 +147,9 @@ def det_numeric(matrix: np.ndarray) -> complex:
     return complex(np.linalg.det(matrix))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MINOR_CACHE_SIZE)
 def minor_det_symbolic(spec: MinorSpec, k: int) -> MultiPoly:
-    """Exact determinant of the symbolic k x k minor."""
+    """Exact determinant of the symbolic k x k minor (LRU-cached)."""
     return symbolic_det(build_minor_symbolic(spec, k))
 
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from bandschur import recurrence
 from bandschur.cli import COMMAND_OPERATIONS, build_parser, main
 
 
@@ -103,6 +104,31 @@ class TestMinorDetCommand:
         code, _, err = run(capsys, ["minor-det", "--beta", "2", "--k", "2"])
         assert code == 2
 
+    def test_zero_top_coefficient_with_both_routes_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, ["minor-det", "--nvars", "2", "--symbol", "1,2,0", "--k", "3"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --symbol: top coefficient s_n must be nonzero\n"
+
+    def test_zero_top_coefficient_numeric_only_is_accepted(self, capsys):
+        code, out, err = run(capsys, ["minor-det", "--symbol", "1,2,0", "--k", "3"])
+        assert (code, out, err) == (0, "det: 1\n", "")
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in det:RuntimeWarning")
+    def test_nan_disagreement_fails(self, capsys):
+        # the numeric determinant overflows to inf+nan*i, so rel-diff is nan
+        code, out, err = run(
+            capsys,
+            [
+                "minor-det", "--nvars", "2", "--symbol", "1,1e200,1e100",
+                "--beta", "1", "--k", "3",
+            ],
+        )
+        assert code == 1
+        assert "rel-diff: nan" in out.splitlines()
+        assert err == "error: symbolic and numeric routes disagree: nan\n"
+
 
 class TestCheckIdentityCommand:
     def test_golden(self, capsys):
@@ -146,6 +172,34 @@ class TestRecurrenceCommand:
         assert obj["report"]["all_zero"] is True
         assert obj["report"]["b"] == 2
 
+    @pytest.mark.parametrize(
+        "alpha, beta, nvars, jmax",
+        [("", "2", "2", 3), ("2", "1,3", "3", 4), ("", "1,2", "4", 3)],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_each_residual_computed_once(
+        self, capsys, monkeypatch, alpha, beta, nvars, jmax, fmt
+    ):
+        calls = []
+        real = recurrence.recurrence_residual
+
+        def counting(spec, j):
+            calls.append(j)
+            return real(spec, j)
+
+        monkeypatch.setattr(recurrence, "recurrence_residual", counting)
+        recurrence.char_coeffs.cache_clear()
+        code, _, _ = run(
+            capsys,
+            [
+                "recurrence", "--alpha", alpha, "--beta", beta,
+                "--nvars", nvars, "--jmax", str(jmax), "--format", fmt,
+            ],
+        )
+        assert code == 0
+        assert calls == list(range(jmax + 1))
+        assert recurrence.char_coeffs.cache_info().misses == 1
+
 
 class TestWidomCommand:
     def test_golden_integer_case(self, capsys):
@@ -169,6 +223,32 @@ class TestWidomCommand:
         assert code == 1
         assert "disagree" in err
         assert "max-rel-diff" in out
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in det:RuntimeWarning")
+    def test_nan_disagreement_fails(self, capsys):
+        # the numeric determinant overflows to inf+nan*i, so every
+        # relative difference is nan
+        code, out, err = run(
+            capsys, ["widom", "--symbol", "1,1e200,1e100", "--c", "1", "--k", "3"]
+        )
+        assert code == 1
+        assert "max-rel-diff: nan" in out.splitlines()
+        assert err == "error: formula values disagree beyond 1e-08: nan\n"
+
+    @pytest.mark.parametrize(
+        "tol, message",
+        [
+            ("nan", "--tol must be finite, got nan"),
+            ("inf", "--tol must be finite, got inf"),
+            ("-1", "--tol must be >= 0, got -1.0"),
+        ],
+    )
+    def test_bad_tol_is_usage_error(self, capsys, tol, message):
+        code, out, err = run(
+            capsys,
+            ["widom", "--symbol", "1,5,6", "--c", "1", "--k", "2", "--tol", tol],
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestLimitsetCommand:
@@ -216,6 +296,30 @@ class TestLimitsetCommand:
         assert code == 2
         assert "grid" in err
 
+    def test_non_finite_grid_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            [
+                "limitset", "--symbol", "1,0,1", "--c", "1",
+                "--grid", "-2,inf,-1,1,5,5",
+            ],
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --grid: ")
+        assert "grid bounds must be finite" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_is_usage_error(self, capsys, tol):
+        code, out, err = run(
+            capsys,
+            [
+                "limitset", "--symbol", "1,0,1", "--c", "1",
+                "--grid", "-2,2,-1,1,5,5", "--tol", tol,
+            ],
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --tol must be finite, got {float(tol)}\n"
+
     def test_unconverged_points_exit_one(self, capsys):
         # Roots near 1e6 put the stop test below the rounding floor at 99
         # of the 451 points; the report still prints in full.
@@ -258,6 +362,13 @@ class TestEigsCommand:
         assert code == 2
         assert "not both" in err
 
+    def test_non_finite_symbol_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, ["eigs", "--symbol", "1,nan", "--k", "3", "--c", "1"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --symbol: coefficients must be finite\n"
+
 
 class TestCompareCommand:
     def test_text_output(self, capsys):
@@ -285,6 +396,16 @@ class TestCompareCommand:
         )
         assert code == 1
         assert "empty hit set" in err
+
+    def test_non_finite_tol_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            [
+                "compare", "--symbol", "1,0,1", "--c", "1", "--k", "4",
+                "--grid", "-2,2,-1,1,5,5", "--tol", "nan",
+            ],
+        )
+        assert (code, out, err) == (2, "", "error: --tol must be finite, got nan\n")
 
     def test_unconverged_points_exit_one(self, capsys):
         # The 61-point rows hit v = 1e6, where the limit set crosses the

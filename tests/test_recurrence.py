@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from bandschur import recurrence
 from bandschur.polyring import MultiPoly, elementary_symmetric
 from bandschur.recurrence import (
     CharCoeffs,
@@ -74,6 +75,10 @@ class TestCharCoeffs:
                 swapped = (exps[1], exps[0], exps[2])
                 assert coeffs.get(swapped, 0) == coeff
 
+    def test_memoised_per_band_and_extra(self):
+        assert char_coeffs(3, 1) is char_coeffs(3, 1)
+        assert char_coeffs(3, 1) is not char_coeffs(3, 2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             char_coeffs(0, 0)
@@ -123,6 +128,21 @@ class TestVerifyRecurrence:
             "all_zero": True,
             "first_failure": None,
         }
+        assert len(report.residuals) == 4
+        for j, poly in enumerate(report.residuals):
+            assert poly == recurrence_residual(spec, j)
+        assert not report.residuals[0].is_zero  # below min_k, not a failure
+
+    def test_first_failure_read_from_the_residuals(self, monkeypatch):
+        # Only residuals at or above min_k count, and the first nonzero wins.
+        spec = MinorSpec((), (2,), 2)
+        x1 = MultiPoly.variable(2, 1)
+        fake = {0: x1, 1: MultiPoly.zero(2), 2: x1, 3: x1}
+        monkeypatch.setattr(recurrence, "recurrence_residual", lambda s, j: fake[j])
+        report = verify_recurrence(spec, 3)
+        assert not report.all_zero and report.first_failure == 2
+        assert report.residuals == (x1, MultiPoly.zero(2), x1, x1)
+        assert report.to_json_obj()["first_failure"] == 2
 
     def test_j_max_below_threshold_rejected(self):
         with pytest.raises(ValueError, match="below min_k"):

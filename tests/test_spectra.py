@@ -148,6 +148,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec.parse("-3,3,-1,1,0,5")
 
+    @pytest.mark.parametrize(
+        "text", ["-2,inf,-1,1,5,5", "nan,2,-1,1,5,5", "-2,2,-inf,1,5,5"]
+    )
+    def test_non_finite_bounds_rejected(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec.parse(text)
+
     def test_json(self):
         grid = GridSpec.parse("-1,1,-1,1,5,5")
         assert json.loads(json.dumps(grid.to_json_obj()))["nx"] == 5
@@ -169,6 +176,11 @@ class TestLimitSetScan:
         report = limit_set_scan(TRIDIAG, 1, grid, tol=1e-2)
         assert report.hits == ()
         assert report.failures == ()
+
+    @pytest.mark.parametrize("tol", [-1e-3, float("nan")])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            limit_set_scan(TRIDIAG, 1, GridSpec.parse("-1,1,-1,1,3,3"), tol)
 
     def test_conjugation_symmetry_for_real_symbol(self):
         sym = BandedSymbol((1, 0.5, 0.25))

@@ -1,5 +1,7 @@
 """Tests for banded Toeplitz minors, numeric and symbolic."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +9,10 @@ from hypothesis import given, strategies as st
 from bandschur.polyring import MultiPoly, elementary_symmetric
 from bandschur.schur import symbolic_det
 from bandschur.shapes import MinorSpec
+from bandschur.recurrence import verify_recurrence
+from bandschur.shapes import min_k
 from bandschur.toeplitz import (
+    MINOR_CACHE_SIZE,
     BandedSymbol,
     build_minor_numeric,
     build_minor_symbolic,
@@ -69,6 +74,15 @@ class TestBandedSymbol:
 
     def test_band(self):
         assert BandedSymbol((1, 0, 1)).band == 2
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), complex(0, float("-inf"))]
+    )
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BandedSymbol((1, bad, 1))
+        with pytest.raises(ValueError, match="finite"):
+            BandedSymbol.parse("1,nan")
 
     def test_str(self):
         assert str(BandedSymbol((1, 0.5, 0.2))) == "1,0.5,0.2"
@@ -174,3 +188,32 @@ class TestMinorSchurIdentity:
             for k in range(2, 5):
                 m = build_minor_symbolic(spec, k)
                 assert symbolic_det(m) == symbolic_det(m.anti_transpose())
+
+
+class TestMinorCache:
+    def test_bound_covers_every_recurrence_order_through_band_6(self):
+        orders = [comb(n, d) for n in range(1, 7) for d in range(n + 1)]
+        assert minor_det_symbolic.cache_info().maxsize == MINOR_CACHE_SIZE
+        assert MINOR_CACHE_SIZE >= max(orders) + 1
+
+    def test_currsize_stays_within_the_bound(self):
+        # 12 deleted columns x 4 sizes = 48 distinct minors, more than the bound
+        minor_det_symbolic.cache_clear()
+        peak = 0
+        for col in range(1, 13):
+            spec = MinorSpec((), (col,), 3)
+            for k in range(4):
+                minor_det_symbolic(spec, k)
+                peak = max(peak, minor_det_symbolic.cache_info().currsize)
+        assert 12 * 4 > MINOR_CACHE_SIZE
+        assert peak == MINOR_CACHE_SIZE
+
+    def test_recurrence_sweep_builds_each_minor_once(self):
+        # residual j reads sizes j..j + b, so a sweep to j_max needs
+        # j_max + b + 1 distinct minors and the bound keeps them all reusable
+        spec = MinorSpec((), (1, 2), 4)
+        j_max = min_k(spec) + 2
+        minor_det_symbolic.cache_clear()
+        report = verify_recurrence(spec, j_max)
+        assert report.all_zero
+        assert minor_det_symbolic.cache_info().misses == j_max + report.b + 1
