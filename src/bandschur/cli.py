@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 2 on a validation error (malformed flag values,
 inconsistent dimensions), 1 on a computation failure (an identity that
-does not hold, root-finder non-convergence, an empty scan hit set).
+does not hold, root-finder non-convergence, an empty scan hit set, a
+numeric determinant that overflows).
 Repeated invocations with the same arguments produce byte-identical
 output: all orderings are canonical and all seeds are fixed.
 """
@@ -10,6 +11,7 @@ output: all orderings are canonical and all seeds are fixed.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -298,6 +300,9 @@ def _run_minor_det(args) -> tuple[str, int, str | None]:
     else:
         lines.append(f"det: {format_complex(det_num)}")
         obj["det"] = format_complex(det_num)
+        if not cmath.isfinite(det_num):
+            code = 1
+            err = f"numeric determinant is not finite: {format_complex(det_num)}"
     out = _dump_json(obj) if args.format == "json" else "\n".join(lines)
     return out, code, err
 

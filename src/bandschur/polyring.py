@@ -10,6 +10,7 @@ printed and serialized forms deterministic.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
@@ -80,15 +81,6 @@ class MultiPoly:
             self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
         )
 
-    def coefficient(self, exps: Iterable[int]) -> int:
-        return self._terms.get(tuple(exps), 0)
-
-    def total_degree(self) -> int:
-        """Maximum total degree over terms; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -151,20 +143,9 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_compatible(other)
-        # iterate the smaller factor on the outside
-        a, b = self._terms, other._terms
-        if len(a) > len(b):
-            a, b = b, a
+        small, big = (self, other) if len(self) <= len(other) else (other, self)
         out: dict[Monomial, int] = {}
-        n = self.nvars
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(ea[i] + eb[i] for i in range(n))
-                s = out.get(key, 0) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+        _addmul(out, small, big._terms, 1)
         return _raw(self.nvars, out)
 
     __rmul__ = __mul__
@@ -220,6 +201,28 @@ class MultiPoly:
     @classmethod
     def from_json_obj(cls, nvars: int, obj: list[dict]) -> "MultiPoly":
         return cls(nvars, {tuple(t["exps"]): int(t["coeff"]) for t in obj})
+
+
+def _addmul(
+    out: dict[Monomial, int], a: MultiPoly, b: Mapping[Monomial, int], scale: int
+) -> None:
+    """Add scale * a * b into the term dict out; cancelled terms are dropped.
+
+    The only place monomials are multiplied.  a's terms form the outer
+    loop, so a should be the factor with fewer terms; b is a term dict of
+    the same variable count, and scale must be nonzero.
+    """
+    add = operator.add
+    get = out.get
+    for ea, ca in a._terms.items():
+        step = scale * ca
+        for eb, cb in b.items():
+            key = tuple(map(add, ea, eb))
+            s = get(key, 0) + step * cb
+            if s:
+                out[key] = s
+            else:
+                del out[key]
 
 
 def _raw(nvars: int, terms: dict[Monomial, int]) -> MultiPoly:

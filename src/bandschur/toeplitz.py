@@ -144,7 +144,9 @@ def det_numeric(matrix: np.ndarray) -> complex:
         raise ValueError(f"need a square matrix, got shape {matrix.shape}")
     if matrix.shape[0] == 0:
         return 1.0 + 0j
-    return complex(np.linalg.det(matrix))
+    # an overflowing determinant comes back inf or nan; callers check it
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.linalg.det(matrix))
 
 
 @lru_cache(maxsize=MINOR_CACHE_SIZE)

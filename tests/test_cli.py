@@ -115,7 +115,7 @@ class TestMinorDetCommand:
         code, out, err = run(capsys, ["minor-det", "--symbol", "1,2,0", "--k", "3"])
         assert (code, out, err) == (0, "det: 1\n", "")
 
-    @pytest.mark.filterwarnings("ignore:.*encountered in det:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_disagreement_fails(self, capsys):
         # the numeric determinant overflows to inf+nan*i, so rel-diff is nan
         code, out, err = run(
@@ -128,6 +128,29 @@ class TestMinorDetCommand:
         assert code == 1
         assert "rel-diff: nan" in out.splitlines()
         assert err == "error: symbolic and numeric routes disagree: nan\n"
+
+    @pytest.mark.parametrize("fmt, det_line", [
+        ("text", "det: inf+nani"),
+        ("json", '  "det": "inf+nani"'),
+    ])
+    def test_non_finite_numeric_det_fails(self, capsys, fmt, det_line):
+        # the true value is the real number 1e400, beyond double range
+        code, out, err = run(
+            capsys,
+            [
+                "minor-det", "--symbol", "1,1e100", "--beta", "1", "--k", "4",
+                "--format", fmt,
+            ],
+        )
+        assert code == 1
+        assert det_line in out.splitlines()
+        assert err == "error: numeric determinant is not finite: inf+nani\n"
+
+    def test_large_finite_numeric_det_passes(self, capsys):
+        code, out, err = run(
+            capsys, ["minor-det", "--symbol", "1,1e100", "--beta", "1", "--k", "3"]
+        )
+        assert (code, out, err) == (0, "det: 1e+300\n", "")
 
 
 class TestCheckIdentityCommand:
@@ -224,7 +247,7 @@ class TestWidomCommand:
         assert "disagree" in err
         assert "max-rel-diff" in out
 
-    @pytest.mark.filterwarnings("ignore:.*encountered in det:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_disagreement_fails(self, capsys):
         # the numeric determinant overflows to inf+nan*i, so every
         # relative difference is nan
@@ -448,6 +471,34 @@ class TestHarness:
         )
         assert proc.returncode == 0
         assert "x1 + x2" in proc.stdout
+
+    @pytest.mark.parametrize("argv, message", [
+        (
+            ["widom", "--symbol", "1,1e200,1e100", "--c", "1", "--k", "3"],
+            "formula values disagree beyond 1e-08: nan",
+        ),
+        (
+            [
+                "minor-det", "--nvars", "2", "--symbol", "1,1e200,1e100",
+                "--beta", "1", "--k", "3",
+            ],
+            "symbolic and numeric routes disagree: nan",
+        ),
+        (
+            ["minor-det", "--symbol", "1,1e100", "--beta", "1", "--k", "4"],
+            "numeric determinant is not finite: inf+nani",
+        ),
+    ])
+    def test_overflow_prints_only_the_error_line(self, argv, message):
+        # run as a process, so any numpy warning would reach stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "bandschur", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
 
     def test_byte_identical_repeat_runs(self, capsys):
         commands = [

@@ -1,4 +1,4 @@
-"""Tests for Jacobi-Trudi matrices and the symbolic determinant engines."""
+"""Tests for Jacobi-Trudi matrices and the symbolic determinant engine."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -116,10 +116,6 @@ class TestSymbolicDet:
         m = PolyMatrix([[one, x1x2], [zero, one]])
         assert symbolic_det(m) == one
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            symbolic_det(PolyMatrix([], nvars=2), method="cofactor")
-
     def test_row_shape_det_is_complete_homogeneous(self):
         # det of the (3)-row matrix in 2 variables is h_3.
         det = schur_jacobi_trudi(_shape((3,)), 2)
@@ -132,9 +128,7 @@ class TestSymbolicDet:
     @given(poly_matrices())
     def test_engines_agree_with_cofactor_oracle(self, matrix):
         expected = _cofactor_det(matrix)
-        assert symbolic_det(matrix, method="banded") == expected
-        assert symbolic_det(matrix, method="berkowitz") == expected
-        assert symbolic_det(matrix, method="auto") == expected
+        assert symbolic_det(matrix) == expected
 
     @given(poly_matrices(max_size=4))
     def test_anti_transpose_preserves_det(self, matrix):

@@ -1,6 +1,7 @@
 """Tests for banded Toeplitz minors, numeric and symbolic."""
 
-from math import comb
+from fractions import Fraction
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from bandschur.polyring import MultiPoly, elementary_symmetric
 from bandschur.schur import symbolic_det
 from bandschur.shapes import MinorSpec
 from bandschur.recurrence import verify_recurrence
-from bandschur.shapes import min_k
+from bandschur.shapes import min_k, surviving
 from bandschur.toeplitz import (
     MINOR_CACHE_SIZE,
     BandedSymbol,
@@ -188,6 +189,65 @@ class TestMinorSchurIdentity:
             for k in range(2, 5):
                 m = build_minor_symbolic(spec, k)
                 assert symbolic_det(m) == symbolic_det(m.anti_transpose())
+
+
+def _e_at(point: tuple[int, ...]) -> list[int]:
+    """e_0..e_n at an integer point: the coefficients of prod(1 + x_i t)."""
+    coeffs = [1]
+    for x in point:
+        coeffs = [a + x * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def _fraction_det(rows: list[list[int]]) -> int:
+    """Exact determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    m, det = len(a), Fraction(1)
+    for j in range(m):
+        pivot = next((i for i in range(j, m) if a[i][j]), None)
+        if pivot is None:
+            return 0
+        if pivot != j:
+            a[j], a[pivot] = a[pivot], a[j]
+            det = -det
+        det *= a[j][j]
+        for i in range(j + 1, m):
+            f = a[i][j] / a[j][j]
+            a[i] = [vi - f * vj for vi, vj in zip(a[i], a[j])]
+    assert det.denominator == 1
+    return int(det)
+
+
+class TestExactOracle:
+    """The only symbolic determinant engine against exact integer arithmetic."""
+
+    @pytest.mark.parametrize("alpha, beta, band, k", [
+        ((), (1, 2), 4, 10),
+        ((), (1, 2), 5, 8),
+        ((3,), (1, 3), 4, 9),
+        ((3,), (1, 3), 5, 8),
+        ((), (2,), 4, 10),
+        ((), (2,), 5, 9),
+        ((2, 4), (1, 2, 3), 4, 9),
+        ((2, 4), (1, 2, 3), 5, 8),
+    ])
+    def test_minor_det_at_integer_points(self, alpha, beta, band, k):
+        spec = MinorSpec(alpha, beta, band)
+        det = minor_det_symbolic(spec, k)
+        assert not det.is_zero
+        rows, cols = surviving(alpha, k), surviving(beta, k)
+        for point in ((2, -1, 3, -2, 5), (1, 4, -3, 2, -1)):
+            point = point[:band]
+            s = _e_at(point)
+            minor = [
+                [s[cj - ri] if 0 <= cj - ri <= band else 0 for cj in cols]
+                for ri in rows
+            ]
+            value = sum(
+                coeff * prod(x**e for x, e in zip(point, exps))
+                for exps, coeff in det
+            )
+            assert value == _fraction_det(minor)
 
 
 class TestMinorCache:
