@@ -6,7 +6,12 @@ linear recurrence, Widom-style numeric evaluation, and eigenvalue
 limit-set scans for banded symbols.
 """
 
-from .polyring import MultiPoly, elementary_symmetric
+from .polyring import (
+    MultiPoly,
+    elementary_symmetric,
+    expand_elementary,
+    reduce_symmetric,
+)
 from .recurrence import (
     CharCoeffs,
     RecurrenceReport,
@@ -93,6 +98,7 @@ __all__ = [
     "det_numeric",
     "elementary_symmetric",
     "enumerate_ssyt",
+    "expand_elementary",
     "extension_sequences",
     "finite_section_spectrum",
     "format_complex",
@@ -106,6 +112,7 @@ __all__ = [
     "parse_partition",
     "poly_roots",
     "recurrence_residual",
+    "reduce_symmetric",
     "root_modulus_profile",
     "schur_by_tableaux",
     "schur_jacobi_trudi",

@@ -8,82 +8,107 @@ the points that have not yet converged.  Both are deterministic, so
 repeated runs give byte-identical results.
 """
 
+import math
+
 import numpy as np
 
 # No compiled path exists; the constant remains because benchmark reports read it.
 JIT_ENABLED = False
 
+# Horner's rule at z rounds by up to about deg * EPS * sum_m |c_m| |z|^m
+# (Higham, Accuracy and Stability of Numerical Algorithms, sec. 5.1); the
+# margin covers complex arithmetic and the rounding of z itself.
+FLOOR_ULPS = 4.0
+EPS = np.finfo(np.float64).eps
+
 
 def aberth_sweeps(coeffs, z, tol_abs, max_iter):
-    """Run Aberth updates on z in place until residuals drop below tol_abs.
+    """Run Aberth updates on z in place until every root passes the stop test.
 
-    coeffs are ascending; z holds the current root iterates.  Returns True
-    if every |p(z_i)| <= tol_abs within max_iter sweeps.  Updates are
-    sequential within a sweep (later roots see earlier corrections).
+    coeffs are ascending; z holds the current root iterates.  A root z_i
+    passes when |p(z_i)| <= tol_abs, or when |p(z_i)| is no larger than the
+    rounding floor of evaluating p there (_floor_coeffs), which tol_abs can
+    lie below once roots are large.  A NaN residual fails, and so does a
+    non-finite floor (an iterate that overflowed), so an overflow never
+    counts as converged.  Returns True if every root passes within max_iter
+    sweeps.  Updates are sequential within a sweep (later roots see earlier
+    corrections).
     """
     d = z.shape[0]
     deg = coeffs.shape[0] - 1
-    for _ in range(max_iter):
-        done = True
-        for i in range(d):
-            pv = coeffs[deg]
-            for m in range(deg - 1, -1, -1):
-                pv = pv * z[i] + coeffs[m]
-            if not abs(pv) <= tol_abs:  # a NaN residual is not converged
-                done = False
-                break
-        if done:
-            return True
-        for i in range(d):
-            zi = z[i]
-            pv = coeffs[deg]
-            dv = 0j
-            for m in range(deg - 1, -1, -1):
-                dv = dv * zi + pv
-                pv = pv * zi + coeffs[m]
-            if pv == 0j:
-                continue
-            s = 0j
-            for j in range(d):
-                if j != i:
-                    diff = zi - z[j]
-                    if diff != 0j:
-                        s += 1.0 / diff
-            if dv != 0j:
-                w = pv / dv
-                denom = 1.0 - w * s
-                if denom != 0j:
-                    z[i] = zi - w / denom
-            elif s != 0j:
-                # stationary point of p: fall back to the pairwise repulsion
-                z[i] = zi + 1.0 / s
-    done = True
-    for i in range(d):
-        pv = coeffs[deg]
-        for m in range(deg - 1, -1, -1):
-            pv = pv * z[i] + coeffs[m]
-        if not abs(pv) <= tol_abs:
-            done = False
-            break
-    return done
+    # Python floats, which overflow to inf quietly
+    floor_coeffs = _floor_coeffs(np.abs(coeffs), deg).tolist()
+    with np.errstate(all="ignore"):
+        for sweep in range(max_iter + 1):
+            for i in range(d):
+                zi = z[i]
+                ri = float(abs(zi))
+                pv = coeffs[deg]
+                floor = floor_coeffs[deg]
+                for m in range(deg - 1, -1, -1):
+                    pv = pv * zi + coeffs[m]
+                    floor = floor * ri + floor_coeffs[m]
+                res = abs(pv)
+                if not (res <= tol_abs or res <= floor < math.inf):
+                    break
+            else:
+                return True
+            if sweep == max_iter:
+                return False
+            for i in range(d):
+                zi = z[i]
+                pv = coeffs[deg]
+                dv = 0j
+                for m in range(deg - 1, -1, -1):
+                    dv = dv * zi + pv
+                    pv = pv * zi + coeffs[m]
+                if pv == 0j:
+                    continue
+                s = 0j
+                for j in range(d):
+                    if j != i:
+                        diff = zi - z[j]
+                        if diff != 0j:
+                            s += 1.0 / diff
+                if dv != 0j:
+                    w = pv / dv
+                    denom = 1.0 - w * s
+                    if denom != 0j:
+                        z[i] = zi - w / denom
+                elif s != 0j:
+                    # stationary point of p: fall back to the pairwise repulsion
+                    z[i] = zi + 1.0 / s
+
+
+def _floor_coeffs(abs_coeffs, deg):
+    """Coefficients whose value at |z| is the rounding floor of p at z.
+
+    The floor is FLOOR_ULPS * deg * EPS * sum_m |c_m| |z|^m.
+    """
+    return (FLOOR_ULPS * deg * EPS) * abs_coeffs
 
 
 def _horner(coeffs, z):
-    """p(z) for ascending coefficients, by Horner's rule."""
-    pv = coeffs[-1]
-    for cm in coeffs[-2::-1]:
-        pv = pv * z + cm
+    """p(z) for ascending coefficients (degree >= 1), by Horner's rule.
+
+    After the first step the running value is updated in place.
+    """
+    pv = coeffs[-1] * z + coeffs[-2]
+    for cm in coeffs[-3::-1]:
+        pv *= z
+        pv += cm
     return pv
 
 
 def scan_moduli(base, c_index, vre, vim, z0, tol, max_iter):
     """Sorted root moduli of base(z) - v*z^c_index for a batch of v values.
 
-    The same iteration as aberth_sweeps, run for all points at once: every
-    point starts from the iterates z0 and stops when each |p(z_i)| <=
-    tol * max|c_m| of its own coefficients, and a stopped point leaves the
-    batch.  Returns (moduli, ok): moduli[p] ascending, and ok[p] False where
-    max_iter sweeps missed the target (moduli[p] then hold the last iterate).
+    The same iteration and stop test as aberth_sweeps, run for all points
+    at once: every point starts from the iterates z0 and stops when each
+    root passes with tol_abs = tol * max|c_m| of its own coefficients, and
+    a stopped point leaves the batch.  Returns (moduli, ok): moduli[p]
+    ascending, and ok[p] False where max_iter sweeps missed the target
+    (moduli[p] then hold the last iterate).
     """
     deg = base.shape[0] - 1
     npts = vre.shape[0]
@@ -93,20 +118,34 @@ def scan_moduli(base, c_index, vre, vim, z0, tol, max_iter):
     tol_abs = tol * np.maximum(np.abs(shifted), fixed_scale)
     coeffs = list(base)
     coeffs[c_index] = shifted
+    floor_coeffs = list(_floor_coeffs(np.abs(base), deg))
+    floor_coeffs[c_index] = _floor_coeffs(np.abs(shifted), deg)
+    # at |z| <= r_cut the floor, at most sum(floor_coeffs) * max(1, |z|)^deg,
+    # stays within tol_abs, so only a root beyond r_cut needs it
+    r_cut = (tol_abs / sum(floor_coeffs)) ** (1.0 / deg)
+    r_cut[r_cut < 1.0] = 0.0
     moduli = np.empty((npts, deg), np.float64)
     ok = np.zeros(npts, np.bool_)
     idx = np.arange(npts)
     z = np.tile(np.asarray(z0, np.complex128), (npts, 1))
     with np.errstate(all="ignore"):
         for sweep in range(max_iter + 1):
-            done = (np.abs(_horner(coeffs, z)) <= tol_abs).all(axis=1)
+            r = np.abs(z)
+            res = np.abs(_horner(coeffs, z))
+            passed = res <= tol_abs
+            if (r > r_cut).any():
+                floor = _horner(floor_coeffs, r)
+                passed |= (res <= floor) & np.isfinite(floor)
+            done = passed.all(axis=1)
             if done.any():
                 ok[idx[done]] = True
-                moduli[idx[done]] = np.abs(z[done])
+                moduli[idx[done]] = r[done]
                 keep = ~done
                 idx, z = idx[keep], z[keep]
                 shifted, tol_abs = shifted[keep], tol_abs[keep]
                 coeffs[c_index] = shifted
+                floor_coeffs[c_index] = floor_coeffs[c_index][keep]
+                r_cut = r_cut[keep]
             if sweep == max_iter or idx.size == 0:
                 break
             for i in range(deg):

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 
-from .polyring import MultiPoly
+from .polyring import MultiPoly, expand_elementary
 from .recurrence import verify_recurrence
 from .schur import schur_jacobi_trudi, symbolic_det
 from .shapes import (
@@ -80,14 +80,15 @@ COMMAND_OPERATIONS = {
         "schur.jacobi_trudi_matrix",
         "schur.symbolic_det",
         "schur.schur_jacobi_trudi",
+        "polyring.expand_elementary",
     ),
     "minor-det": (
         "toeplitz.build_minor_symbolic",
         "schur.symbolic_det",
         "toeplitz.build_minor_numeric",
         "toeplitz.det_numeric",
-        "spectra.poly_roots",
         "polyring.MultiPoly.evaluate",
+        "polyring.expand_elementary",
     ),
     "check-identity": (
         "shapes.min_k",
@@ -96,12 +97,14 @@ COMMAND_OPERATIONS = {
         "tableaux.enumerate_ssyt",
         "tableaux.insert_sequence",
         "tableaux.extension_sequences",
+        "polyring.expand_elementary",
     ),
     "recurrence": (
         "recurrence.char_coeffs",
         "recurrence.recurrence_residual",
         "recurrence.verify_recurrence",
         "shapes.min_k",
+        "polyring.expand_elementary",
     ),
     "widom": (
         "spectra.poly_roots",
@@ -188,6 +191,25 @@ def _require_tol(tol: float) -> None:
         raise UsageError(f"--tol must be >= 0, got {tol}")
 
 
+def _det_status(det: complex) -> tuple[int, str | None]:
+    """Exit code and stderr line for a numeric determinant that may overflow."""
+    if cmath.isfinite(det):
+        return 0, None
+    return 1, f"numeric determinant is not finite: {format_complex(det)}"
+
+
+def _rel_diff(value: complex, ref: complex) -> float:
+    """|value - ref| / max(1, |ref|), inf or nan when either is not finite.
+
+    abs() of a complex whose parts are nan and not inf can raise a stale
+    OverflowError, so a non-finite difference goes through math.hypot.
+    """
+    diff = value - ref
+    if cmath.isfinite(diff) and cmath.isfinite(ref):
+        return abs(diff) / max(1.0, abs(ref))
+    return math.hypot(diff.real, diff.imag) / max(1.0, math.hypot(ref.real, ref.imag))
+
+
 def _fmt_parts(parts) -> str:
     return "(" + ",".join(str(p) for p in parts) + ")"
 
@@ -258,9 +280,6 @@ def _run_minor_det(args) -> tuple[str, int, str | None]:
     else:
         band = sym.band
     spec = _make_spec(args.alpha, args.beta, band)
-    if args.nvars is not None and sym is not None and sym.coeffs[-1] == 0:
-        # the dual route needs all n roots of the symbol
-        raise UsageError("--symbol: top coefficient s_n must be nonzero")
 
     det_sym = None
     det_num = None
@@ -278,31 +297,30 @@ def _run_minor_det(args) -> tuple[str, int, str | None]:
     }
     lines = []
     if det_sym is not None and det_num is not None:
-        # dual route: evaluate the exact polynomial at the points x_i
-        # recovered from the symbol (roots t_i of sum s_m t^m, x_i = -1/t_i)
-        t_roots = poly_roots(list(sym.coeffs))
-        chi_points = tuple(-1.0 / t for t in t_roots)
-        value = det_sym.evaluate(chi_points)
-        rel = abs(value - det_num) / max(1.0, abs(det_num))
-        lines.append(f"det-symbolic: {det_sym}")
+        # dual route: the exact polynomial is in e_1..e_n, and the symbol's
+        # coefficients are the values of e_d, so it is evaluated at s_1..s_n
+        value = det_sym.evaluate(sym.coeffs[1:])
+        rel = _rel_diff(value, det_num)
+        x_form = expand_elementary(det_sym)
+        lines.append(f"det-symbolic: {x_form}")
         lines.append(f"det-numeric: {format_complex(det_num)}")
         lines.append(f"det-evaluated: {format_complex(value)}")
         lines.append(f"rel-diff: {rel:.12g}")
-        obj["det_symbolic"] = det_sym.to_json_obj()
+        obj["det_symbolic"] = x_form.to_json_obj()
         obj["det_numeric"] = format_complex(det_num)
         obj["det_evaluated"] = format_complex(value)
         obj["rel_diff"] = rel
-        if not rel <= DUAL_ROUTE_TOL:
+        code, err = _det_status(det_num)
+        if code == 0 and not rel <= DUAL_ROUTE_TOL:
             code, err = 1, f"symbolic and numeric routes disagree: {rel:.3e}"
     elif det_sym is not None:
-        lines.append(f"det: {det_sym}")
-        obj["det"] = det_sym.to_json_obj()
+        x_form = expand_elementary(det_sym)
+        lines.append(f"det: {x_form}")
+        obj["det"] = x_form.to_json_obj()
     else:
         lines.append(f"det: {format_complex(det_num)}")
         obj["det"] = format_complex(det_num)
-        if not cmath.isfinite(det_num):
-            code = 1
-            err = f"numeric determinant is not finite: {format_complex(det_num)}"
+        code, err = _det_status(det_num)
     out = _dump_json(obj) if args.format == "json" else "\n".join(lines)
     return out, code, err
 
@@ -340,7 +358,9 @@ def _run_check_identity(args) -> tuple[str, int, str | None]:
     if ok_schur:
         lines.append("minor-vs-schur: ok")
     else:
-        lines.append(f"minor-vs-schur: FAILED (residual: {residual})")
+        lines.append(
+            f"minor-vs-schur: FAILED (residual: {expand_elementary(residual)})"
+        )
     if covered and injective:
         lines.append(
             f"insertion-step: ok ({len(tabs_k)} tableaux, {len(seqs)} "
@@ -392,7 +412,7 @@ def _run_recurrence(args) -> tuple[str, int, str | None]:
             if poly.is_zero:
                 lines.append(f"j={j}: zero")
             else:
-                lines.append(f"j={j}: nonzero ({poly})")
+                lines.append(f"j={j}: nonzero ({expand_elementary(poly)})")
         if report.all_zero:
             lines.append(
                 f"holds: j >= {kmin} (verified through j = {args.jmax})"
@@ -426,7 +446,7 @@ def _run_widom(args) -> tuple[str, int, str | None]:
     hall = hall_schur_eval((args.k,) * args.c, chi_points)
     spec = MinorSpec((), tuple(range(1, args.c + 1)), n)
     det = det_numeric(build_minor_numeric(sym, spec, args.k))
-    rel = [abs(v - det) / max(1.0, abs(det)) for v in (w_orig, w_mod, hall)]
+    rel = [_rel_diff(v, det) for v in (w_orig, w_mod, hall)]
     worst = math.nan if any(map(math.isnan, rel)) else max(rel)
 
     if args.format == "json":
@@ -457,9 +477,10 @@ def _run_widom(args) -> tuple[str, int, str | None]:
                 f"max-rel-diff: {worst:.12g}",
             ]
         )
-    if not worst <= args.tol:
-        return out, 1, f"formula values disagree beyond {args.tol}: {worst:.3e}"
-    return out, 0, None
+    code, err = _det_status(det)
+    if code == 0 and not worst <= args.tol:
+        code, err = 1, f"formula values disagree beyond {args.tol}: {worst:.3e}"
+    return out, code, err
 
 
 def _crosscheck_hits(sym: BandedSymbol, c: int, report) -> None:

@@ -6,12 +6,19 @@ ever happens inside the ring; floating point only enters through
 :meth:`MultiPoly.evaluate`.  Instances are immutable and the term order is
 canonical (graded lexicographic, highest total degree first), which makes
 printed and serialized forms deterministic.
+
+A MultiPoly in n variables is read either in x_1..x_n or in the elementary
+basis, where variable d stands for y_d = e_d(x_1..x_n).  The e_d are
+algebraically independent, so a polynomial in y is zero exactly when its
+expansion in x is.  expand_elementary maps the y-form to x (for printing);
+reduce_symmetric maps a symmetric polynomial in x to its y-form.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Mapping
 
 Monomial = tuple[int, ...]
@@ -153,7 +160,11 @@ class MultiPoly:
     # -- evaluation and rendering ------------------------------------------
 
     def evaluate(self, point: Iterable[complex]) -> complex:
-        """Evaluate at a complex point, summing terms in canonical order."""
+        """Evaluate at a complex point, summing terms in canonical order.
+
+        Powers are repeated products, so a value beyond double range comes
+        back inf or nan instead of raising OverflowError.
+        """
         pt = tuple(complex(v) for v in point)
         if len(pt) != self.nvars:
             raise ValueError(f"point has {len(pt)} coordinates, expected {self.nvars}")
@@ -161,8 +172,8 @@ class MultiPoly:
         for exps, coeff in self.terms():
             mono = complex(coeff)
             for base, e in zip(pt, exps):
-                if e:
-                    mono *= base**e
+                for _ in range(e):
+                    mono *= base
             total += mono
         return total
 
@@ -208,9 +219,11 @@ def _addmul(
 ) -> None:
     """Add scale * a * b into the term dict out; cancelled terms are dropped.
 
-    The only place monomials are multiplied.  a's terms form the outer
-    loop, so a should be the factor with fewer terms; b is a term dict of
-    the same variable count, and scale must be nonzero.
+    The only place two polynomials' monomials are multiplied (the
+    partition weights of _times_elementary are the one other place
+    exponents are added).  a's terms form the outer loop, so a should be
+    the factor with fewer terms; b is a term dict of the same variable
+    count, and scale must be nonzero.
     """
     add = operator.add
     get = out.get
@@ -243,8 +256,6 @@ def elementary_symmetric(degree: int, nvars: int) -> MultiPoly:
         return MultiPoly.zero(nvars)
     if degree == 0:
         return MultiPoly.one(nvars)
-    from itertools import combinations
-
     terms: dict[Monomial, int] = {}
     for combo in combinations(range(nvars), degree):
         exps = [0] * nvars
@@ -252,3 +263,107 @@ def elementary_symmetric(degree: int, nvars: int) -> MultiPoly:
             exps[i] = 1
         terms[tuple(exps)] = 1
     return _raw(nvars, terms)
+
+
+@lru_cache(maxsize=None)
+def elementary_variable(degree: int, nvars: int) -> MultiPoly:
+    """e_degree in the elementary basis: the variable y_degree.
+
+    e_0 = 1; e_d = 0 for d < 0 or d > nvars, as in elementary_symmetric.
+    """
+    if degree < 0 or degree > nvars:
+        return MultiPoly.zero(nvars)
+    if degree == 0:
+        return MultiPoly.one(nvars)
+    return MultiPoly.variable(nvars, degree)
+
+
+def expand_elementary(p: MultiPoly) -> MultiPoly:
+    """Substitute y_d = e_d(x_1..x_n) into p(y_1..y_n); n = p.nvars.
+
+    Every partial result is symmetric, so each is held as one weight per
+    partition (see _times_elementary) and each partition is spread over its
+    distinct permutations only at the end.  Products are shared by Horner's
+    rule in y_n, and inside each of its coefficients in y_{n-1}, and so on
+    down to y_1.
+    """
+    n = p.nvars
+    out: dict[Monomial, int] = {}
+    for lam, weight in _horner_elementary(p._terms, n, n).items():
+        orbit = set(permutations(lam))
+        coeff = weight // len(orbit)
+        if coeff:
+            out.update(dict.fromkeys(orbit, coeff))
+    return _raw(n, out)
+
+
+def _horner_elementary(
+    terms: Mapping[Monomial, int], d: int, n: int
+) -> dict[Monomial, int]:
+    """Partition weights of terms, whose y_{d+1}..y_n exponents are all 0."""
+    if d == 0:
+        return dict(terms)
+    groups: dict[int, dict[Monomial, int]] = {}
+    for exps, coeff in terms.items():
+        groups.setdefault(exps[d - 1], {})[
+            exps[: d - 1] + (0,) * (n - d + 1)
+        ] = coeff
+    top = max(groups, default=0)
+    acc = _horner_elementary(groups.get(top, {}), d - 1, n)
+    for power in range(top - 1, -1, -1):
+        acc = _times_elementary(acc, d, n)
+        if power in groups:
+            for lam, weight in _horner_elementary(groups[power], d - 1, n).items():
+                acc[lam] = acc.get(lam, 0) + weight
+    return acc
+
+
+def _times_elementary(f: dict[Monomial, int], d: int, n: int) -> dict[Monomial, int]:
+    """f * e_d for a symmetric f held as partition weights.
+
+    The weight of a partition lam is its coefficient times the number of
+    distinct permutations of lam, which is the sum of the coefficients of
+    every monomial sorting to lam.  A monomial x^a times a monomial x^v of
+    e_d sorts to sort(a + v), so by symmetry the product's weights are the
+    sums of f[mu] over mu and v with sort(mu + v) = nu: one sort per pair,
+    and no monomial outside the partitions is ever formed.  Weights may be
+    zero; expand_elementary drops those.
+    """
+    out: dict[Monomial, int] = {}
+    get = out.get
+    add = operator.add
+    vectors = _unit_vectors(d, n)
+    for mu, weight in f.items():
+        if weight:
+            for v in vectors:
+                nu = tuple(sorted(map(add, mu, v), reverse=True))
+                out[nu] = get(nu, 0) + weight
+    return out
+
+
+@lru_cache(maxsize=None)
+def _unit_vectors(d: int, n: int) -> tuple[Monomial, ...]:
+    """The exponent vectors of the monomials of e_d(x_1..x_n)."""
+    return tuple(elementary_symmetric(d, n)._terms)
+
+
+def reduce_symmetric(p: MultiPoly) -> MultiPoly:
+    """The y-form of a symmetric polynomial p in x_1..x_n; n = p.nvars.
+
+    Leading-monomial reduction: while terms remain, the lex-largest
+    monomial x^lam with coefficient c has lam_1 >= ... >= lam_n for a
+    symmetric polynomial, and c * prod_d e_d^(lam_d - lam_{d+1}) removes
+    it.  Raises ValueError when a leading exponent is not weakly
+    decreasing, which happens exactly when p is not symmetric.
+    """
+    n = p.nvars
+    rest = p
+    out: dict[Monomial, int] = {}
+    while not rest.is_zero:
+        lead = max(rest._terms)
+        if any(a < b for a, b in zip(lead, lead[1:])):
+            raise ValueError(f"polynomial is not symmetric: leading monomial {lead}")
+        y = tuple(a - b for a, b in zip(lead, lead[1:] + (0,)))
+        out[y] = rest._terms[lead]
+        rest = rest - expand_elementary(_raw(n, {y: out[y]}))
+    return _raw(n, out)

@@ -6,6 +6,13 @@ linear recurrence of order b = C(n, c - r) once k clears the shape
 threshold.  Its coefficients are, up to sign, the elementary symmetric
 polynomials of all products of c - r distinct variables: expanding
 prod over subsets (t - x_{i1}...x_{id}) as sum Q_{b-m} t^m defines Q.
+
+Residuals are formed in the elementary basis (see polyring): the minors
+come from toeplitz in e_1..e_n, and the memoised char_coeffs gives each Q
+in x_1..x_n and, reduced once by reduce_symmetric, in e_1..e_n.  A residual
+is zero in e exactly when it is zero in x.  recurrence_residual and
+RecurrenceReport.residuals hand out the e-form; polyring.expand_elementary
+gives the x-form.
 """
 
 from __future__ import annotations
@@ -15,18 +22,22 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .polyring import MultiPoly
+from .polyring import MultiPoly, reduce_symmetric
 from .shapes import MinorSpec, min_k
 from .toeplitz import minor_det_symbolic
 
 
 @dataclass(frozen=True)
 class CharCoeffs:
-    """Recurrence coefficients Q_0..Q_b for band `band` and d = `extra`."""
+    """Recurrence coefficients Q_0..Q_b for band `band` and d = `extra`.
+
+    q is in x_1..x_band; q_elementary holds the same Q_i in e_1..e_band.
+    """
 
     band: int
     extra: int
     q: tuple[MultiPoly, ...]
+    q_elementary: tuple[MultiPoly, ...] = field(repr=False)
 
     @property
     def order(self) -> int:
@@ -61,11 +72,11 @@ def char_coeffs(band: int, extra: int) -> CharCoeffs:
     b = comb(band, extra)
     assert len(t_coeffs) == b + 1
     q = tuple(t_coeffs[b - i] for i in range(b + 1))
-    return CharCoeffs(band, extra, q)
+    return CharCoeffs(band, extra, q, tuple(map(reduce_symmetric, q)))
 
 
 def recurrence_residual(spec: MinorSpec, j: int) -> MultiPoly:
-    """sum over m of Q_{b-m} * det(minor at block size m + j), exactly.
+    """sum over m of Q_{b-m} * det(minor at block size m + j), in e_1..e_n.
 
     Zero for every j at or above the shape threshold min_k(spec); below it
     the residual is generally a nonzero polynomial.  Computable for any
@@ -73,11 +84,11 @@ def recurrence_residual(spec: MinorSpec, j: int) -> MultiPoly:
     """
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-    coeffs = char_coeffs(spec.band, spec.c - spec.r)
-    b = coeffs.order
+    q = char_coeffs(spec.band, spec.c - spec.r).q_elementary
+    b = len(q) - 1
     total = MultiPoly.zero(spec.band)
     for m in range(b + 1):
-        total = total + coeffs.q[b - m] * minor_det_symbolic(spec, m + j)
+        total = total + q[b - m] * minor_det_symbolic(spec, m + j)
     return total
 
 
@@ -91,7 +102,8 @@ class RecurrenceReport:
     j_hi: int
     all_zero: bool
     first_failure: int | None
-    residuals: tuple[MultiPoly, ...] = field(repr=False)  # j = 0..j_hi, not in JSON
+    # j = 0..j_hi in e_1..e_n, not in JSON
+    residuals: tuple[MultiPoly, ...] = field(repr=False)
 
     def to_json_obj(self) -> dict:
         return {

@@ -7,11 +7,21 @@ window of the band width for every matrix this package builds (banded
 minors and dual Jacobi-Trudi matrices), so it is fast there.  A dense
 matrix makes the window the whole size and the work exponential in it
 (figures in the symbolic_det docstring).
+
+Jacobi-Trudi matrices are built in the elementary basis: entry e_d is the
+variable y_d (see polyring), so their determinants are polynomials in
+e_1..e_n.  schur_jacobi_trudi expands that determinant to x_1..x_n.
 """
 
 from __future__ import annotations
 
-from .polyring import MultiPoly, Monomial, _addmul, elementary_symmetric
+from .polyring import (
+    MultiPoly,
+    Monomial,
+    _addmul,
+    elementary_variable,
+    expand_elementary,
+)
 from .shapes import SkewShape
 
 
@@ -71,8 +81,9 @@ def jacobi_trudi_matrix(shape: SkewShape, nvars: int) -> PolyMatrix:
     """Elementary-symmetric (dual) Jacobi-Trudi matrix of a skew shape.
 
     Size is the number of columns of the outer diagram; entry (i, j) is
-    e_{outer'_i - inner'_j - i + j}.  The empty shape gives the 0 x 0
-    matrix, whose determinant is 1.
+    e_{outer'_i - inner'_j - i + j}, written as the variable y_d of the
+    elementary basis.  The empty shape gives the 0 x 0 matrix, whose
+    determinant is 1.
     """
     width = shape.outer.part(1)
     outer_conj = shape.outer.conjugate()
@@ -81,7 +92,7 @@ def jacobi_trudi_matrix(shape: SkewShape, nvars: int) -> PolyMatrix:
     for i in range(1, width + 1):
         rows.append(
             [
-                elementary_symmetric(
+                elementary_variable(
                     outer_conj.part(i) - inner_conj.part(j) - i + j, nvars
                 )
                 for j in range(1, width + 1)
@@ -91,8 +102,11 @@ def jacobi_trudi_matrix(shape: SkewShape, nvars: int) -> PolyMatrix:
 
 
 def schur_jacobi_trudi(shape: SkewShape, nvars: int) -> MultiPoly:
-    """Skew Schur polynomial as a Jacobi-Trudi determinant."""
-    return symbolic_det(jacobi_trudi_matrix(shape, nvars))
+    """Skew Schur polynomial in x_1..x_n as a Jacobi-Trudi determinant.
+
+    The determinant is taken in the elementary basis and expanded to x.
+    """
+    return expand_elementary(symbolic_det(jacobi_trudi_matrix(shape, nvars)))
 
 
 # -- determinant engine ------------------------------------------------------

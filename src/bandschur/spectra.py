@@ -65,8 +65,10 @@ def poly_roots(
 ) -> np.ndarray:
     """All roots of c_0 + c_1 z + ... + c_d z^d by Aberth-Ehrlich iteration.
 
-    Converged means every residual |p(z_i)| <= tol * max|c_m|.  Multiple
-    roots come back as near-coincident clusters.  Roots are sorted by
+    Converged means every residual |p(z_i)| <= tol * max|c_m|, or, where
+    that target lies below the rounding floor of evaluating p at z_i, no
+    larger than that floor (_kernels.aberth_sweeps).  Multiple roots come
+    back as near-coincident clusters.  Roots are sorted by
     modulus, then phase.  Raises RootConvergenceError (carrying the best
     iterate) if max_iter sweeps do not reach the target.
     """

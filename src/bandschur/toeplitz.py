@@ -6,6 +6,11 @@ named by a MinorSpec and keeps the leading k x k block of what remains.
 Symbolically the band coefficients are the elementary symmetric
 polynomials of x_1..x_band, which makes every minor determinant a skew
 Schur polynomial; verify_minor_schur checks that identity exactly.
+
+Symbolic minors are built and kept in the elementary basis: s_d is the
+variable y_d = e_d (see polyring), so minor_det_symbolic and the
+verify_minor_schur residual are polynomials in e_1..e_band.  Callers that
+print or compare in x_1..x_band apply polyring.expand_elementary.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polyring import MultiPoly, elementary_symmetric
-from .schur import PolyMatrix, schur_jacobi_trudi, symbolic_det
+from .polyring import MultiPoly, elementary_variable
+from .schur import PolyMatrix, jacobi_trudi_matrix, symbolic_det
 from .shapes import MinorSpec, min_k, shape_from_minor, surviving
 
 MINOR_CACHE_SIZE = 32  # >= C(n, c - r) + 1, the minors one residual reads, n <= 6
@@ -125,14 +130,18 @@ def build_minor_numeric(sym: BandedSymbol, spec: MinorSpec, k: int) -> np.ndarra
 
 
 def build_minor_symbolic(spec: MinorSpec, k: int) -> PolyMatrix:
-    """Same minor with s_d = e_d(x_1..x_band) as exact polynomial entries."""
+    """Same minor with s_d = e_d as exact entries, in the elementary basis.
+
+    Entry s_d is the variable y_d of MultiPoly(band): 1 at d = 0, 0 off the
+    band.
+    """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n = spec.band
     rows = surviving(spec.deleted_rows, k)
     cols = surviving(spec.deleted_cols, k)
     entries = [
-        [elementary_symmetric(cj - ri, n) for cj in cols] for ri in rows
+        [elementary_variable(cj - ri, n) for cj in cols] for ri in rows
     ]
     return PolyMatrix(entries, n)
 
@@ -151,7 +160,7 @@ def det_numeric(matrix: np.ndarray) -> complex:
 
 @lru_cache(maxsize=MINOR_CACHE_SIZE)
 def minor_det_symbolic(spec: MinorSpec, k: int) -> MultiPoly:
-    """Exact determinant of the symbolic k x k minor (LRU-cached)."""
+    """Exact determinant of the symbolic k x k minor in e_1..e_band (LRU-cached)."""
     return symbolic_det(build_minor_symbolic(spec, k))
 
 
@@ -159,13 +168,14 @@ def verify_minor_schur(spec: MinorSpec, k: int) -> tuple[bool, MultiPoly]:
     """Check minor determinant == skew Schur polynomial of its shape.
 
     Both sides are computed independently (matching expansion of the minor
-    vs Jacobi-Trudi determinant of the shape).  Returns (identity holds,
-    residual polynomial).
+    vs Jacobi-Trudi determinant of the shape), and compared in the
+    elementary basis, where they agree exactly when they agree in x.
+    Returns (identity holds, residual in e_1..e_band).
     """
     lo = min_k(spec)
     if k < lo:
         raise ValueError(f"k = {k} below min_k = {lo} for {spec}")
     det = minor_det_symbolic(spec, k)
-    schur = schur_jacobi_trudi(shape_from_minor(spec, k), spec.band)
+    schur = symbolic_det(jacobi_trudi_matrix(shape_from_minor(spec, k), spec.band))
     residual = det - schur
     return residual.is_zero, residual

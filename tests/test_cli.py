@@ -104,12 +104,24 @@ class TestMinorDetCommand:
         code, _, err = run(capsys, ["minor-det", "--beta", "2", "--k", "2"])
         assert code == 2
 
-    def test_zero_top_coefficient_with_both_routes_is_usage_error(self, capsys):
+    def test_zero_top_coefficient_with_both_routes_runs_and_agrees(self, capsys):
+        # the dual route evaluates at s itself, so it needs no roots of the
+        # symbol: det = e1^3 - 2 e1 e2 at (e1, e2) = (2, 0) is 8
         code, out, err = run(
-            capsys, ["minor-det", "--nvars", "2", "--symbol", "1,2,0", "--k", "3"]
+            capsys,
+            [
+                "minor-det", "--nvars", "2", "--symbol", "1,2,0",
+                "--beta", "1", "--k", "3",
+            ],
         )
-        assert (code, out) == (2, "")
-        assert err == "error: --symbol: top coefficient s_n must be nonzero\n"
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[:3] == [
+            "det-symbolic: x1^3 + x1^2*x2 + x1*x2^2 + x2^3",
+            "det-numeric: 8",
+            "det-evaluated: 8",
+        ]
+        assert float(lines[3].removeprefix("rel-diff: ")) <= 1e-15
 
     def test_zero_top_coefficient_numeric_only_is_accepted(self, capsys):
         code, out, err = run(capsys, ["minor-det", "--symbol", "1,2,0", "--k", "3"])
@@ -117,7 +129,8 @@ class TestMinorDetCommand:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_disagreement_fails(self, capsys):
-        # the numeric determinant overflows to inf+nan*i, so rel-diff is nan
+        # the numeric determinant overflows to inf+nan*i, so rel-diff is nan;
+        # the error names the overflow, not the cross-check
         code, out, err = run(
             capsys,
             [
@@ -126,8 +139,12 @@ class TestMinorDetCommand:
             ],
         )
         assert code == 1
-        assert "rel-diff: nan" in out.splitlines()
-        assert err == "error: symbolic and numeric routes disagree: nan\n"
+        assert out.splitlines()[1:] == [
+            "det-numeric: inf+nani",
+            "det-evaluated: inf+nani",
+            "rel-diff: nan",
+        ]
+        assert err == "error: numeric determinant is not finite: inf+nani\n"
 
     @pytest.mark.parametrize("fmt, det_line", [
         ("text", "det: inf+nani"),
@@ -250,13 +267,13 @@ class TestWidomCommand:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_disagreement_fails(self, capsys):
         # the numeric determinant overflows to inf+nan*i, so every
-        # relative difference is nan
+        # relative difference is nan; the error names the overflow
         code, out, err = run(
             capsys, ["widom", "--symbol", "1,1e200,1e100", "--c", "1", "--k", "3"]
         )
         assert code == 1
-        assert "max-rel-diff: nan" in out.splitlines()
-        assert err == "error: formula values disagree beyond 1e-08: nan\n"
+        assert out.splitlines()[-2:] == ["minor-det: inf+nani", "max-rel-diff: nan"]
+        assert err == "error: numeric determinant is not finite: inf+nani\n"
 
     @pytest.mark.parametrize(
         "tol, message",
@@ -344,8 +361,22 @@ class TestLimitsetCommand:
         assert err == f"error: --tol must be finite, got {float(tol)}\n"
 
     def test_unconverged_points_exit_one(self, capsys):
-        # Roots near 1e6 put the stop test below the rounding floor at 99
-        # of the 451 points; the report still prints in full.
+        # Iterates overflow at the 6 points with |1e200 - v| near 1e200;
+        # the 3 at v = 1e200 + {-i, 0, i} converge.  The report prints in full.
+        code, out, err = run(
+            capsys,
+            [
+                "limitset", "--symbol", "1,1e200,1", "--c", "1",
+                "--grid=-1,2e200,-1,1,3,3", "--format", "text",
+            ],
+        )
+        assert code == 1
+        assert out.splitlines()[:2] == ["hits: 1", "failures: 6"]
+        assert err == "error: 6 grid points did not converge\n"
+
+    def test_large_roots_converge(self, capsys):
+        # roots near 1e6 leave residuals above tol * max|c_m| that are only
+        # rounding; the stop test accepts residuals at that floor
         code, out, err = run(
             capsys,
             [
@@ -353,9 +384,8 @@ class TestLimitsetCommand:
                 "--grid=-3e6,3e6,-1,1,41,11", "--format", "text",
             ],
         )
-        assert code == 1
-        assert out.splitlines()[:2] == ["hits: 0", "failures: 99"]
-        assert err == "error: 99 grid points did not converge\n"
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["hits: 0", "failures: 0"]
 
 
 class TestEigsCommand:
@@ -431,8 +461,27 @@ class TestCompareCommand:
         assert (code, out, err) == (2, "", "error: --tol must be finite, got nan\n")
 
     def test_unconverged_points_exit_one(self, capsys):
+        # v = 1e200 is the one hit; iterates overflow at the 6 points with
+        # |1e200 - v| near 1e200
+        code, out, err = run(
+            capsys,
+            [
+                "compare", "--symbol", "1,1e200,1", "--c", "1", "--k", "4",
+                "--grid=-1,2e200,-1,1,3,3",
+            ],
+        )
+        assert code == 1
+        assert out == (
+            "k: 4\n"
+            "hits: 1\n"
+            "median-distance: 0\n"
+            "max-distance: 0\n"
+        )
+        assert err == "error: 6 grid points did not converge\n"
+
+    def test_large_roots_converge(self, capsys):
         # The 61-point rows hit v = 1e6, where the limit set crosses the
-        # real axis, and 220 of the 671 points do not converge.
+        # real axis; every one of the 671 points converges.
         code, out, err = run(
             capsys,
             [
@@ -440,14 +489,13 @@ class TestCompareCommand:
                 "--grid=-3e6,3e6,-1,1,61,11",
             ],
         )
-        assert code == 1
+        assert (code, err) == (0, "")
         assert out == (
             "k: 10\n"
             "hits: 1\n"
             "median-distance: 1.30972146831\n"
             "max-distance: 1.91898594773\n"
         )
-        assert err == "error: 220 grid points did not converge\n"
 
 
 class TestHarness:
@@ -475,14 +523,14 @@ class TestHarness:
     @pytest.mark.parametrize("argv, message", [
         (
             ["widom", "--symbol", "1,1e200,1e100", "--c", "1", "--k", "3"],
-            "formula values disagree beyond 1e-08: nan",
+            "numeric determinant is not finite: inf+nani",
         ),
         (
             [
                 "minor-det", "--nvars", "2", "--symbol", "1,1e200,1e100",
                 "--beta", "1", "--k", "3",
             ],
-            "symbolic and numeric routes disagree: nan",
+            "numeric determinant is not finite: inf+nani",
         ),
         (
             ["minor-det", "--symbol", "1,1e100", "--beta", "1", "--k", "4"],

@@ -5,7 +5,14 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from bandschur.polyring import MultiPoly, elementary_symmetric
+from bandschur.polyring import (
+    MultiPoly,
+    elementary_symmetric,
+    elementary_variable,
+    expand_elementary,
+    reduce_symmetric,
+)
+from bandschur.recurrence import char_coeffs
 
 
 def _var(nvars, index):
@@ -121,6 +128,44 @@ class TestElementarySymmetric:
         for d in range(nvars + 1):
             total = total + elementary_symmetric(d, nvars)
         assert product == total
+
+
+class TestElementaryBasis:
+    def test_variable_expands_to_elementary_symmetric(self):
+        for d in range(-1, 5):
+            assert expand_elementary(elementary_variable(d, 3)) == (
+                elementary_symmetric(d, 3)
+            )
+
+    def test_expansion_is_the_substitution(self):
+        # 3*y1^2*y3 - y2 + 5 with y_d = e_d(x1, x2, x3)
+        y = MultiPoly(3, {(2, 0, 1): 3, (0, 1, 0): -1, (0, 0, 0): 5})
+        e = lambda d: elementary_symmetric(d, 3)
+        assert expand_elementary(y) == 3 * e(1) * e(1) * e(3) - e(2) + 5
+        assert expand_elementary(MultiPoly.zero(3)).is_zero
+
+    @given(poly_batches(count=1))
+    def test_reduce_inverts_expand(self, polys):
+        (y,) = polys
+        assert reduce_symmetric(expand_elementary(y)) == y
+
+    @pytest.mark.parametrize("band", range(1, 6))
+    def test_recurrence_coefficients_round_trip(self, band):
+        for extra in range(band + 1):
+            cc = char_coeffs(band, extra)
+            for q, q_e in zip(cc.q, cc.q_elementary, strict=True):
+                assert q_e == reduce_symmetric(q)
+                assert expand_elementary(q_e) == q
+
+    @pytest.mark.parametrize("poly", [
+        MultiPoly(2, {(1, 0): 1}),  # x1
+        MultiPoly(2, {(0, 1): 1}),  # x2: its leading monomial is not a partition
+        MultiPoly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (1, 1, 0): 1}),
+        elementary_symmetric(2, 3) + MultiPoly(3, {(0, 0, 1): 1}),
+    ])
+    def test_non_symmetric_raises(self, poly):
+        with pytest.raises(ValueError, match="not symmetric"):
+            reduce_symmetric(poly)
 
 
 class TestEvaluate:

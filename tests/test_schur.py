@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from bandschur.polyring import MultiPoly, elementary_symmetric
+from bandschur.polyring import MultiPoly, elementary_symmetric, expand_elementary
 from bandschur.schur import (
     PolyMatrix,
     jacobi_trudi_matrix,
@@ -93,12 +93,13 @@ class TestJacobiTrudiMatrix:
     def test_row_shape_two_variables(self):
         m = jacobi_trudi_matrix(_shape((2,)), 2)
         e = lambda d: elementary_symmetric(d, 2)
-        assert m.entries == ((e(1), e(2)), (e(0), e(1)))
+        in_x = tuple(tuple(map(expand_elementary, row)) for row in m.entries)
+        assert in_x == ((e(1), e(2)), (e(0), e(1)))
 
     def test_single_box(self):
         m = jacobi_trudi_matrix(_shape((1,)), 2)
         assert m.size == 1
-        assert symbolic_det(m) == elementary_symmetric(1, 2)
+        assert expand_elementary(symbolic_det(m)) == elementary_symmetric(1, 2)
 
     def test_empty_shape(self):
         m = jacobi_trudi_matrix(_shape(()), 2)

@@ -289,6 +289,9 @@ class TestScanAgainstPolyRoots:
         [
             ((1, 0, 1), 1, "-3,3,-1,1,31,11"),  # double roots at v = +-2
             ((1, -0.4, 0.5, 0.6, -0.8), 2, "-3,3,-3,3,24,24"),
+            # roots up to 4e6: residuals stop at the rounding floor
+            ((1, 1e6, 1), 1, "-3e6,3e6,-1,1,41,11"),
+            ((1, 0, 0, 0, 0, 0, 0, 0, 1e-8), 4, "-2,2,-2,2,9,9"),
         ],
     )
     def test_every_point_matches_root_modulus_profile(self, coeffs, c, grid_text):
@@ -315,10 +318,13 @@ class TestScanAgainstPolyRoots:
     @pytest.mark.parametrize(
         "coeffs, grid_text, n_failed",
         [
-            # large roots put the stop test below the rounding floor
-            ((1, 1e6, 1), "-3e6,3e6,-1,1,41,11", 99),
+            # large roots: residuals at the rounding floor pass the stop test
+            ((1, 1e6, 1), "-3e6,3e6,-1,1,41,11", 0),
             # iterates overflow to NaN, which must not pass the stop test
             ((1, 1e200, 1), "-1,1,-1,1,3,3", 9),
+            # a root beyond double range: the iterate overflows to inf, where
+            # the rounding floor is inf too, and a non-finite floor must fail
+            ((1, 1e-300, 1e-300), "-1e300,1e300,-1e300,1e300,5,5", 24),
         ],
     )
     def test_failures_are_the_points_poly_roots_rejects(

@@ -1,16 +1,17 @@
 """Tests for banded Toeplitz minors, numeric and symbolic."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bandschur.polyring import MultiPoly, elementary_symmetric
+from bandschur.polyring import MultiPoly, elementary_symmetric, expand_elementary
 from bandschur.schur import symbolic_det
 from bandschur.shapes import MinorSpec
-from bandschur.recurrence import verify_recurrence
+from bandschur.recurrence import recurrence_residual, verify_recurrence
 from bandschur.shapes import min_k, surviving
 from bandschur.toeplitz import (
     MINOR_CACHE_SIZE,
@@ -104,13 +105,15 @@ class TestBuildMinor:
     def test_symbolic_two_by_two(self):
         m = build_minor_symbolic(MinorSpec((), (2,), 2), 2)
         e = lambda d: elementary_symmetric(d, 2)
-        assert m.entries == ((e(0), e(2)), (MultiPoly.zero(2), e(1)))
+        in_x = tuple(tuple(map(expand_elementary, row)) for row in m.entries)
+        assert in_x == ((e(0), e(2)), (MultiPoly.zero(2), e(1)))
 
     def test_symbolic_three_by_three(self):
         m = build_minor_symbolic(MinorSpec((), (2,), 2), 3)
         e = lambda d: elementary_symmetric(d, 2)
         zero = MultiPoly.zero(2)
-        assert m.entries == (
+        in_x = tuple(tuple(map(expand_elementary, row)) for row in m.entries)
+        assert in_x == (
             (e(0), e(2), zero),
             (zero, e(1), e(2)),
             (zero, e(0), e(1)),
@@ -128,7 +131,7 @@ class TestBuildMinor:
             MultiPoly(2, {(3, 0): 1, (2, 1): 1, (1, 2): 1, (0, 3): 1}),
         ]
         for k in range(5):
-            assert minor_det_symbolic(spec, k) == expected[k]
+            assert expand_elementary(minor_det_symbolic(spec, k)) == expected[k]
 
     def test_numeric_vs_symbolic_at_random_points(self):
         rng = np.random.default_rng(7)
@@ -149,7 +152,8 @@ class TestBuildMinor:
             for spec in specs:
                 for k in range(5):
                     direct = det_numeric(build_minor_numeric(sym, spec, k))
-                    via_poly = minor_det_symbolic(spec, k).evaluate(tuple(x))
+                    det = expand_elementary(minor_det_symbolic(spec, k))
+                    via_poly = det.evaluate(tuple(x))
                     scale = max(1.0, abs(via_poly))
                     assert abs(direct - via_poly) <= 1e-10 * scale
 
@@ -218,8 +222,40 @@ def _fraction_det(rows: list[list[int]]) -> int:
     return int(det)
 
 
+def _value(poly: MultiPoly, point) -> int:
+    """Exact value of an integer polynomial at an integer point."""
+    return sum(
+        coeff * prod(v**e for v, e in zip(point, exps)) for exps, coeff in poly
+    )
+
+
+def _minor_value(s: list[int], spec: MinorSpec, k: int) -> int:
+    """The integer k x k minor at band coefficients s, by elimination."""
+    rows, cols = surviving(spec.deleted_rows, k), surviving(spec.deleted_cols, k)
+    return _fraction_det([
+        [s[cj - ri] if 0 <= cj - ri <= spec.band else 0 for cj in cols]
+        for ri in rows
+    ])
+
+
+def _q_values(point: tuple[int, ...], extra: int) -> list[int]:
+    """Q_0..Q_b at an integer point: prod over extra-subsets of (t - x_S)."""
+    desc = [1]  # coefficients of t^b, t^(b-1), ...
+    for subset in combinations(point, extra):
+        root = prod(subset)
+        desc = [a - root * b for a, b in zip(desc + [0], [0] + desc)]
+    return desc
+
+
+INTEGER_POINTS = ((2, -1, 3, -2, 5), (1, 4, -3, 2, -1))
+
+
 class TestExactOracle:
-    """The only symbolic determinant engine against exact integer arithmetic."""
+    """The exact engines against integer arithmetic at integer points.
+
+    Each polynomial is checked twice: in the elementary basis at the band
+    coefficients s_d = e_d(point), and expanded to x at the point itself.
+    """
 
     @pytest.mark.parametrize("alpha, beta, band, k", [
         ((), (1, 2), 4, 10),
@@ -235,19 +271,40 @@ class TestExactOracle:
         spec = MinorSpec(alpha, beta, band)
         det = minor_det_symbolic(spec, k)
         assert not det.is_zero
-        rows, cols = surviving(alpha, k), surviving(beta, k)
-        for point in ((2, -1, 3, -2, 5), (1, 4, -3, 2, -1)):
+        in_x = expand_elementary(det)
+        for point in INTEGER_POINTS:
             point = point[:band]
             s = _e_at(point)
-            minor = [
-                [s[cj - ri] if 0 <= cj - ri <= band else 0 for cj in cols]
-                for ri in rows
-            ]
-            value = sum(
-                coeff * prod(x**e for x, e in zip(point, exps))
-                for exps, coeff in det
-            )
-            assert value == _fraction_det(minor)
+            want = _minor_value(s, spec, k)
+            assert _value(det, s[1:]) == want
+            assert _value(in_x, point) == want
+
+    @pytest.mark.parametrize("alpha, beta, band", [
+        ((), (2, 4), 4),
+        ((3,), (1, 3), 4),
+        ((2,), (1, 4), 5),
+        ((), (3, 5), 5),
+        ((4,), (1, 2, 5), 5),
+    ])
+    def test_recurrence_residual_at_integer_points(self, alpha, beta, band):
+        # j runs from 0, below min_k, to one past it
+        spec = MinorSpec(alpha, beta, band)
+        lo = min_k(spec)
+        assert lo >= 1
+        for j in range(lo + 2):
+            residual = recurrence_residual(spec, j)
+            assert residual.is_zero == (j >= lo)
+            in_x = expand_elementary(residual)
+            for point in INTEGER_POINTS:
+                point = point[:band]
+                s = _e_at(point)
+                q = _q_values(point, spec.c - spec.r)
+                b = len(q) - 1
+                want = sum(
+                    q[b - m] * _minor_value(s, spec, m + j) for m in range(b + 1)
+                )
+                assert _value(residual, s[1:]) == want
+                assert _value(in_x, point) == want
 
 
 class TestMinorCache:
