@@ -14,6 +14,7 @@ import argparse
 import cmath
 import json
 import math
+import operator
 import sys
 
 from .polyring import MultiPoly, expand_elementary
@@ -337,16 +338,32 @@ def _run_check_identity(args) -> tuple[str, int, str | None]:
     shape_k = shape_from_minor(spec, args.k)
     shape_next = shape_from_minor(spec, args.k + 1)
     tabs_k = enumerate_ssyt(shape_k, nvars)
-    tabs_next = frozenset(enumerate_ssyt(shape_next, nvars))
+    contents_k = [tab.content() for tab in tabs_k]
+    # next-shape tableau -> its content; the keys are the set to cover
+    next_contents = {tab: tab.content() for tab in enumerate_ssyt(shape_next, nvars)}
     seqs = extension_sequences(spec.r, spec.c - spec.r, nvars)
     built: set = set()
-    injective = True
+    injective = weighted = True
     for seq in seqs:
-        images = {insert_sequence(tab, seq) for tab in tabs_k}
+        # the x_S weight: an image's content is its source's plus the
+        # sequence's positive values
+        weight = [0] * nvars
+        for v in seq.values:
+            if v > 0:
+                weight[v - 1] += 1
+        images = set()
+        for tab, before in zip(tabs_k, contents_k):
+            image = insert_sequence(tab, seq)
+            images.add(image)
+            after = next_contents.get(image)
+            if after is not None and list(map(operator.sub, after, before)) != weight:
+                weighted = False
         if len(images) != len(tabs_k):
             injective = False
         built |= images
+    tabs_next = next_contents.keys()
     covered = built == tabs_next
+    step_ok = covered and injective and weighted
 
     lines = [
         f"spec: alpha={_fmt_parts(spec.deleted_rows)} "
@@ -361,19 +378,24 @@ def _run_check_identity(args) -> tuple[str, int, str | None]:
         lines.append(
             f"minor-vs-schur: FAILED (residual: {expand_elementary(residual)})"
         )
-    if covered and injective:
+    if step_ok:
         lines.append(
             f"insertion-step: ok ({len(tabs_k)} tableaux, {len(seqs)} "
             f"sequences, {len(tabs_next)} next-shape tableaux)"
         )
     elif not injective:
         lines.append("insertion-step: FAILED (a sequence merged two tableaux)")
-    else:
+    elif not covered:
         lines.append(
             f"insertion-step: FAILED (built {len(built)} tableaux, "
             f"next shape has {len(tabs_next)})"
         )
-    good = ok_schur and covered and injective
+    else:
+        lines.append(
+            "insertion-step: FAILED (an image's content is not its "
+            "source's plus the sequence)"
+        )
+    good = ok_schur and step_ok
     obj = {
         "alpha": list(spec.deleted_rows),
         "beta": list(spec.deleted_cols),
@@ -381,7 +403,7 @@ def _run_check_identity(args) -> tuple[str, int, str | None]:
         "k": args.k,
         "min_k": kmin,
         "minor_vs_schur": ok_schur,
-        "insertion_step": covered and injective,
+        "insertion_step": step_ok,
     }
     out = _dump_json(obj) if args.format == "json" else "\n".join(lines)
     if not good:

@@ -16,9 +16,10 @@ class Partition:
 
     Trailing zeros are ignored for equality and hashing but the declared
     parts are preserved, since shape arithmetic sometimes pads with zeros.
+    The normalized parts and the hash are computed once, at construction.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_norm", "_hash")
 
     def __init__(self, parts=()):
         parts = tuple(int(p) for p in parts)
@@ -27,31 +28,33 @@ class Partition:
                 raise ValueError(f"not weakly decreasing: {parts}")
         if parts and parts[-1] < 0:
             raise ValueError(f"negative part in {parts}")
+        end = len(parts)
+        while end and parts[end - 1] == 0:
+            end -= 1
+        norm = parts[:end]
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_norm", norm)
+        object.__setattr__(self, "_hash", hash(norm))
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
     def normalized(self) -> tuple[int, ...]:
         """Parts with trailing zeros removed."""
-        parts = self.parts
-        end = len(parts)
-        while end and parts[end - 1] == 0:
-            end -= 1
-        return parts[:end]
+        return self._norm
 
     def __eq__(self, other):
         if isinstance(other, (tuple, list)):
             other = Partition(other)
         if not isinstance(other, Partition):
             return NotImplemented
-        return self.normalized() == other.normalized()
+        return self._norm == other._norm
 
     def __hash__(self):
-        return hash(self.normalized())
+        return self._hash
 
     def __len__(self):
-        return len(self.normalized())
+        return len(self._norm)
 
     def __getitem__(self, i):
         return self.parts[i]
@@ -99,17 +102,24 @@ def parse_partition(text: str) -> Partition:
 
 
 class SkewShape:
-    """Pair of partitions outer/inner with inner contained in outer."""
+    """Pair of partitions outer/inner with inner contained in outer.
 
-    __slots__ = ("outer", "inner")
+    Equality and hashing read the normalized parts, paired once at
+    construction.
+    """
+
+    __slots__ = ("outer", "inner", "_key", "_hash")
 
     def __init__(self, outer, inner=()):
         outer = outer if isinstance(outer, Partition) else Partition(outer)
         inner = inner if isinstance(inner, Partition) else Partition(inner)
         if not outer.contains(inner):
             raise ValueError(f"inner {inner} not contained in outer {outer}")
+        key = (outer._norm, inner._norm)
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewShape is immutable")
@@ -117,10 +127,10 @@ class SkewShape:
     def __eq__(self, other):
         if not isinstance(other, SkewShape):
             return NotImplemented
-        return self.outer == other.outer and self.inner == other.inner
+        return self._key == other._key
 
     def __hash__(self):
-        return hash((self.outer, self.inner))
+        return self._hash
 
     def __repr__(self):
         return f"SkewShape({self.outer.parts}, {self.inner.parts})"

@@ -1,21 +1,120 @@
 """Semistandard skew tableaux: enumeration and row-wise sequence insertion.
 
-Insertion works on a materialized form of the tableau where the skew boxes
-of row i hold a negative sentinel value (constant per row, strictly
-increasing down the rows), so "insert v into row i keeping the row weakly
-increasing" covers both content values and skew-extending negative values
-with one rule.  Negative entries are transient: they are stripped after
-insertion and only enlarge the inner shape.
+Every tableau, whether built by a caller, enumerated or produced by an
+insertion, passes one validator, `_validate`, on its rows held as flat
+tuples of ints.  What the validator needs from a shape (row lengths and the
+column ranges a row shares with the row above) is computed once per shape
+and kept in a bounded cache of `_Plan`s.
+
+Enumeration builds whole rows: the row above fixes a lower bound for each
+cell of the next row, and the weakly increasing rows that meet a bound
+vector come from a bounded memo keyed on that vector.  Insertion puts value i of a
+strictly increasing sequence into row i: a positive value joins the row's
+content, a negative value adds one skew box to the row, and a row beyond
+the last one is created.  The resulting shape depends only on the source
+shape and the sequence, so it is built once per pair.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from operator import lt
 
 from .polyring import MultiPoly
 from .shapes import Partition, SkewShape
+
+# Bounds on the per-shape caches.  One check-identity command uses two
+# shapes and one insertion target per sequence; one enumeration reads at
+# most one bound vector per distinct row above.
+PLAN_CACHE_SIZE = 64
+ROW_CACHE_SIZE = 1024
+
+
+class _Plan:
+    """Per-shape facts for validation and enumeration.
+
+    lengths holds the number of content cells of each row.  links holds,
+    per row, None or (a0, a1, b0, b1): cells a0..a1-1 of the row above
+    share their columns with cells b0..b1-1 of this row.  checks lists the
+    links that exist as (row, a0, a1, b0, b1, first shared column).
+    """
+
+    __slots__ = ("lengths", "links", "checks")
+
+    def __init__(self, lengths, links, checks):
+        self.lengths = lengths
+        self.links = links
+        self.checks = checks
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(shape: SkewShape) -> _Plan:
+    spans = shape.row_spans()
+    links: list[tuple[int, int, int, int] | None] = []
+    checks = []
+    for i, (lo, hi) in enumerate(spans):
+        link = None
+        if i:
+            plo, phi = spans[i - 1]
+            start, stop = max(lo, plo), min(hi, phi)
+            if start < stop:
+                link = (start - plo, stop - plo, start - lo, stop - lo)
+                checks.append((i, *link, start))
+        links.append(link)
+    return _Plan(
+        tuple(hi - lo for lo, hi in spans), tuple(links), tuple(checks)
+    )
+
+
+def _validate(plan: _Plan, rows: tuple[tuple[int, ...], ...], nmax: int):
+    """Raise ValueError unless rows fill the planned shape semistandardly.
+
+    Rows must have the shape's lengths, entries in 1..nmax, be weakly
+    increasing, and strictly increase down every shared column.  The
+    errors, and the order they are found in, are row count, nmax, then per
+    row its length, an entry out of range and a decrease, then columns.
+    """
+    lengths = plan.lengths
+    if len(rows) != len(lengths):
+        raise ValueError(
+            f"{len(rows)} rows for a shape with {len(lengths)} rows"
+        )
+    if nmax < 1:
+        raise ValueError(f"nmax must be >= 1, got {nmax}")
+    if tuple(map(len, rows)) != lengths:
+        _raise_row_error(lengths, rows, nmax)
+    for row in rows:
+        if row and not (
+            1 <= row[0] and row[-1] <= nmax and list(row) == sorted(row)
+        ):
+            _raise_row_error(lengths, rows, nmax)
+    for i, a0, a1, b0, b1, first in plan.checks:
+        if not all(map(lt, rows[i - 1][a0:a1], rows[i][b0:b1])):
+            for j, (above, here) in enumerate(
+                zip(rows[i - 1][a0:a1], rows[i][b0:b1]), start=first
+            ):
+                if above >= here:
+                    raise ValueError(
+                        f"column {j + 1} not strictly increasing: "
+                        f"{above} above {here}"
+                    )
+
+
+def _raise_row_error(lengths, rows, nmax):
+    """The first row fault of _validate, checked one cell at a time."""
+    for i, (want, row) in enumerate(zip(lengths, rows)):
+        if len(row) != want:
+            raise ValueError(
+                f"row {i + 1} has {len(row)} entries, shape wants {want}"
+            )
+        for v in row:
+            if not 1 <= v <= nmax:
+                raise ValueError(f"entry {v} outside 1..{nmax}")
+        if any(a > b for a, b in zip(row, row[1:])):
+            raise ValueError(f"row {i + 1} not weakly increasing: {row}")
 
 
 class Tableau:
@@ -26,40 +125,12 @@ class Tableau:
     columns strictly increasing.
     """
 
-    __slots__ = ("shape", "rows", "nmax")
+    __slots__ = ("shape", "rows", "nmax", "_hash")
 
     def __init__(self, shape: SkewShape, rows, nmax: int):
         rows = tuple(tuple(int(v) for v in row) for row in rows)
-        spans = shape.row_spans()
-        if len(rows) != len(spans):
-            raise ValueError(
-                f"{len(rows)} rows for a shape with {len(spans)} rows"
-            )
-        if nmax < 1:
-            raise ValueError(f"nmax must be >= 1, got {nmax}")
-        for i, ((lo, hi), row) in enumerate(zip(spans, rows)):
-            if len(row) != hi - lo:
-                raise ValueError(
-                    f"row {i + 1} has {len(row)} entries, shape wants {hi - lo}"
-                )
-            for v in row:
-                if not 1 <= v <= nmax:
-                    raise ValueError(f"entry {v} outside 1..{nmax}")
-            if any(a > b for a, b in zip(row, row[1:])):
-                raise ValueError(f"row {i + 1} not weakly increasing: {row}")
-        for i in range(1, len(spans)):
-            (plo, phi), (lo, hi) = spans[i - 1], spans[i]
-            for j in range(max(lo, plo), min(hi, phi)):
-                above = rows[i - 1][j - plo]
-                here = rows[i][j - lo]
-                if above >= here:
-                    raise ValueError(
-                        f"column {j + 1} not strictly increasing: "
-                        f"{above} above {here}"
-                    )
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nmax", nmax)
+        _validate(_plan(shape), rows, nmax)
+        _fill(self, shape, rows, nmax)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tableau is immutable")
@@ -67,10 +138,14 @@ class Tableau:
     def __eq__(self, other):
         if not isinstance(other, Tableau):
             return NotImplemented
-        return self.shape == other.shape and self.rows == other.rows
+        return self.rows == other.rows and self.shape == other.shape
 
     def __hash__(self):
-        return hash((self.shape, self.rows))
+        h = self._hash
+        if h is None:
+            h = hash((self.shape, self.rows))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return f"Tableau({self.shape}, {list(map(list, self.rows))})"
@@ -91,41 +166,66 @@ class Tableau:
         }
 
 
-def enumerate_ssyt(shape: SkewShape, nmax: int):
+def _fill(tab: Tableau, shape: SkewShape, rows, nmax: int) -> None:
+    object.__setattr__(tab, "shape", shape)
+    object.__setattr__(tab, "rows", rows)
+    object.__setattr__(tab, "nmax", nmax)
+    object.__setattr__(tab, "_hash", None)
+
+
+def _checked(shape: SkewShape, plan: _Plan, rows, nmax: int) -> Tableau:
+    """A Tableau from rows that are already tuples of ints, validated."""
+    _validate(plan, rows, nmax)
+    tab = object.__new__(Tableau)
+    _fill(tab, shape, rows, nmax)
+    return tab
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _rows(nmax: int, floor: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Weakly increasing rows over 1..nmax with row[p] >= floor[p].
+
+    Lexicographic order.  An empty floor gives the one empty row.
+    """
+    top = nmax + 1
+    rows = [()]
+    for f in floor:
+        rows = [
+            row + (v,)
+            for row in rows
+            for v in range(max(f, row[-1]) if row else f, top)
+        ]
+    return tuple(rows)
+
+
+def _succ(v: int) -> int:
+    return v + 1
+
+
+def enumerate_ssyt(shape: SkewShape, nmax: int) -> list[Tableau]:
     """All semistandard fillings of `shape` with entries 1..nmax.
 
     Deterministic row-major lexicographic order (cells filled left to
     right, top to bottom, values ascending).  The empty shape yields one
     empty tableau.
     """
-    spans = shape.row_spans()
-    cells = [
-        (i, j) for i, (lo, hi) in enumerate(spans) for j in range(lo, hi)
-    ]
-    grid: dict[tuple[int, int], int] = {}
-    out: list[Tableau] = []
-
-    def fill(idx: int):
-        if idx == len(cells):
-            rows = tuple(
-                tuple(grid[i, j] for j in range(lo, hi))
-                for i, (lo, hi) in enumerate(spans)
-            )
-            out.append(Tableau(shape, rows, nmax))
-            return
-        i, j = cells[idx]
-        lo = 1
-        if (i, j - 1) in grid:
-            lo = max(lo, grid[i, j - 1])
-        if (i - 1, j) in grid:
-            lo = max(lo, grid[i - 1, j] + 1)
-        for v in range(lo, nmax + 1):
-            grid[i, j] = v
-            fill(idx + 1)
-        grid.pop((i, j), None)
-
-    fill(0)
-    return out
+    plan = _plan(shape)
+    partial: list[tuple[tuple[int, ...], ...]] = [()]
+    for length, link in zip(plan.lengths, plan.links):
+        if link is None:
+            rows = _rows(nmax, (1,) * length)
+            partial = [done + (row,) for done in partial for row in rows]
+        else:
+            # the outer shape is a partition, so the shared columns run to
+            # the end of this row and only the first b0 cells are free
+            a0, a1, b0, _ = link
+            free = (1,) * b0
+            partial = [
+                done + (row,)
+                for done in partial
+                for row in _rows(nmax, free + tuple(map(_succ, done[-1][a0:a1])))
+            ]
+    return [_checked(shape, plan, rows, nmax) for rows in partial]
 
 
 def schur_by_tableaux(shape: SkewShape, nvars: int) -> MultiPoly:
@@ -155,51 +255,50 @@ class InsertionSequence:
             raise ValueError(f"sequence not strictly increasing: {self.values}")
 
 
-def _materialize(tab: Tableau) -> list[list[int]]:
-    """Rows with skew boxes spelled out as negative sentinels.
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _insertion_target(
+    shape: SkewShape, values: tuple[int, ...]
+) -> tuple[SkewShape, _Plan]:
+    """Shape (and its plan) of every insertion of `values` into `shape`.
 
-    Row i (1-based) uses sentinel i - r - 1 where r is the number of
-    nonzero inner rows, so sentinels increase strictly down the rows.
+    Rows 1..len(values) gain a box, new single-box rows included; the
+    rows that receive a negative value gain it as a skew box.
     """
-    skew_rows = len(tab.shape.inner.normalized())
-    rows = []
-    for i, ((lo, hi), row) in enumerate(zip(tab.shape.row_spans(), tab.rows)):
-        rows.append([i - skew_rows] * lo + list(row))
-    return rows
+    spans = shape.row_spans()
+    outer, inner = [hi for _, hi in spans], [lo for lo, _ in spans]
+    for i, v in enumerate(values):
+        if i == len(outer):
+            outer.append(0)
+            inner.append(0)
+        outer[i] += 1
+        inner[i] += v < 0
+    target = SkewShape(Partition(outer), Partition(inner))
+    return target, _plan(target)
 
 
 def insert_sequence(tab: Tableau, seq: InsertionSequence) -> Tableau:
     """Insert seq value i into row i, keeping each row weakly increasing.
 
     A value inserted into a missing row creates a new single-box row.
-    Negative values are stripped afterwards and become skew boxes.  The
-    result is checked against all tableau invariants; a violation (which
-    cannot happen when the sequence respects the shape) raises ValueError.
+    Negative values become skew boxes.  The result passes the same
+    validation as every tableau; a violation (which cannot happen when the
+    sequence respects the shape) raises ValueError.
     """
-    rows = _materialize(tab)
-    for pos, v in enumerate(seq.values, start=1):
-        if v > tab.nmax:
-            raise ValueError(f"value {v} exceeds entry bound {tab.nmax}")
-        if pos > len(rows):
-            rows.append([v])
-        else:
-            insort(rows[pos - 1], v)
-    # columns must be strictly increasing on the sentinel form as well
-    for i in range(1, len(rows)):
-        for j in range(min(len(rows[i - 1]), len(rows[i]))):
-            if rows[i - 1][j] >= rows[i][j]:
-                raise ValueError(
-                    f"insertion broke column {j + 1}: "
-                    f"{rows[i - 1][j]} above {rows[i][j]}"
-                )
-    outer, inner, content = [], [], []
-    for row in rows:
-        neg = sum(1 for v in row if v < 0)
-        outer.append(len(row))
-        inner.append(neg)
-        content.append(row[neg:])
-    shape = SkewShape(Partition(outer), Partition(inner))
-    return Tableau(shape, content, tab.nmax)
+    values = seq.values
+    nmax = tab.nmax
+    if values and values[-1] > nmax:
+        v = next(v for v in values if v > nmax)
+        raise ValueError(f"value {v} exceeds entry bound {nmax}")
+    shape, plan = _insertion_target(tab.shape, values)
+    rows = list(tab.rows)
+    for i, v in enumerate(values):
+        if i == len(rows):
+            rows.append((v,) if v > 0 else ())
+        elif v > 0:
+            row = rows[i]
+            at = bisect_right(row, v)
+            rows[i] = row[:at] + (v,) + row[at:]
+    return _checked(shape, plan, tuple(rows), nmax)
 
 
 def extension_sequences(skew_rows: int, extra: int, nmax: int):

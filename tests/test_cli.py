@@ -9,6 +9,7 @@ import pytest
 
 from bandschur import recurrence
 from bandschur.cli import COMMAND_OPERATIONS, build_parser, main
+from bandschur.tableaux import InsertionSequence
 
 
 def run(capsys, argv):
@@ -192,6 +193,35 @@ class TestCheckIdentityCommand:
             ["check-identity", "--beta", "2", "--nvars", "2", "--k", "0"],
         )
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_swapped_images_fail_the_weight_check(self, capsys, monkeypatch, fmt):
+        # Two sequences trade their images: every sequence stays injective
+        # and the union still covers the next shape, so only the content
+        # (x_S weight) check can see it.
+        from bandschur import cli
+
+        real = cli.insert_sequence
+        swap = {(-1, 1): (-1, 2), (-1, 2): (-1, 1)}
+
+        def swapped(tab, seq):
+            values = swap.get(seq.values, seq.values)
+            return real(tab, InsertionSequence(values))
+
+        monkeypatch.setattr(cli, "insert_sequence", swapped)
+        argv = ["check-identity", "--alpha", "2", "--beta", "1,3",
+                "--nvars", "3", "--k", "2", "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert err == "error: identity check failed\n"
+        if fmt == "json":
+            obj = json.loads(out)
+            assert obj["insertion_step"] is False and obj["minor_vs_schur"] is True
+        else:
+            assert out.splitlines()[-1] == (
+                "insertion-step: FAILED (an image's content is not its "
+                "source's plus the sequence)"
+            )
 
 
 class TestRecurrenceCommand:

@@ -55,6 +55,16 @@ class TestPartition:
     def test_normalizes_trailing_zeros(self):
         assert Partition((3, 1, 0, 0)).normalized() == (3, 1)
         assert Partition((0,)).normalized() == ()
+        padded, plain = Partition((2, 1, 0)), Partition((2, 1))
+        assert padded == plain and hash(padded) == hash(plain)
+        assert padded.parts == (2, 1, 0) and len(padded) == 2
+        zeros, empty = Partition((0, 0)), Partition(())
+        assert zeros == empty and hash(zeros) == hash(empty)
+        assert Partition((2, 1, 0)) != Partition((2, 1, 1))
+        skew_padded = SkewShape((3, 2, 1), (2, 0, 0))
+        skew_plain = SkewShape((3, 2, 1), (2,))
+        assert skew_padded == skew_plain and hash(skew_padded) == hash(skew_plain)
+        assert skew_padded != SkewShape((3, 2, 1), (2, 1))
 
     def test_equality_accepts_sequences(self):
         assert Partition((3, 1)) == (3, 1)

@@ -5,9 +5,12 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from bandschur import tableaux
 from bandschur.polyring import MultiPoly
 from bandschur.shapes import MinorSpec, Partition, SkewShape, min_k, shape_from_minor
 from bandschur.tableaux import (
+    PLAN_CACHE_SIZE,
+    ROW_CACHE_SIZE,
     InsertionSequence,
     Tableau,
     enumerate_ssyt,
@@ -270,3 +273,113 @@ class TestMinorStepCovering:
                     assert len(images) == len(tabs)
                     built |= images
                 assert built == target
+
+
+# Skew shapes with an empty row (inner part equal to the outer part),
+# repeated rows and a zero-padded inner partition.
+ORACLE_SHAPES = SMALL_SHAPES + [
+    _shape((3, 3, 1), (3, 1)),
+    _shape((2, 2, 2), (1, 1)),
+    _shape((3, 2, 2, 1), (2, 2, 0)),
+]
+
+
+def _all_fillings(shape, nmax):
+    """Every filling the public constructor accepts, in product order."""
+    lengths = [hi - lo for lo, hi in shape.row_spans()]
+    out = []
+    for flat in itertools.product(range(1, nmax + 1), repeat=sum(lengths)):
+        rows, at = [], 0
+        for length in lengths:
+            rows.append(flat[at:at + length])
+            at += length
+        try:
+            out.append(Tableau(shape, rows, nmax))
+        except ValueError:
+            pass
+    return out
+
+
+class TestEngineOracle:
+    """The row-wise engine against brute force through the public constructor."""
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
+    @pytest.mark.parametrize("nmax", [1, 2, 3])
+    def test_enumeration_is_every_accepted_filling_in_order(self, shape, nmax):
+        found = enumerate_ssyt(shape, nmax)
+        assert isinstance(found, list)
+        expected = _all_fillings(shape, nmax)
+        assert [t.rows for t in found] == [t.rows for t in expected]
+        assert found == expected
+        assert all(t.shape is shape and t.nmax == nmax for t in found)
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
+    @pytest.mark.parametrize("nmax", [1, 2, 3])
+    def test_every_insertion_matches_its_rebuild(self, shape, nmax):
+        skew_rows = len(shape.inner.normalized())
+        values = list(range(-skew_rows - 1, 0)) + list(range(1, nmax + 1))
+        seqs = [
+            InsertionSequence(combo)
+            for length in range(1, len(shape.row_spans()) + 2)
+            for combo in itertools.combinations(values, length)
+        ]
+        for tab in enumerate_ssyt(shape, nmax):
+            for seq in seqs:
+                out = insert_sequence(tab, seq)
+                rebuilt = Tableau(out.shape, out.rows, out.nmax)
+                assert out == rebuilt and hash(out) == hash(rebuilt)
+                assert out.shape.outer.parts == rebuilt.shape.outer.parts
+                assert out.shape.inner.parts == rebuilt.shape.inner.parts
+
+
+class TestValidationMessages:
+    """The one validator keeps the constructor's messages and their order."""
+
+    @pytest.mark.parametrize(
+        "outer, inner, rows, nmax, message",
+        [
+            ((2, 1), (), [(1, 1)], 3, "1 rows for a shape with 2 rows"),
+            ((1,), (), [(1,)], 0, "nmax must be >= 1, got 0"),
+            ((2, 1), (), [(1,), (1,)], 3, "row 1 has 1 entries, shape wants 2"),
+            ((1,), (), [(4,)], 3, "entry 4 outside 1..3"),
+            ((2,), (), [(5, 0)], 3, "entry 5 outside 1..3"),
+            ((2,), (), [(2, 1)], 3, "row 1 not weakly increasing: (2, 1)"),
+            ((2, 1), (), [(2, 1), (3, 3)], 3, "row 1 not weakly increasing: (2, 1)"),
+            ((1, 1), (), [(1,), (1,)], 3,
+             "column 1 not strictly increasing: 1 above 1"),
+            ((2, 2), (1,), [(1,), (1, 1)], 2,
+             "column 2 not strictly increasing: 1 above 1"),
+            ((3, 3, 3), (2,), [(3,), (1, 2, 3), (2, 3, 3)], 3,
+             "column 3 not strictly increasing: 3 above 3"),
+        ],
+    )
+    def test_message(self, outer, inner, rows, nmax, message):
+        with pytest.raises(ValueError) as err:
+            Tableau(_shape(outer, inner), rows, nmax)
+        assert str(err.value) == message
+
+
+class TestBoundedCaches:
+    def test_plan_and_row_caches_stay_within_maxsize(self):
+        plans, rows = tableaux._plan.cache_info, tableaux._rows.cache_info
+        assert plans().maxsize == PLAN_CACHE_SIZE
+        assert rows().maxsize == ROW_CACHE_SIZE
+        # more distinct shapes than the plan cache holds
+        for width in range(1, PLAN_CACHE_SIZE + 20):
+            assert len(enumerate_ssyt(_shape((width,)), 1)) == 1
+            assert plans().currsize <= PLAN_CACHE_SIZE
+        # two-row columns: one bound vector per first-row value and nmax,
+        # more than the row memo holds
+        misses = rows().misses
+        for nmax in range(2, 52):
+            assert len(enumerate_ssyt(_shape((1, 1)), nmax)) == nmax * (nmax - 1) // 2
+            assert rows().currsize <= ROW_CACHE_SIZE
+        assert rows().misses - misses > ROW_CACHE_SIZE
+
+    def test_insertion_targets_stay_within_maxsize(self):
+        info = tableaux._insertion_target.cache_info
+        assert info().maxsize == PLAN_CACHE_SIZE
+        tab = Tableau(_shape((1,)), [(1,)], 2 * PLAN_CACHE_SIZE)
+        for v in range(1, 2 * PLAN_CACHE_SIZE):
+            insert_sequence(tab, InsertionSequence((v, v + 1)))
+            assert info().currsize <= PLAN_CACHE_SIZE
