@@ -6,6 +6,12 @@ checked against.  scan_moduli runs the same Gauss-Seidel sweep for every
 grid point at once: each root update is one set of numpy operations over
 the points that have not yet converged.  Both are deterministic, so
 repeated runs give byte-identical results.
+
+Both share one stop test: a root z_i has converged when |p(z_i)| is at
+most the rounding floor of evaluating p there and that floor is finite.
+The floor bounds the rounding error of Horner's rule at z_i, so a residual
+under it cannot be told from zero; it is built from the terms that meet at
+z_i, so a coefficient that dwarfs them does not loosen it.
 """
 
 import math
@@ -22,17 +28,15 @@ FLOOR_ULPS = 4.0
 EPS = np.finfo(np.float64).eps
 
 
-def aberth_sweeps(coeffs, z, tol_abs, max_iter):
+def aberth_sweeps(coeffs, z, max_iter):
     """Run Aberth updates on z in place until every root passes the stop test.
 
     coeffs are ascending; z holds the current root iterates.  A root z_i
-    passes when |p(z_i)| <= tol_abs, or when |p(z_i)| is no larger than the
-    rounding floor of evaluating p there (_floor_coeffs), which tol_abs can
-    lie below once roots are large.  A NaN residual fails, and so does a
-    non-finite floor (an iterate that overflowed), so an overflow never
-    counts as converged.  Returns True if every root passes within max_iter
-    sweeps.  Updates are sequential within a sweep (later roots see earlier
-    corrections).
+    passes when |p(z_i)| is no larger than the rounding floor of evaluating
+    p there (_floor_coeffs) and that floor is finite.  A NaN residual fails,
+    and so does an iterate that overflowed, whose floor is inf or NaN.
+    Returns True if every root passes within max_iter sweeps.  Updates are
+    sequential within a sweep (later roots see earlier corrections).
     """
     d = z.shape[0]
     deg = coeffs.shape[0] - 1
@@ -49,7 +53,7 @@ def aberth_sweeps(coeffs, z, tol_abs, max_iter):
                     pv = pv * zi + coeffs[m]
                     floor = floor * ri + floor_coeffs[m]
                 res = abs(pv)
-                if not (res <= tol_abs or res <= floor < math.inf):
+                if not res <= floor < math.inf:
                     break
             else:
                 return True
@@ -100,30 +104,23 @@ def _horner(coeffs, z):
     return pv
 
 
-def scan_moduli(base, c_index, vre, vim, z0, tol, max_iter):
+def scan_moduli(base, c_index, vre, vim, z0, max_iter):
     """Sorted root moduli of base(z) - v*z^c_index for a batch of v values.
 
     The same iteration and stop test as aberth_sweeps, run for all points
     at once: every point starts from the iterates z0 and stops when each
-    root passes with tol_abs = tol * max|c_m| of its own coefficients, and
-    a stopped point leaves the batch.  Returns (moduli, ok): moduli[p]
-    ascending, and ok[p] False where max_iter sweeps missed the target
-    (moduli[p] then hold the last iterate).
+    of its roots passes, and a stopped point leaves the batch.  Returns
+    (moduli, ok): moduli[p] ascending, and ok[p] False where max_iter
+    sweeps missed the target (moduli[p] then hold the last iterate).
     """
     deg = base.shape[0] - 1
     npts = vre.shape[0]
     # one column per point for the shifted coefficient, scalars for the rest
     shifted = (base[c_index] - (vre + 1j * vim))[:, None]
-    fixed_scale = np.abs(np.delete(base, c_index)).max()
-    tol_abs = tol * np.maximum(np.abs(shifted), fixed_scale)
     coeffs = list(base)
     coeffs[c_index] = shifted
     floor_coeffs = list(_floor_coeffs(np.abs(base), deg))
     floor_coeffs[c_index] = _floor_coeffs(np.abs(shifted), deg)
-    # at |z| <= r_cut the floor, at most sum(floor_coeffs) * max(1, |z|)^deg,
-    # stays within tol_abs, so only a root beyond r_cut needs it
-    r_cut = (tol_abs / sum(floor_coeffs)) ** (1.0 / deg)
-    r_cut[r_cut < 1.0] = 0.0
     moduli = np.empty((npts, deg), np.float64)
     ok = np.zeros(npts, np.bool_)
     idx = np.arange(npts)
@@ -132,20 +129,15 @@ def scan_moduli(base, c_index, vre, vim, z0, tol, max_iter):
         for sweep in range(max_iter + 1):
             r = np.abs(z)
             res = np.abs(_horner(coeffs, z))
-            passed = res <= tol_abs
-            if (r > r_cut).any():
-                floor = _horner(floor_coeffs, r)
-                passed |= (res <= floor) & np.isfinite(floor)
-            done = passed.all(axis=1)
+            floor = _horner(floor_coeffs, r)
+            done = ((res <= floor) & (floor < np.inf)).all(axis=1)
             if done.any():
                 ok[idx[done]] = True
                 moduli[idx[done]] = r[done]
                 keep = ~done
                 idx, z = idx[keep], z[keep]
-                shifted, tol_abs = shifted[keep], tol_abs[keep]
-                coeffs[c_index] = shifted
+                coeffs[c_index] = coeffs[c_index][keep]
                 floor_coeffs[c_index] = floor_coeffs[c_index][keep]
-                r_cut = r_cut[keep]
             if sweep == max_iter or idx.size == 0:
                 break
             for i in range(deg):

@@ -29,7 +29,6 @@ from .shapes import (
     shape_from_minor,
 )
 from .spectra import (
-    DEFAULT_TOL,
     GridSpec,
     finite_section_spectrum,
     limit_set_scan,
@@ -61,8 +60,8 @@ SYMBOL_HELP = (
 
 SCAN_TOL_HELP = (
     "relative modulus-gap threshold (default: 1e-2); near a double root the "
-    f"scanned gaps are only good to about sqrt({DEFAULT_TOL:g}) = "
-    f"{DEFAULT_TOL ** 0.5:g}, so a tol below about 1e-4 is below that noise"
+    "scanned gaps are only good to about 1e-7, so a tol below about 1e-6 is "
+    "below that noise"
 )
 
 DUAL_ROUTE_TOL = 1e-8

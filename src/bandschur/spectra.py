@@ -11,7 +11,9 @@ are out of scope and the reports say so.
 The root moduli of every grid point come from one batched Aberth-Ehrlich
 call, _kernels.scan_moduli.  poly_roots solves single polynomials with the
 scalar _kernels.aberth_sweeps, the same iteration, and is the reference the
-scan is checked against.
+scan is checked against.  Both count a root as converged when its residual
+is at the rounding floor of evaluating the polynomial there; there is no
+tolerance to set.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from . import _kernels
 from .shapes import MinorSpec
 from .toeplitz import BandedSymbol, build_minor_numeric, format_complex
 
-DEFAULT_TOL = 1e-10
 MAX_SWEEPS = 200
 
 SCAN_NOTE = (
@@ -42,56 +43,47 @@ class RootConvergenceError(RuntimeError):
         self.best = best
 
 
-def _initial_circle(coeffs: np.ndarray, seed: int) -> np.ndarray:
+def _initial_circle(coeffs: np.ndarray) -> np.ndarray:
     """Start iterates on a circle at the geometric mean root radius.
 
-    Radius (|c_0/c_d|)^(1/d) scaled by 1.1, random phases from a fixed
-    seed; a zero constant term gets a unit-radius fallback.
+    Radius (|c_0/c_d|)^(1/d) scaled by 1.1, random phases from seed 0; a
+    zero constant term gets a unit-radius fallback.
     """
     d = len(coeffs) - 1
     radius = (abs(coeffs[0]) / abs(coeffs[-1])) ** (1.0 / d) * 1.1
     if radius == 0.0:
         radius = 1.1
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     phases = rng.uniform(0.0, 2.0 * np.pi, d)
     return radius * np.exp(1j * phases)
 
 
-def poly_roots(
-    coeffs,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = MAX_SWEEPS,
-    seed: int = 0,
-) -> np.ndarray:
+def poly_roots(coeffs) -> np.ndarray:
     """All roots of c_0 + c_1 z + ... + c_d z^d by Aberth-Ehrlich iteration.
 
-    Converged means every residual |p(z_i)| <= tol * max|c_m|, or, where
-    that target lies below the rounding floor of evaluating p at z_i, no
-    larger than that floor (_kernels.aberth_sweeps).  Multiple roots come
-    back as near-coincident clusters.  Roots are sorted by
-    modulus, then phase.  Raises RootConvergenceError (carrying the best
-    iterate) if max_iter sweeps do not reach the target.
+    Converged means every residual |p(z_i)| is at most the finite rounding
+    floor of evaluating p at z_i (_kernels.aberth_sweeps).  Multiple roots
+    come back as near-coincident clusters.  Roots are sorted by modulus,
+    then phase.  Raises RootConvergenceError (carrying the best iterate) if
+    MAX_SWEEPS sweeps do not reach the floor.
     """
     coeffs = np.asarray([complex(v) for v in coeffs], dtype=np.complex128)
     if coeffs.ndim != 1 or len(coeffs) < 2:
         raise ValueError("need at least degree 1")
     if coeffs[-1] == 0:
         raise ValueError("leading coefficient is zero")
-    z = _initial_circle(coeffs, seed).copy()
-    scale = float(np.max(np.abs(coeffs)))
-    good = _kernels.aberth_sweeps(coeffs, z, tol * scale, max_iter)
+    z = _initial_circle(coeffs)
+    good = _kernels.aberth_sweeps(coeffs, z, MAX_SWEEPS)
     order = np.lexsort((np.angle(z), np.abs(z)))
     z = z[order]
     if not good:
         raise RootConvergenceError(
-            f"no convergence after {max_iter} sweeps", best=z
+            f"no convergence after {MAX_SWEEPS} sweeps", best=z
         )
     return z
 
 
-def root_modulus_profile(
-    sym: BandedSymbol, c: int, v: complex, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def root_modulus_profile(sym: BandedSymbol, c: int, v: complex) -> np.ndarray:
     """Ascending root moduli of sum s_i z^i - v z^c at one shift v."""
     n = sym.band
     if not 0 < c < n:
@@ -100,7 +92,7 @@ def root_modulus_profile(
         raise ValueError("top band coefficient is zero: degree drops")
     coeffs = list(sym.coeffs)
     coeffs[c] -= complex(v)
-    roots = poly_roots(coeffs, tol=tol)
+    roots = poly_roots(coeffs)
     return np.abs(roots)
 
 
@@ -196,11 +188,7 @@ class LimitSetReport:
 
 
 def limit_set_scan(
-    sym: BandedSymbol,
-    c: int,
-    grid: GridSpec,
-    tol: float,
-    seed: int = 0,
+    sym: BandedSymbol, c: int, grid: GridSpec, tol: float
 ) -> LimitSetReport:
     """Mark grid points where the c-th relative root-modulus gap <= tol.
 
@@ -210,9 +198,9 @@ def limit_set_scan(
     call.  Root-finder failures are reported per point, never raised.
 
     Near a double root the moduli, and so the gap, are only good to about
-    sqrt(DEFAULT_TOL): on 1 + z^2 with c = 1 the true gap at v = -2 is 0,
-    but the scan reports about 5e-7.  A tol below about 1e-4 is below that
-    noise.
+    sqrt(eps), 1e-8 relative, and to about 1e-7 at worst: on 1 + z^2 with
+    c = 1 the true gap at v = -2 is 0, but the scan reports about 2e-9.  A
+    tol below about 1e-6 is below that noise.
     """
     n = sym.band
     if not 0 < c < n:
@@ -222,12 +210,12 @@ def limit_set_scan(
     if not tol >= 0:  # also rejects NaN, which would mark no point a hit
         raise ValueError(f"tol must be >= 0, got {tol}")
     base = np.asarray(sym.coeffs, dtype=np.complex128)
-    z0 = _initial_circle(base, seed)
+    z0 = _initial_circle(base)
     re = grid.re_values()
     im = grid.im_values()
     vre = np.tile(re, grid.ny)
     vim = np.repeat(im, grid.nx)
-    moduli, ok = _kernels.scan_moduli(base, c, vre, vim, z0, DEFAULT_TOL, MAX_SWEEPS)
+    moduli, ok = _kernels.scan_moduli(base, c, vre, vim, z0, MAX_SWEEPS)
 
     gaps = (moduli[:, c] - moduli[:, c - 1]) / moduli[:, c]
     message = f"no convergence after {MAX_SWEEPS} sweeps"

@@ -5,7 +5,8 @@ minor (first c columns deleted), plus the Hall-type evaluation of an
 arbitrary Schur polynomial at pairwise distinct points.  All three are
 rational expressions in the roots, so distinctness is a hard hypothesis:
 near-coincident root sets are rejected, not regularized (the exact
-Jacobi-Trudi path covers confluent inputs).
+Jacobi-Trudi path covers confluent inputs).  A power beyond double range
+comes back inf or nan, as in MultiPoly.evaluate, instead of raising.
 """
 
 from __future__ import annotations
@@ -13,6 +14,17 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 SEPARATION = 1e-9
+
+
+def _power(base: complex, e: int) -> complex:
+    """base**e; where that overflows, the repeated product (inf or nan)."""
+    try:
+        return base**e
+    except OverflowError:
+        value = 1 + 0j
+        for _ in range(e):
+            value *= base
+        return value
 
 
 def check_separated(roots, label: str = "roots") -> tuple[complex, ...]:
@@ -50,11 +62,11 @@ def widom_original(psi_roots, s_n: complex, c: int, k: int) -> complex:
         coeff = 1 + 0j
         for j in sigma:
             w *= roots[j]
-            coeff *= roots[j] ** c
+            coeff *= _power(roots[j], c)
             for i in range(n):
                 if i not in inside:
                     coeff /= roots[j] - roots[i]
-        total += coeff * w**k
+        total += coeff * _power(w, k)
     return total
 
 
@@ -77,7 +89,7 @@ def widom_modified(chi_roots, c: int, k: int) -> complex:
         inside = set(tau)
         term = 1 + 0j
         for i in tau:
-            term *= roots[i] ** k
+            term *= _power(roots[i], k)
             for j in range(n):
                 if j not in inside:
                     term *= roots[i] / (roots[i] - roots[j])
@@ -107,7 +119,7 @@ def hall_schur_eval(parts, points) -> complex:
         term = 1 + 0j
         for i in range(n):
             if arrangement[i]:
-                term *= x[i] ** arrangement[i]
+                term *= _power(x[i], arrangement[i])
             for j in range(n):
                 if arrangement[i] > arrangement[j]:
                     term *= x[i] / (x[i] - x[j])

@@ -296,14 +296,48 @@ class TestWidomCommand:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_disagreement_fails(self, capsys):
-        # the numeric determinant overflows to inf+nan*i, so every
-        # relative difference is nan; the error names the overflow
+        # the closed forms and the numeric determinant overflow to inf or
+        # nan, so every relative difference is nan; the error names the
+        # overflow
+        code, out, err = run(
+            capsys, ["widom", "--symbol", "1,1e200", "--c", "1", "--k", "3"]
+        )
+        assert code == 1
+        assert out.splitlines()[-5:] == [
+            "widom-original: nan+nani",
+            "widom-modified: nan+nani",
+            "hall-schur: nan+nani",
+            "minor-det: inf+nani",
+            "max-rel-diff: nan",
+        ]
+        assert err == "error: numeric determinant is not finite: inf+nani\n"
+
+    def test_unconverged_roots_exit_one(self, capsys):
+        # the root near -1e100 is 150 orders of magnitude from the starting
+        # circle; the start's residual, about 1e150, is far above the floor
         code, out, err = run(
             capsys, ["widom", "--symbol", "1,1e200,1e100", "--c", "1", "--k", "3"]
         )
-        assert code == 1
-        assert out.splitlines()[-2:] == ["minor-det: inf+nani", "max-rel-diff: nan"]
-        assert err == "error: numeric determinant is not finite: inf+nani\n"
+        assert (code, out) == (1, "")
+        assert err == "error: no convergence after 200 sweeps\n"
+
+    @pytest.mark.parametrize(
+        "symbol, c, k",
+        [
+            # roots near +-1e-5 i; a stop test scaled by the top coefficient,
+            # 1e10, would pass iterates that are not yet roots
+            ("1,1,1e10", "1", "3"),
+            # the root -1e-100, next to which 1e100 dwarfs every residual
+            ("1,1e100", "0", "4"),
+        ],
+    )
+    def test_dominant_coefficient_roots_agree(self, capsys, symbol, c, k):
+        code, out, err = run(
+            capsys, ["widom", "--symbol", symbol, "--c", c, "--k", k]
+        )
+        assert (code, err) == (0, "")
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert float(lines["max-rel-diff"]) <= 1e-9
 
     @pytest.mark.parametrize(
         "tol, message",
@@ -552,7 +586,7 @@ class TestHarness:
 
     @pytest.mark.parametrize("argv, message", [
         (
-            ["widom", "--symbol", "1,1e200,1e100", "--c", "1", "--k", "3"],
+            ["widom", "--symbol", "1,1e200", "--c", "1", "--k", "3"],
             "numeric determinant is not finite: inf+nani",
         ),
         (

@@ -9,7 +9,6 @@ import pytest
 from bandschur import _kernels
 from bandschur.shapes import MinorSpec
 from bandschur.spectra import (
-    DEFAULT_TOL,
     MAX_SWEEPS,
     ComparisonResult,
     GridSpec,
@@ -59,12 +58,10 @@ class TestPolyRoots:
             poly_roots([1, 2, 0])
 
     def test_non_convergence_carries_best_iterate(self):
-        coeffs = np.array([1.0 + 0j])
-        for m in range(1, 7):
-            coeffs = np.convolve(coeffs, np.array([-m, 1.0], dtype=complex))
-        with pytest.raises(RootConvergenceError) as info:
-            poly_roots(coeffs, max_iter=1)
-        assert info.value.best.shape == (6,)
+        # one root, near -1e310, lies beyond double range
+        with pytest.raises(RootConvergenceError, match="200 sweeps") as info:
+            poly_roots([1, 1e10, 1e-300])
+        assert info.value.best.shape == (2,)
 
     def test_deterministic(self):
         a = poly_roots([-6, 11, -6, 1])
@@ -72,9 +69,25 @@ class TestPolyRoots:
         assert np.array_equal(a, b)
 
     def test_seed_independent_of_answer(self):
-        a = poly_roots([-6, 11, -6, 1], seed=0)
-        b = poly_roots([-6, 11, -6, 1], seed=1)
-        assert np.allclose(a, b, atol=1e-8)
+        # the kernel reaches the same roots from two different starting circles
+        coeffs = np.array([-6, 11, -6, 1], dtype=complex)
+        found = []
+        for seed, radius in ((0, 2.0), (1, 0.5)):
+            phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, 3)
+            z = radius * np.exp(1j * phases)
+            assert _kernels.aberth_sweeps(coeffs, z, MAX_SWEEPS)
+            found.append(np.sort_complex(z))
+        assert np.allclose(found[0], found[1], atol=1e-8)
+
+    @pytest.mark.parametrize("coeffs", [[1, 1, 1e10], [1, 1, 1e20], [1, 1e100]])
+    def test_dominant_coefficient_matches_numpy(self, coeffs):
+        # max|c_m| dwarfs the residuals near the roots, so a target scaled by
+        # it passes iterates that are not yet roots; the rounding floor does not
+        roots = poly_roots(coeffs)
+        expected = np.roots(coeffs[::-1])
+        assert len(roots) == len(expected)
+        for root in expected:
+            assert np.min(np.abs(roots - root)) <= 1e-9 * abs(root)
 
 
 class TestRootModulusProfile:
@@ -107,6 +120,11 @@ class TestRootModulusProfile:
     def test_degree_drop_rejected(self):
         with pytest.raises(ValueError, match="degree"):
             root_modulus_profile(BandedSymbol((1, 1, 0)), 1, 0.0)
+
+    def test_double_root_gap(self):
+        # at v = -2 the polynomial is 1 + 2z + z^2 = (1 + z)^2: the true gap is 0
+        profile = root_modulus_profile(TRIDIAG, 1, -2.0)
+        assert (profile[1] - profile[0]) / profile[1] <= 1e-7
 
     def test_reversal_pairs_moduli_reciprocally(self):
         # Roots of the reversed coefficient list have reciprocal moduli.
@@ -170,6 +188,12 @@ class TestLimitSetScan:
             assert abs(im_v) <= 0.2
             assert abs(re_v) <= 2.2
             assert 0 <= gap <= 1e-2
+
+    def test_dominant_coefficient_reports_no_false_hit(self):
+        # roots near -1e-200 and -1e100 at every point: the true gap is about 1
+        sym = BandedSymbol((1, 1e200, 1e100))
+        report = limit_set_scan(sym, 1, GridSpec.parse("-1,1,-1,1,3,3"), 0.5)
+        assert report.hits == ()
 
     def test_far_grid_sees_nothing(self):
         grid = GridSpec.parse("5,6,1,2,5,5")
@@ -300,8 +324,7 @@ class TestScanAgainstPolyRoots:
         points = np.array(_grid_points(grid))
         base = np.asarray(coeffs, dtype=np.complex128)
         moduli, ok = _kernels.scan_moduli(
-            base, c, points.real, points.imag, _initial_circle(base, 0),
-            DEFAULT_TOL, MAX_SWEEPS,
+            base, c, points.real, points.imag, _initial_circle(base), MAX_SWEEPS,
         )
         assert ok.all()
         # tol = 1 makes every converged point a hit, so the hits carry every gap
