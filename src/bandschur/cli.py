@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import operator
@@ -599,7 +600,15 @@ def _run_compare(args) -> tuple[str, int, str | None]:
     return out, *_scan_failure_status(result.failure_count)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The bandschur argument parser, built on first use.
+
+    The parser is built once per process and shared by every call, so
+    callers must not mutate it (add arguments, change defaults). Reuse is
+    safe because parse_args returns a new Namespace each time, no action
+    has a mutable default, and help text is formatted when it is printed.
+    """
     parser = argparse.ArgumentParser(
         prog="bandschur",
         description=(

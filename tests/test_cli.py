@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface (in-process)."""
 
+import argparse
 import importlib
 import json
 import subprocess
@@ -659,3 +660,97 @@ class TestHarness:
             "spectra.spectrum_vs_limitset",
         }
         assert required <= seen
+
+
+EIGS_JSON_GOLDEN = """{
+  "alpha": [],
+  "beta": [
+    1
+  ],
+  "n": 1,
+  "k": 2,
+  "eigenvalues": [
+    {
+      "re": 2.0,
+      "im": 0.0
+    },
+    {
+      "re": 2.0,
+      "im": 0.0
+    }
+  ]
+}
+"""
+
+EIGS_MISSING_K_GOLDEN = (
+    "usage: bandschur eigs [-h] --symbol SYMBOL --k K [--c C] [--alpha ALPHA]\n"
+    "                      [--beta BETA] [--format {csv,json,text}]\n"
+    "bandschur eigs: error: the following arguments are required: --k\n"
+)
+
+
+class TestSharedParser:
+    """One parser serves every main() call in a process."""
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        argv = ["minor-det", "--symbol", "1,3,2", "--beta", "1", "--k", "3"]
+        assert run(capsys, argv) == (0, "det: 15\n", "")
+        built.clear()
+        assert run(capsys, argv) == (0, "det: 15\n", "")
+        assert built == []
+
+    def test_no_state_carries_between_calls(self, capsys, monkeypatch):
+        # argparse wraps usage to the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+        sequence = [
+            (
+                ["eigs", "--symbol", "1,2", "--k", "2", "--c", "1", "--format", "json"],
+                (0, EIGS_JSON_GOLDEN, ""),
+            ),
+            (
+                ["eigs", "--symbol", "1,2", "--k", "3", "--alpha", "", "--beta", "1"],
+                (0, "re,im\n2,0\n2,0\n2,0\n", ""),
+            ),
+            (
+                ["eigs", "--symbol", "1,2", "--k", "0"],
+                (2, "", "error: --k must be >= 1, got 0\n"),
+            ),
+            (["eigs", "--symbol", "1,2"], (2, "", EIGS_MISSING_K_GOLDEN)),
+            (
+                [
+                    "minor-det", "--nvars", "2", "--symbol", "1,3,2",
+                    "--beta", "1", "--k", "3",
+                ],
+                (
+                    0,
+                    "det-symbolic: x1^3 + x1^2*x2 + x1*x2^2 + x2^3\n"
+                    "det-numeric: 15\ndet-evaluated: 15\nrel-diff: 0\n",
+                    "",
+                ),
+            ),
+            (
+                ["minor-det", "--symbol", "1,3,2", "--beta", "1", "--k", "3"],
+                (0, "det: 15\n", ""),
+            ),
+        ]
+        for argv, expected in sequence:
+            assert run(capsys, argv) == expected, argv
+
+    def test_help_follows_the_terminal_width(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "60")
+        narrow = run(capsys, ["eigs", "--help"])
+        assert run(capsys, ["eigs", "--help"]) == narrow
+        monkeypatch.setenv("COLUMNS", "140")
+        wide = run(capsys, ["eigs", "--help"])
+        assert narrow[0] == wide[0] == 0
+        assert narrow[1] != wide[1]
+        assert max(map(len, narrow[1].splitlines())) <= 60
+        assert max(map(len, wide[1].splitlines())) > 60

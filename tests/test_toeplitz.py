@@ -98,6 +98,36 @@ class TestBuildMinor:
         m = build_minor_numeric(sym, spec, 2)
         assert np.array_equal(m, np.array([[1, 6], [0, 5]], dtype=complex))
 
+    def test_numeric_matches_loop_oracle(self):
+        # entry by entry against the plain double loop over surviving indices
+        rng = np.random.default_rng(13)
+        for band in range(1, 6):
+            coeffs = [1] + list(rng.normal(size=band) + 1j * rng.normal(size=band))
+            sym = BandedSymbol(coeffs)
+            for _ in range(6):
+                c = int(rng.integers(0, band + 1))
+                r = int(rng.integers(0, c + 1))
+                picked = rng.choice(np.arange(1, 8), c, replace=False)
+                cols = sorted(int(v) for v in picked)
+                shift = int(rng.integers(0, 4))
+                spec = MinorSpec(tuple(v + shift for v in cols[:r]), tuple(cols), band)
+                for k in (0, 1, 2, 7, 40, 90):
+                    oracle = np.zeros((k, k), dtype=np.complex128)
+                    row_idx = surviving(spec.deleted_rows, k)
+                    col_idx = surviving(spec.deleted_cols, k)
+                    for i, ri in enumerate(row_idx):
+                        for j, cj in enumerate(col_idx):
+                            if 0 <= cj - ri <= band:
+                                oracle[i, j] = sym.coeffs[cj - ri]
+                    built = build_minor_numeric(sym, spec, k)
+                    assert built.shape == (k, k)
+                    assert built.dtype == np.complex128
+                    assert built.tobytes() == oracle.tobytes()
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            build_minor_numeric(BandedSymbol((1, 2)), MinorSpec((), (), 1), -1)
+
     def test_band_mismatch_rejected(self):
         with pytest.raises(ValueError, match="band"):
             build_minor_numeric(BandedSymbol((1, 2)), MinorSpec((), (), 2), 3)
