@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 2 on a validation error (malformed flag values,
 inconsistent dimensions), 1 on a computation failure (an identity that
 does not hold, root-finder non-convergence, an empty scan hit set, a
-numeric determinant that overflows).
+numeric determinant that overflows) and 1, silently, when stdout is a pipe
+whose reader has closed it (as in `bandschur limitset ... | head -2`).
 Repeated invocations with the same arguments produce byte-identical
 output: all orderings are canonical and all seeds are fixed.
 """
@@ -16,6 +17,7 @@ import functools
 import json
 import math
 import operator
+import os
 import sys
 
 from .polyring import MultiPoly, expand_elementary
@@ -61,7 +63,7 @@ SYMBOL_HELP = (
 
 SCAN_TOL_HELP = (
     "relative modulus-gap threshold (default: 1e-2); near a double root the "
-    "scanned gaps are only good to about 1e-7, so a tol below about 1e-6 is "
+    "scanned gaps are only good to about 3e-7, so a tol below about 1e-6 is "
     "below that noise"
 )
 
@@ -759,14 +761,22 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         out, code, err = args.func(args)
+        if out:
+            print(out.rstrip("\n"))
+        sys.stdout.flush()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if out:
-        print(out.rstrip("\n"))
+    except BrokenPipeError:
+        # The reader has gone.  Point the descriptor at devnull, so that the
+        # flush at interpreter exit does not fail on the same pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     if err:
         print(f"error: {err}", file=sys.stderr)
     return code

@@ -9,15 +9,17 @@ detects; isolated exceptional eigenvalue limits, when the symbol has any,
 are out of scope and the reports say so.
 
 The root moduli of every grid point come from one batched Aberth-Ehrlich
-call, _kernels.scan_moduli.  poly_roots solves single polynomials with the
-scalar _kernels.aberth_sweeps, the same iteration, and is the reference the
-scan is checked against.  Both count a root as converged when its residual
-is at the rounding floor of evaluating the polynomial there; there is no
-tolerance to set.
+call, _kernels.scan_moduli, which moves all roots of all points at once.
+poly_roots solves single polynomials with the scalar
+_kernels.aberth_sweeps, the same update taken one root at a time
+(Gauss-Seidel order), and is the reference the scan is checked against.
+Both count a root as converged when its residual is at the rounding floor
+of evaluating the polynomial there; there is no tolerance to set.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,19 +45,27 @@ class RootConvergenceError(RuntimeError):
         self.best = best
 
 
+@functools.lru_cache(maxsize=64)
+def _unit_phases(d: int) -> np.ndarray:
+    """d points on the unit circle at random phases from seed 0, read-only."""
+    rng = np.random.default_rng(0)
+    unit = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d))
+    unit.flags.writeable = False
+    return unit
+
+
 def _initial_circle(coeffs: np.ndarray) -> np.ndarray:
     """Start iterates on a circle at the geometric mean root radius.
 
-    Radius (|c_0/c_d|)^(1/d) scaled by 1.1, random phases from seed 0; a
-    zero constant term gets a unit-radius fallback.
+    Radius (|c_0/c_d|)^(1/d) scaled by 1.1, random phases from seed 0 (the
+    same for every polynomial of degree d); a zero constant term gets a
+    unit-radius fallback.  Returns a new array.
     """
     d = len(coeffs) - 1
     radius = (abs(coeffs[0]) / abs(coeffs[-1])) ** (1.0 / d) * 1.1
     if radius == 0.0:
         radius = 1.1
-    rng = np.random.default_rng(0)
-    phases = rng.uniform(0.0, 2.0 * np.pi, d)
-    return radius * np.exp(1j * phases)
+    return radius * _unit_phases(d)
 
 
 def poly_roots(coeffs) -> np.ndarray:
@@ -198,8 +208,8 @@ def limit_set_scan(
     call.  Root-finder failures are reported per point, never raised.
 
     Near a double root the moduli, and so the gap, are only good to about
-    sqrt(eps), 1e-8 relative, and to about 1e-7 at worst: on 1 + z^2 with
-    c = 1 the true gap at v = -2 is 0, but the scan reports about 2e-9.  A
+    sqrt(eps), 1e-8 relative, and to about 3e-7 at worst: on 1 + z^2 with
+    c = 1 the true gap at v = -2 is 0, but the scan reports about 3e-9.  A
     tol below about 1e-6 is below that noise.
     """
     n = sym.band
@@ -219,13 +229,13 @@ def limit_set_scan(
 
     gaps = (moduli[:, c] - moduli[:, c - 1]) / moduli[:, c]
     message = f"no convergence after {MAX_SWEEPS} sweeps"
+    failed = ~ok
     failures = tuple(
-        (float(vre[p]), float(vim[p]), message) for p in np.flatnonzero(~ok)
+        (re_v, im_v, message)
+        for re_v, im_v in zip(vre[failed].tolist(), vim[failed].tolist())
     )
-    hits = tuple(
-        (float(vre[p]), float(vim[p]), float(gaps[p]))
-        for p in np.flatnonzero(ok & (gaps <= tol))
-    )
+    hit = ok & (gaps <= tol)
+    hits = tuple(zip(vre[hit].tolist(), vim[hit].tolist(), gaps[hit].tolist()))
     return LimitSetReport(
         symbol=sym, c=c, grid=grid, tol=tol,
         hits=hits, failures=failures,
@@ -323,15 +333,15 @@ def spectrum_vs_limitset(
         raise ValueError("empty hit set: enlarge the grid or tolerance")
     spec = MinorSpec((), tuple(range(1, c + 1)), sym.band)
     spectrum = finite_section_spectrum(sym, spec, k)
-    hit_pts = np.array([complex(re_v, im_v) for re_v, im_v, _ in report.hits])
-    dists = tuple(
-        float(np.min(np.abs(hit_pts - z))) for z in spectrum.eigenvalues
-    )
+    hits = np.array(report.hits)
+    hit_pts = hits[:, 0] + 1j * hits[:, 1]
+    eigs = np.array(spectrum.eigenvalues)
+    dists = np.abs(eigs[:, None] - hit_pts[None, :]).min(axis=1)
     return ComparisonResult(
         k=k,
         hit_count=len(report.hits),
         median_distance=float(np.median(dists)),
-        max_distance=float(max(dists)),
-        distances=dists,
+        max_distance=float(dists.max()),
+        distances=tuple(dists.tolist()),
         failure_count=len(report.failures),
     )

@@ -1,8 +1,10 @@
 """End-to-end tests of the command line interface (in-process)."""
 
 import argparse
+import errno
 import importlib
 import json
+import os
 import subprocess
 import sys
 
@@ -563,6 +565,12 @@ class TestCompareCommand:
         )
 
 
+LIMITSET_SEGMENT_ARGS = [
+    "limitset", "--symbol", "1,0,1", "--c", "1",
+    "--grid=-3,3,0,0,61,1", "--tol", "1e-6", "--format", "text",
+]
+
+
 class TestHarness:
     def test_no_command_shows_usage(self, capsys):
         code, _, _ = run(capsys, [])
@@ -612,6 +620,51 @@ class TestHarness:
         )
         assert proc.returncode == 1
         assert proc.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("write_raises", [True, False])
+    def test_closed_stdout_exits_one_without_traceback(
+        self, capsys, monkeypatch, tmp_path, write_raises
+    ):
+        # A stdout whose reader has gone: print itself may raise, or only the
+        # flush.  main points its descriptor at devnull and returns 1.
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe:
+            def write(self, text):
+                if write_raises:
+                    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+                return len(text)
+
+            def flush(self):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            code = main(LIMITSET_SEGMENT_ARGS)
+            monkeypatch.undo()
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert code == 1
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_exits_one_without_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bandschur", *LIMITSET_SEGMENT_ARGS],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
     def test_byte_identical_repeat_runs(self, capsys):
         commands = [

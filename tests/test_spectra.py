@@ -14,6 +14,7 @@ from bandschur.spectra import (
     GridSpec,
     RootConvergenceError,
     _initial_circle,
+    _unit_phases,
     finite_section_spectrum,
     limit_set_scan,
     poly_roots,
@@ -67,6 +68,20 @@ class TestPolyRoots:
         a = poly_roots([-6, 11, -6, 1])
         b = poly_roots([-6, 11, -6, 1])
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("coeffs", [[2, 1], [-6, 11, -6, 1], [0, 3j, 1, 0.5, -2]])
+    def test_starting_circle_is_a_fresh_copy_of_seeded_phases(self, coeffs):
+        coeffs = np.asarray(coeffs, dtype=complex)
+        d = len(coeffs) - 1
+        radius = (abs(coeffs[0]) / abs(coeffs[-1])) ** (1.0 / d) * 1.1 or 1.1
+        phases = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, d)
+        expected = radius * np.exp(1j * phases)
+        first = _initial_circle(coeffs)
+        assert first.tobytes() == expected.tobytes()
+        # aberth_sweeps moves its iterates in place; the next start is unmoved
+        assert _kernels.aberth_sweeps(coeffs, first, MAX_SWEEPS)
+        assert _initial_circle(coeffs).tobytes() == expected.tobytes()
+        assert not _unit_phases(d).flags.writeable
 
     def test_seed_independent_of_answer(self):
         # the kernel reaches the same roots from two different starting circles
@@ -365,3 +380,66 @@ class TestScanAgainstPolyRoots:
                 rejected.add(v)
         assert len(failed) == n_failed
         assert failed == rejected
+
+
+class TestScanGuards:
+    """Starting iterates that drive the scan kernel into each guard.
+
+    The plain simultaneous update is inf or NaN at the first sweep of every
+    case here but the iterate on a simple root and the real-axis grid; the
+    guards of aberth_sweeps must then give the moduli the scalar root
+    finder gives.
+    """
+
+    def scan(self, base, z0, values):
+        values = np.asarray(values, dtype=np.complex128)
+        moduli, ok = _kernels.scan_moduli(
+            np.asarray(base, dtype=np.complex128), 1, values.real, values.imag,
+            np.asarray(z0, dtype=np.complex128), MAX_SWEEPS,
+        )
+        assert ok.all()
+        return moduli
+
+    def assert_matches_profile(self, z0, values):
+        # 1 - v z + z^2, the tridiagonal symbol with c = 1
+        moduli = self.scan(TRIDIAG.coeffs, z0, values)
+        for v, row in zip(values, moduli):
+            profile = root_modulus_profile(TRIDIAG, 1, v)
+            assert np.all(np.abs(row - profile) <= 1e-9 * profile), v
+
+    def test_repeated_entry(self):
+        # Coincident iterates add nothing to each other's sums.  They see the
+        # same sums and so stay together and find one root twice, which on the
+        # segment (-2, 2), where both roots have modulus 1, still gives the
+        # moduli.
+        z0 = [0.5 + 0.5j, 0.5 + 0.5j]
+        self.assert_matches_profile(z0, [-1.5, -0.5, 0, 1, 1.9])
+
+    def test_iterate_on_a_root(self):
+        # p(i) = 0 exactly at v = 0: the iterate stays where it is
+        self.assert_matches_profile([1j, 0.3 - 0.8j], [0])
+
+    def test_iterate_on_a_stationary_point(self):
+        # p'(0) = 0 at v = 0: the iterate takes the repulsion step
+        self.assert_matches_profile([0, 0.3 - 0.8j], [0])
+
+    def test_zero_denominator(self):
+        # At z = 1 the Newton step w = p/p' is 1 for every v, so the other
+        # iterate at 0 makes 1 - w * s exactly 0: the iterate stays
+        self.assert_matches_profile([1, 0], [1j])
+
+    def test_iterate_on_a_double_root(self):
+        # 1 + 1.5 z - 0.5 z^3 = -0.5 (z + 1)^2 (z - 2): p(-1) = p'(-1) = 0, so
+        # the iterate on the double root stays and the others converge to it
+        # and to 2.  The scalar finder is only good to about 1e-9 at a double
+        # root, so compare with the roots themselves.
+        moduli = self.scan([1, 0, 0, -0.5], [-1, 2.5j, -3], [-1.5])
+        assert np.all(np.abs(moduli - [1, 1, 2]) <= 1e-12)
+
+    def test_real_axis_grid(self):
+        # every polynomial on the grid is real, with double roots at v = +-2
+        grid = GridSpec.parse("-3,3,0,0,61,1")
+        z0 = _initial_circle(np.asarray(TRIDIAG.coeffs, dtype=np.complex128))
+        self.assert_matches_profile(z0, grid.re_values())
+        report = limit_set_scan(TRIDIAG, 1, grid, tol=1e-6)
+        assert (len(report.hits), len(report.failures)) == (41, 0)
