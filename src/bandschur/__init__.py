@@ -48,10 +48,12 @@ from .spectra import (
 )
 from .tableaux import (
     InsertionSequence,
+    InsertionStep,
     Tableau,
     enumerate_ssyt,
     extension_sequences,
     insert_sequence,
+    insertion_step,
     schur_by_tableaux,
 )
 from .toeplitz import (
@@ -80,6 +82,7 @@ __all__ = [
     "ComparisonResult",
     "GridSpec",
     "InsertionSequence",
+    "InsertionStep",
     "LimitSetReport",
     "MinorSpec",
     "MultiPoly",
@@ -104,6 +107,7 @@ __all__ = [
     "format_complex",
     "hall_schur_eval",
     "insert_sequence",
+    "insertion_step",
     "jacobi_trudi_matrix",
     "limit_set_scan",
     "min_k",

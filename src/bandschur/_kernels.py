@@ -170,8 +170,14 @@ def scan_moduli(base, c_index, vre, vim, z0, max_iter):
     which serves both the stop test and the update.  A point stops when
     each of its roots passes and then leaves the batch.  Returns (moduli,
     ok): moduli[p] ascending, and ok[p] False where max_iter sweeps missed
-    the target (moduli[p] then hold the last iterate).
+    the target (moduli[p] then hold the last iterate).  The entries of z0
+    must be distinct: coincident iterates see the same sums, never
+    separate and would find one root twice, so a repeated entry raises
+    ValueError.
     """
+    z0 = np.asarray(z0, np.complex128)
+    if np.unique(z0).size != z0.size:
+        raise ValueError("starting iterates must be distinct")
     deg = base.shape[0] - 1
     npts = vre.shape[0]
     # one value per point for the shifted coefficient, scalars for the rest
@@ -183,7 +189,7 @@ def scan_moduli(base, c_index, vre, vim, z0, max_iter):
     moduli = np.empty((npts, deg), np.float64)
     ok = np.zeros(npts, np.bool_)
     idx = np.arange(npts)
-    z = np.repeat(np.asarray(z0, np.complex128)[:, None], npts, axis=1)
+    z = np.repeat(z0[:, None], npts, axis=1)
     with np.errstate(all="ignore"):
         for sweep in range(max_iter + 1):
             r = np.abs(z)

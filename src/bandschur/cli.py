@@ -16,7 +16,6 @@ import cmath
 import functools
 import json
 import math
-import operator
 import os
 import sys
 
@@ -39,12 +38,7 @@ from .spectra import (
     root_modulus_profile,
     spectrum_vs_limitset,
 )
-from .tableaux import (
-    enumerate_ssyt,
-    extension_sequences,
-    insert_sequence,
-    schur_by_tableaux,
-)
+from .tableaux import extension_sequences, insertion_step, schur_by_tableaux
 from .toeplitz import (
     BandedSymbol,
     build_minor_numeric,
@@ -78,7 +72,6 @@ COMMAND_OPERATIONS = {
         "polyring.MultiPoly.__mul__",
         "polyring.elementary_symmetric",
         "shapes.Partition.conjugate",
-        "tableaux.enumerate_ssyt",
         "tableaux.schur_by_tableaux",
         "schur.jacobi_trudi_matrix",
         "schur.symbolic_det",
@@ -97,9 +90,8 @@ COMMAND_OPERATIONS = {
         "shapes.min_k",
         "shapes.shape_from_minor",
         "toeplitz.verify_minor_schur",
-        "tableaux.enumerate_ssyt",
-        "tableaux.insert_sequence",
         "tableaux.extension_sequences",
+        "tableaux.insertion_step",
         "polyring.expand_elementary",
     ),
     "recurrence": (
@@ -339,33 +331,8 @@ def _run_check_identity(args) -> tuple[str, int, str | None]:
 
     shape_k = shape_from_minor(spec, args.k)
     shape_next = shape_from_minor(spec, args.k + 1)
-    tabs_k = enumerate_ssyt(shape_k, nvars)
-    contents_k = [tab.content() for tab in tabs_k]
-    # next-shape tableau -> its content; the keys are the set to cover
-    next_contents = {tab: tab.content() for tab in enumerate_ssyt(shape_next, nvars)}
     seqs = extension_sequences(spec.r, spec.c - spec.r, nvars)
-    built: set = set()
-    injective = weighted = True
-    for seq in seqs:
-        # the x_S weight: an image's content is its source's plus the
-        # sequence's positive values
-        weight = [0] * nvars
-        for v in seq.values:
-            if v > 0:
-                weight[v - 1] += 1
-        images = set()
-        for tab, before in zip(tabs_k, contents_k):
-            image = insert_sequence(tab, seq)
-            images.add(image)
-            after = next_contents.get(image)
-            if after is not None and list(map(operator.sub, after, before)) != weight:
-                weighted = False
-        if len(images) != len(tabs_k):
-            injective = False
-        built |= images
-    tabs_next = next_contents.keys()
-    covered = built == tabs_next
-    step_ok = covered and injective and weighted
+    step = insertion_step(shape_k, shape_next, seqs, nvars)
 
     lines = [
         f"spec: alpha={_fmt_parts(spec.deleted_rows)} "
@@ -380,24 +347,24 @@ def _run_check_identity(args) -> tuple[str, int, str | None]:
         lines.append(
             f"minor-vs-schur: FAILED (residual: {expand_elementary(residual)})"
         )
-    if step_ok:
+    if step.ok:
         lines.append(
-            f"insertion-step: ok ({len(tabs_k)} tableaux, {len(seqs)} "
-            f"sequences, {len(tabs_next)} next-shape tableaux)"
+            f"insertion-step: ok ({step.tableaux} tableaux, {step.sequences} "
+            f"sequences, {step.next_tableaux} next-shape tableaux)"
         )
-    elif not injective:
+    elif not step.injective:
         lines.append("insertion-step: FAILED (a sequence merged two tableaux)")
-    elif not covered:
+    elif not step.covered:
         lines.append(
-            f"insertion-step: FAILED (built {len(built)} tableaux, "
-            f"next shape has {len(tabs_next)})"
+            f"insertion-step: FAILED (built {step.built} tableaux, "
+            f"next shape has {step.next_tableaux})"
         )
     else:
         lines.append(
             "insertion-step: FAILED (an image's content is not its "
             "source's plus the sequence)"
         )
-    good = ok_schur and step_ok
+    good = ok_schur and step.ok
     obj = {
         "alpha": list(spec.deleted_rows),
         "beta": list(spec.deleted_cols),
@@ -405,7 +372,7 @@ def _run_check_identity(args) -> tuple[str, int, str | None]:
         "k": args.k,
         "min_k": kmin,
         "minor_vs_schur": ok_schur,
-        "insertion_step": step_ok,
+        "insertion_step": step.ok,
     }
     out = _dump_json(obj) if args.format == "json" else "\n".join(lines)
     if not good:

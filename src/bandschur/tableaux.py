@@ -1,27 +1,39 @@
 """Semistandard skew tableaux: enumeration and row-wise sequence insertion.
 
-Every tableau, whether built by a caller, enumerated or produced by an
-insertion, passes one validator, `_validate`, on its rows held as flat
-tuples of ints.  What the validator needs from a shape (row lengths and the
-column ranges a row shares with the row above) is computed once per shape
-and kept in a bounded cache of `_Plan`s.
+The engine works on rows held as flat tuples of ints and has one
+validator, `_validate`.  What the validator needs from a shape (row
+lengths and the column ranges a row shares with the row above) is computed
+once per shape and kept in a bounded cache of `_Plan`s.
 
-Enumeration builds whole rows: the row above fixes a lower bound for each
-cell of the next row, and the weakly increasing rows that meet a bound
-vector come from a bounded memo keyed on that vector.  Insertion puts value i of a
-strictly increasing sequence into row i: a positive value joins the row's
-content, a negative value adds one skew box to the row, and a row beyond
-the last one is created.  The resulting shape depends only on the source
-shape and the sequence, so it is built once per pair.
+Enumeration (`_ssyt_rows`) builds whole rows: the row above fixes a lower
+bound for each cell of the next row, and the weakly increasing rows that
+meet a bound vector come from a bounded memo keyed on that vector.  Every
+enumerated filling passes `_validate` once.  Insertion (`_insert_rows`)
+puts value i of a strictly increasing sequence into row i: a positive
+value joins the row's content, a negative value adds one skew box to the
+row, and a row beyond the last one is created.  The resulting shape
+depends only on the source shape and the sequence, so it is built once per
+pair.
+
+What validates: the public `Tableau(...)` constructor and
+`insert_sequence` validate the tableau they return, and `enumerate_ssyt`
+and `schur_by_tableaux` read the validated fillings of `_ssyt_rows`.
+`insertion_step` accepts an image without a second validation only by
+membership: when the sequence targets the next shape and the image's rows
+are the rows of one of that shape's enumerated fillings.  Two fillings of
+one shape are equal exactly when their rows are, so such an image is that
+filling, which has passed `_validate`; validating it again could only
+repeat the verdict.  Every other image is validated against its own
+target shape.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import lt
+from operator import lt, sub
 
 from .polyring import MultiPoly
 from .shapes import Partition, SkewShape
@@ -152,11 +164,7 @@ class Tableau:
 
     def content(self) -> tuple[int, ...]:
         """Multiplicity vector: how many times each of 1..nmax appears."""
-        counts = [0] * self.nmax
-        for row in self.rows:
-            for v in row:
-                counts[v - 1] += 1
-        return tuple(counts)
+        return _content(self.rows, self.nmax)
 
     def to_json_obj(self) -> dict:
         return {
@@ -173,9 +181,17 @@ def _fill(tab: Tableau, shape: SkewShape, rows, nmax: int) -> None:
     object.__setattr__(tab, "_hash", None)
 
 
-def _checked(shape: SkewShape, plan: _Plan, rows, nmax: int) -> Tableau:
-    """A Tableau from rows that are already tuples of ints, validated."""
-    _validate(plan, rows, nmax)
+def _content(rows, nmax: int) -> tuple[int, ...]:
+    """How many times each of 1..nmax appears in rows."""
+    counts = [0] * nmax
+    for row in rows:
+        for v in row:
+            counts[v - 1] += 1
+    return tuple(counts)
+
+
+def _unchecked(shape: SkewShape, rows, nmax: int) -> Tableau:
+    """A Tableau from rows of ints that have passed _validate for shape."""
     tab = object.__new__(Tableau)
     _fill(tab, shape, rows, nmax)
     return tab
@@ -202,12 +218,12 @@ def _succ(v: int) -> int:
     return v + 1
 
 
-def enumerate_ssyt(shape: SkewShape, nmax: int) -> list[Tableau]:
-    """All semistandard fillings of `shape` with entries 1..nmax.
+def _ssyt_rows(shape: SkewShape, nmax: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Rows of every semistandard filling of `shape` with entries 1..nmax.
 
     Deterministic row-major lexicographic order (cells filled left to
-    right, top to bottom, values ascending).  The empty shape yields one
-    empty tableau.
+    right, top to bottom, values ascending).  Each filling passes
+    _validate once.  The empty shape yields one empty filling.
     """
     plan = _plan(shape)
     partial: list[tuple[tuple[int, ...], ...]] = [()]
@@ -225,14 +241,24 @@ def enumerate_ssyt(shape: SkewShape, nmax: int) -> list[Tableau]:
                 for done in partial
                 for row in _rows(nmax, free + tuple(map(_succ, done[-1][a0:a1])))
             ]
-    return [_checked(shape, plan, rows, nmax) for rows in partial]
+    for rows in partial:
+        _validate(plan, rows, nmax)
+    return partial
+
+
+def enumerate_ssyt(shape: SkewShape, nmax: int) -> list[Tableau]:
+    """All semistandard fillings of `shape` with entries 1..nmax.
+
+    The fillings of _ssyt_rows, in its order, as Tableau objects.
+    """
+    return [_unchecked(shape, rows, nmax) for rows in _ssyt_rows(shape, nmax)]
 
 
 def schur_by_tableaux(shape: SkewShape, nvars: int) -> MultiPoly:
     """Skew Schur polynomial as the content generating function of SSYT."""
     terms: dict[tuple[int, ...], int] = {}
-    for tab in enumerate_ssyt(shape, nvars):
-        key = tab.content()
+    for rows in _ssyt_rows(shape, nvars):
+        key = _content(rows, nvars)
         terms[key] = terms.get(key, 0) + 1
     return MultiPoly(nvars, terms)
 
@@ -276,29 +302,124 @@ def _insertion_target(
     return target, _plan(target)
 
 
+def _check_bound(values: tuple[int, ...], nmax: int) -> None:
+    if values and values[-1] > nmax:
+        v = next(v for v in values if v > nmax)
+        raise ValueError(f"value {v} exceeds entry bound {nmax}")
+
+
+def _insert_rows(rows, values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Rows with value i of `values` inserted into row i, unvalidated.
+
+    A positive value goes in after the entries it is not below, so the
+    row stays weakly increasing; a negative value (a skew box) leaves the
+    row's content as it is.  A value past the last row starts a new row.
+    """
+    out = list(rows)
+    for i, v in enumerate(values):
+        if i == len(out):
+            out.append((v,) if v > 0 else ())
+        elif v > 0:
+            row = list(out[i])
+            insort(row, v)
+            out[i] = tuple(row)
+    return tuple(out)
+
+
 def insert_sequence(tab: Tableau, seq: InsertionSequence) -> Tableau:
     """Insert seq value i into row i, keeping each row weakly increasing.
 
     A value inserted into a missing row creates a new single-box row.
-    Negative values become skew boxes.  The result passes the same
-    validation as every tableau; a violation (which cannot happen when the
-    sequence respects the shape) raises ValueError.
+    Negative values become skew boxes.  The result is validated against
+    its target shape; a violation (which cannot happen when the sequence
+    respects the shape) raises ValueError.
     """
     values = seq.values
-    nmax = tab.nmax
-    if values and values[-1] > nmax:
-        v = next(v for v in values if v > nmax)
-        raise ValueError(f"value {v} exceeds entry bound {nmax}")
+    _check_bound(values, tab.nmax)
     shape, plan = _insertion_target(tab.shape, values)
-    rows = list(tab.rows)
-    for i, v in enumerate(values):
-        if i == len(rows):
-            rows.append((v,) if v > 0 else ())
-        elif v > 0:
-            row = rows[i]
-            at = bisect_right(row, v)
-            rows[i] = row[:at] + (v,) + row[at:]
-    return _checked(shape, plan, tuple(rows), nmax)
+    rows = _insert_rows(tab.rows, values)
+    _validate(plan, rows, tab.nmax)
+    return _unchecked(shape, rows, tab.nmax)
+
+
+@dataclass(frozen=True)
+class InsertionStep:
+    """What inserting every sequence into every filling of a shape gave.
+
+    built counts the distinct images over all sequences.  injective: no
+    sequence sends two fillings to one image.  covered: the images are
+    exactly the fillings of the next shape.  weighted: every image that
+    is such a filling has its source's content plus the sequence's
+    positive values (the x_S weight).
+    """
+
+    tableaux: int
+    sequences: int
+    next_tableaux: int
+    built: int
+    injective: bool
+    covered: bool
+    weighted: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.injective and self.covered and self.weighted
+
+
+def insertion_step(
+    shape: SkewShape, shape_next: SkewShape, seqs, nmax: int
+) -> InsertionStep:
+    """Insert each sequence into each filling of `shape`, on row tuples.
+
+    The fillings of `shape_next` are enumerated (and so validated) once
+    and held as a dict from rows to content.  An image whose sequence
+    targets `shape_next` and whose rows are a key of that dict is one of
+    those fillings, so it needs no validation of its own.  Every other
+    image is validated against its target shape, which raises the
+    ValueError that insert_sequence would, in the same order; a valid one
+    is kept as (target, rows), so it never counts toward covering.
+    """
+    rows_k = _ssyt_rows(shape, nmax)
+    contents_k = [_content(rows, nmax) for rows in rows_k]
+    next_contents = {
+        rows: _content(rows, nmax) for rows in _ssyt_rows(shape_next, nmax)
+    }
+    built: set = set()
+    injective = weighted = True
+    # with no filling to insert into, no sequence is applied or checked
+    for seq in seqs if rows_k else ():
+        values = seq.values
+        _check_bound(values, nmax)
+        target, plan = _insertion_target(shape, values)
+        known = next_contents if target == shape_next else {}
+        # the x_S weight: an image's content is its source's plus the
+        # sequence's positive values
+        weight = [0] * nmax
+        for v in values:
+            if v > 0:
+                weight[v - 1] += 1
+        images = set()
+        for rows, before in zip(rows_k, contents_k):
+            image = _insert_rows(rows, values)
+            after = known.get(image)
+            if after is None:
+                _validate(plan, image, nmax)
+                image = (target, image)
+            elif list(map(sub, after, before)) != weight:
+                weighted = False
+            images.add(image)
+        if len(images) != len(rows_k):
+            injective = False
+        built |= images
+    return InsertionStep(
+        tableaux=len(rows_k),
+        sequences=len(seqs),
+        next_tableaux=len(next_contents),
+        built=len(built),
+        injective=injective,
+        covered=built == next_contents.keys(),
+        weighted=weighted,
+    )
 
 
 def extension_sequences(skew_rows: int, extra: int, nmax: int):

@@ -10,9 +10,9 @@ import sys
 
 import pytest
 
-from bandschur import recurrence
+from bandschur import recurrence, tableaux
 from bandschur.cli import COMMAND_OPERATIONS, build_parser, main
-from bandschur.tableaux import InsertionSequence
+from bandschur.shapes import Partition, SkewShape
 
 
 def run(capsys, argv):
@@ -202,16 +202,13 @@ class TestCheckIdentityCommand:
         # Two sequences trade their images: every sequence stays injective
         # and the union still covers the next shape, so only the content
         # (x_S weight) check can see it.
-        from bandschur import cli
-
-        real = cli.insert_sequence
+        real = tableaux._insert_rows
         swap = {(-1, 1): (-1, 2), (-1, 2): (-1, 1)}
 
-        def swapped(tab, seq):
-            values = swap.get(seq.values, seq.values)
-            return real(tab, InsertionSequence(values))
+        def swapped(rows, values):
+            return real(rows, swap.get(values, values))
 
-        monkeypatch.setattr(cli, "insert_sequence", swapped)
+        monkeypatch.setattr(tableaux, "_insert_rows", swapped)
         argv = ["check-identity", "--alpha", "2", "--beta", "1,3",
                 "--nvars", "3", "--k", "2", "--format", fmt]
         code, out, err = run(capsys, argv)
@@ -225,6 +222,43 @@ class TestCheckIdentityCommand:
                 "insertion-step: FAILED (an image's content is not its "
                 "source's plus the sequence)"
             )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_image_with_a_column_violation_is_an_error(
+        self, capsys, monkeypatch, fmt
+    ):
+        # An image that is no filling of the next shape is validated on its
+        # own, and the validator's message is the command's error.
+        real = tableaux._insert_rows
+
+        def all_ones(rows, values):
+            return tuple((1,) * len(row) for row in real(rows, values))
+
+        monkeypatch.setattr(tableaux, "_insert_rows", all_ones)
+        argv = ["check-identity", "--beta", "1,2", "--nvars", "3", "--k", "2",
+                "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == "error: column 1 not strictly increasing: 1 above 1\n"
+
+    def test_image_of_another_shape_fails_the_cover_check(self, capsys, monkeypatch):
+        # One sequence's images land on a shape with the next shape's row
+        # lengths and no shared column, so each of them is a valid filling,
+        # but not of the next shape: they must not count toward covering it.
+        real = tableaux._insertion_target
+        elsewhere = SkewShape(Partition((3, 1)), Partition((2,)))
+
+        def misplaced(shape, values):
+            return real(elsewhere if values == (-1, 1) else shape, values)
+
+        monkeypatch.setattr(tableaux, "_insertion_target", misplaced)
+        argv = ["check-identity", "--alpha", "2", "--beta", "1,3",
+                "--nvars", "3", "--k", "2"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (1, "error: identity check failed\n")
+        assert out.splitlines()[-1] == (
+            "insertion-step: FAILED (built 24 tableaux, next shape has 18)"
+        )
 
 
 class TestRecurrenceCommand:
@@ -699,7 +733,7 @@ class TestHarness:
             "toeplitz.build_minor_numeric",
             "toeplitz.det_numeric",
             "toeplitz.verify_minor_schur",
-            "tableaux.insert_sequence",
+            "tableaux.insertion_step",
             "tableaux.extension_sequences",
             "recurrence.char_coeffs",
             "recurrence.verify_recurrence",

@@ -409,11 +409,18 @@ class TestScanGuards:
 
     def test_repeated_entry(self):
         # Coincident iterates add nothing to each other's sums.  They see the
-        # same sums and so stay together and find one root twice, which on the
-        # segment (-2, 2), where both roots have modulus 1, still gives the
-        # moduli.
+        # same sums and so stay together and would find one root twice, so
+        # the kernel refuses a start with a repeated entry.
         z0 = [0.5 + 0.5j, 0.5 + 0.5j]
-        self.assert_matches_profile(z0, [-1.5, -0.5, 0, 1, 1.9])
+        with pytest.raises(ValueError, match="starting iterates must be distinct"):
+            self.scan(TRIDIAG.coeffs, z0, [3])
+
+    def test_distinct_entries_off_the_segment(self):
+        # v = 3: the roots of 1 - 3z + z^2 have the moduli (3 -+ sqrt 5) / 2
+        (moduli,) = self.scan(TRIDIAG.coeffs, [0.5 + 0.5j, -0.3 + 0.8j], [3])
+        expected = [(3 - math.sqrt(5)) / 2, (3 + math.sqrt(5)) / 2]
+        assert np.all(np.abs(moduli - expected) <= 1e-12 * np.asarray(expected))
+        assert np.round(moduli, 3).tolist() == [0.382, 2.618]
 
     def test_iterate_on_a_root(self):
         # p(i) = 0 exactly at v = 0: the iterate stays where it is

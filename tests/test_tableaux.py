@@ -12,10 +12,12 @@ from bandschur.tableaux import (
     PLAN_CACHE_SIZE,
     ROW_CACHE_SIZE,
     InsertionSequence,
+    InsertionStep,
     Tableau,
     enumerate_ssyt,
     extension_sequences,
     insert_sequence,
+    insertion_step,
     schur_by_tableaux,
 )
 
@@ -331,6 +333,103 @@ class TestEngineOracle:
                 assert out.shape.outer.parts == rebuilt.shape.outer.parts
                 assert out.shape.inner.parts == rebuilt.shape.inner.parts
 
+
+def _reference_step(shape, shape_next, seqs, nmax):
+    """The insertion-step check on Tableau objects, as a reference.
+
+    Enumerate both shapes, insert every sequence into every tableau with
+    insert_sequence and compare sets of tableaux.
+    """
+    tabs = enumerate_ssyt(shape, nmax)
+    next_contents = {tab: tab.content() for tab in enumerate_ssyt(shape_next, nmax)}
+    built = set()
+    injective = weighted = True
+    for seq in seqs:
+        weight = [0] * nmax
+        for v in seq.values:
+            if v > 0:
+                weight[v - 1] += 1
+        images = set()
+        for tab in tabs:
+            image = insert_sequence(tab, seq)
+            images.add(image)
+            after = next_contents.get(image)
+            if after is not None and [a - b for a, b in zip(after, tab.content())] != weight:
+                weighted = False
+        if len(images) != len(tabs):
+            injective = False
+        built |= images
+    return InsertionStep(
+        tableaux=len(tabs),
+        sequences=len(seqs),
+        next_tableaux=len(next_contents),
+        built=len(built),
+        injective=injective,
+        covered=built == next_contents.keys(),
+        weighted=weighted,
+    )
+
+
+def _outcome(step, *args):
+    try:
+        return step(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _grown(shape, skew_rows, extra):
+    """The shape every sequence of extension_sequences(skew_rows, extra) builds."""
+    outer, inner = list(shape.outer.normalized()), list(shape.inner.normalized())
+    grow = skew_rows + extra
+    outer += [0] * (grow - len(outer))
+    inner += [0] * (len(outer) - len(inner))
+    for i in range(grow):
+        outer[i] += 1
+        inner[i] += i < skew_rows
+    return SkewShape(Partition(outer), Partition(inner))
+
+
+class TestInsertionStepOracle:
+    """insertion_step on row tuples against the Tableau-object reference."""
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
+    @pytest.mark.parametrize("nmax", [1, 2, 3])
+    def test_row_enumeration_matches_the_tableaux(self, shape, nmax):
+        rows = tableaux._ssyt_rows(shape, nmax)
+        assert rows == [t.rows for t in enumerate_ssyt(shape, nmax)]
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
+    @pytest.mark.parametrize("nmax", [1, 2, 3])
+    def test_step_matches_the_reference(self, shape, nmax):
+        skew_rows = len(shape.inner.normalized())
+        for extra in range(nmax + 1):
+            seqs = extension_sequences(skew_rows, extra, nmax)
+            # the shape the sequences build, where images are found among
+            # its fillings, and two shapes no sequence builds, where every
+            # image is validated on its own and none covers
+            grown = _grown(shape, skew_rows, extra)
+            for shape_next in (grown, shape, _grown(shape, 0, extra + 1)):
+                args = (shape, shape_next, seqs, nmax)
+                assert _outcome(insertion_step, *args) == _outcome(
+                    _reference_step, *args
+                )
+
+    @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
+    def test_sequences_with_many_targets_match_the_reference(self, shape):
+        # every strictly increasing sequence up to one row past the shape,
+        # each building its own target, in one call
+        nmax = 3
+        skew_rows = len(shape.inner.normalized())
+        values = list(range(-skew_rows - 1, 0)) + list(range(1, nmax + 1))
+        seqs = [
+            InsertionSequence(combo)
+            for length in range(1, len(shape.row_spans()) + 2)
+            for combo in itertools.combinations(values, length)
+        ]
+        shape_next = _grown(shape, skew_rows, 1)
+        step = insertion_step(shape, shape_next, seqs, nmax)
+        assert step == _reference_step(shape, shape_next, seqs, nmax)
+        assert step.tableaux and not step.covered
 
 class TestValidationMessages:
     """The one validator keeps the constructor's messages and their order."""
