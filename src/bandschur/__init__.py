@@ -10,7 +10,6 @@ from .polyring import (
     MultiPoly,
     elementary_symmetric,
     expand_elementary,
-    reduce_symmetric,
 )
 from .recurrence import (
     CharCoeffs,
@@ -116,7 +115,6 @@ __all__ = [
     "parse_partition",
     "poly_roots",
     "recurrence_residual",
-    "reduce_symmetric",
     "root_modulus_profile",
     "schur_by_tableaux",
     "schur_jacobi_trudi",

@@ -10,8 +10,7 @@ printed and serialized forms deterministic.
 A MultiPoly in n variables is read either in x_1..x_n or in the elementary
 basis, where variable d stands for y_d = e_d(x_1..x_n).  The e_d are
 algebraically independent, so a polynomial in y is zero exactly when its
-expansion in x is.  expand_elementary maps the y-form to x (for printing);
-reduce_symmetric maps a symmetric polynomial in x to its y-form.
+expansion in x is.  expand_elementary maps the y-form to x (for printing).
 """
 
 from __future__ import annotations
@@ -346,24 +345,3 @@ def _unit_vectors(d: int, n: int) -> tuple[Monomial, ...]:
     """The exponent vectors of the monomials of e_d(x_1..x_n)."""
     return tuple(elementary_symmetric(d, n)._terms)
 
-
-def reduce_symmetric(p: MultiPoly) -> MultiPoly:
-    """The y-form of a symmetric polynomial p in x_1..x_n; n = p.nvars.
-
-    Leading-monomial reduction: while terms remain, the lex-largest
-    monomial x^lam with coefficient c has lam_1 >= ... >= lam_n for a
-    symmetric polynomial, and c * prod_d e_d^(lam_d - lam_{d+1}) removes
-    it.  Raises ValueError when a leading exponent is not weakly
-    decreasing, which happens exactly when p is not symmetric.
-    """
-    n = p.nvars
-    rest = p
-    out: dict[Monomial, int] = {}
-    while not rest.is_zero:
-        lead = max(rest._terms)
-        if any(a < b for a, b in zip(lead, lead[1:])):
-            raise ValueError(f"polynomial is not symmetric: leading monomial {lead}")
-        y = tuple(a - b for a, b in zip(lead, lead[1:] + (0,)))
-        out[y] = rest._terms[lead]
-        rest = rest - expand_elementary(_raw(n, {y: out[y]}))
-    return _raw(n, out)

@@ -8,9 +8,9 @@ polynomials of all products of c - r distinct variables: expanding
 prod over subsets (t - x_{i1}...x_{id}) as sum Q_{b-m} t^m defines Q.
 
 Residuals are formed in the elementary basis (see polyring): the minors
-come from toeplitz in e_1..e_n, and the memoised char_coeffs gives each Q
-in x_1..x_n and, reduced once by reduce_symmetric, in e_1..e_n.  A residual
-is zero in e exactly when it is zero in x.  recurrence_residual and
+come from toeplitz, and the memoised char_coeffs builds each Q from an
+exterior power of a companion matrix, both in e_1..e_n.  A residual is
+zero in e exactly when it is zero in x.  recurrence_residual and
 RecurrenceReport.residuals hand out the e-form; polyring.expand_elementary
 gives the x-form.
 """
@@ -22,33 +22,35 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .polyring import MultiPoly, reduce_symmetric
+from .polyring import Monomial, MultiPoly, _addmul, _raw, elementary_variable
+from .schur import PolyMatrix, symbolic_det
 from .shapes import MinorSpec, min_k
 from .toeplitz import minor_det_symbolic
 
 
 @dataclass(frozen=True)
 class CharCoeffs:
-    """Recurrence coefficients Q_0..Q_b for band `band` and d = `extra`.
-
-    q is in x_1..x_band; q_elementary holds the same Q_i in e_1..e_band.
-    """
+    """Recurrence coefficients Q_0..Q_b in e_1..e_band for d = `extra`."""
 
     band: int
     extra: int
-    q: tuple[MultiPoly, ...]
     q_elementary: tuple[MultiPoly, ...] = field(repr=False)
 
     @property
     def order(self) -> int:
-        return len(self.q) - 1
+        return len(self.q_elementary) - 1
 
 
 @lru_cache(maxsize=None)
 def char_coeffs(band: int, extra: int) -> CharCoeffs:
-    """Coefficients from the product over all `extra`-subsets of variables.
+    """Q from the characteristic polynomial of an exterior power, in e.
 
-    extra = 0 gives the single factor (t - 1), so Q = (1, -1): consecutive
+    The companion matrix C of prod (u - x_i) has 1 on its subdiagonal and
+    (-1)^(n-i+1) e_{n-i} in row i (from 0) of its last column.  Entry (I, J)
+    of its extra-th exterior power A is the minor of C on rows I, columns
+    J, and A has eigenvalues x_S, so det(t - A) = prod_S (t - x_S).
+    Faddeev-LeVerrier stays in Z[e]: M_1 = I, Q_k = -tr(A M_k) / k, exact,
+    and M_{k+1} = A M_k + Q_k I.  extra = 0 gives Q = (1, -1): consecutive
     determinants are equal.  Only the band width and the row/column count
     difference enter; the deleted index values do not.
     """
@@ -56,23 +58,42 @@ def char_coeffs(band: int, extra: int) -> CharCoeffs:
         raise ValueError(f"band must be >= 1, got {band}")
     if not 0 <= extra <= band:
         raise ValueError(f"extra must be in 0..{band}, got {extra}")
-    one = MultiPoly.one(band)
-    zero = MultiPoly.zero(band)
-    # ascending coefficients in t of prod (t - m_subset)
-    t_coeffs = [one]
-    for combo in combinations(range(1, band + 1), extra):
-        m = one
-        for i in combo:
-            m = m * MultiPoly.variable(band, i)
-        t_coeffs = [
-            (t_coeffs[i - 1] if i >= 1 else zero)
-            - m * (t_coeffs[i] if i < len(t_coeffs) else zero)
-            for i in range(len(t_coeffs) + 1)
-        ]
-    b = comb(band, extra)
-    assert len(t_coeffs) == b + 1
-    q = tuple(t_coeffs[b - i] for i in range(b + 1))
-    return CharCoeffs(band, extra, q, tuple(map(reduce_symmetric, q)))
+    one, zero = MultiPoly.one(band), MultiPoly.zero(band)
+    c = [[one if i == j + 1 else zero for j in range(band)] for i in range(band)]
+    for i in range(band):
+        c[i][-1] = (-1) ** (band - i + 1) * elementary_variable(band - i, band)
+    subsets = list(combinations(range(band), extra))
+    a_rows = []  # each row of A as its nonzero (column, minor) pairs
+    for rows in subsets:
+        minors = (
+            symbolic_det(PolyMatrix([[c[i][j] for j in cols] for i in rows], band))
+            for cols in subsets
+        )
+        a_rows.append([(col, p) for col, p in enumerate(minors) if not p.is_zero])
+    b = len(subsets)
+    q = [one]
+    m = [[one if i == j else zero for j in range(b)] for i in range(b)]
+    for k in range(1, b + 1):
+        m = [[_row_times(row, m, j, band) for j in range(b)] for row in a_rows]
+        q.append(_exact_quotient(-sum(m[i][i] for i in range(b)), k))
+        for i in range(b):
+            m[i][i] += q[k]
+    return CharCoeffs(band, extra, tuple(q))
+
+
+def _row_times(row, m: list[list[MultiPoly]], j: int, nvars: int) -> MultiPoly:
+    """Column j of m times a row given as its nonzero (column, entry) pairs."""
+    acc: dict[Monomial, int] = {}
+    for col, entry in row:
+        _addmul(acc, entry, m[col][j]._terms, 1)
+    return _raw(nvars, acc)
+
+
+def _exact_quotient(p: MultiPoly, k: int) -> MultiPoly:
+    """p / k; ArithmeticError unless k divides every coefficient."""
+    if any(coeff % k for coeff in p._terms.values()):
+        raise ArithmeticError(f"{k} does not divide {p}")
+    return _raw(p.nvars, {exps: coeff // k for exps, coeff in p._terms.items()})
 
 
 def recurrence_residual(spec: MinorSpec, j: int) -> MultiPoly:

@@ -1,4 +1,9 @@
+from itertools import combinations
+
+import pytest
 from hypothesis import HealthCheck, settings
+
+from bandschur.polyring import MultiPoly
 
 settings.register_profile(
     "bandschur",
@@ -7,3 +12,33 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("bandschur")
+
+
+def _vieta_x_coeffs(band, extra):
+    """Q_0..Q_b in x_1..x_band, multiplied out in x: the x-product oracle.
+
+    Q_i is (-1)^i times the i-th elementary symmetric polynomial of the
+    subset products x_S, |S| = extra (Vieta on prod_S (t - x_S)).
+    """
+    products = []
+    for combo in combinations(range(1, band + 1), extra):
+        m = MultiPoly.one(band)
+        for i in combo:
+            m = m * MultiPoly.variable(band, i)
+        products.append(m)
+    out = []
+    for i in range(len(products) + 1):
+        esym = MultiPoly.zero(band)
+        for combo in combinations(products, i):
+            m = MultiPoly.one(band)
+            for p in combo:
+                m = m * p
+            esym = esym + m
+        out.append(esym if i % 2 == 0 else -esym)
+    return out
+
+
+@pytest.fixture(scope="session")
+def vieta_x_coeffs():
+    """The x-product oracle for recurrence coefficients, as a function."""
+    return _vieta_x_coeffs

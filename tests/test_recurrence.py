@@ -1,12 +1,11 @@
 """Tests for the minor-determinant linear recurrence."""
 
-from itertools import combinations
 from math import comb
 
 import pytest
 
 from bandschur import recurrence
-from bandschur.polyring import MultiPoly, elementary_symmetric, expand_elementary
+from bandschur.polyring import MultiPoly, elementary_variable, expand_elementary
 from bandschur.recurrence import (
     CharCoeffs,
     char_coeffs,
@@ -16,64 +15,76 @@ from bandschur.recurrence import (
 from bandschur.shapes import MinorSpec, min_k
 
 
-def _subset_products(band, extra):
-    out = []
-    for combo in combinations(range(1, band + 1), extra):
-        m = MultiPoly.one(band)
-        for i in combo:
-            m = m * MultiPoly.variable(band, i)
-        out.append(m)
-    return out
-
-
 class TestCharCoeffs:
-    def test_band_two_single_variable_products(self):
+    def test_band_two_single_variable_products(self, vieta_x_coeffs):
         cc = char_coeffs(2, 1)
         x1, x2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
+        q = [expand_elementary(q_e) for q_e in cc.q_elementary]
         assert cc.order == 2
-        assert cc.q[0] == MultiPoly.one(2)
-        assert cc.q[1] == -(x1 + x2)
-        assert cc.q[2] == x1 * x2
+        assert q == [MultiPoly.one(2), -(x1 + x2), x1 * x2]
+        assert q == vieta_x_coeffs(2, 1)
 
-    def test_extra_zero_gives_difference_rule(self):
+    def test_extra_zero_gives_difference_rule(self, vieta_x_coeffs):
         cc = char_coeffs(3, 0)
         assert cc.order == 1
-        assert cc.q == (MultiPoly.one(3), -MultiPoly.one(3))
+        assert cc.q_elementary == (MultiPoly.one(3), -MultiPoly.one(3))
+        assert list(map(expand_elementary, cc.q_elementary)) == vieta_x_coeffs(3, 0)
 
-    def test_extra_equals_band(self):
+    def test_extra_equals_band(self, vieta_x_coeffs):
         cc = char_coeffs(3, 3)
+        q = [expand_elementary(q_e) for q_e in cc.q_elementary]
         assert cc.order == 1
-        assert cc.q[0] == MultiPoly.one(3)
-        assert cc.q[1] == -MultiPoly(3, {(1, 1, 1): 1})
+        assert q == [MultiPoly.one(3), -MultiPoly(3, {(1, 1, 1): 1})]
+        assert q == vieta_x_coeffs(3, 3)
 
     def test_order_is_binomial(self):
         for band in range(1, 5):
             for extra in range(band + 1):
                 assert char_coeffs(band, extra).order == comb(band, extra)
 
-    def test_vieta_signs(self):
-        # q[i] is (-1)^i times the i-th elementary symmetric polynomial of
-        # the subset products.
-        band, extra = 3, 2
-        cc = char_coeffs(band, extra)
-        products = _subset_products(band, extra)
-        for i in range(cc.order + 1):
-            esym = MultiPoly.zero(band)
-            for combo in combinations(range(len(products)), i):
-                m = MultiPoly.one(band)
-                for idx in combo:
-                    m = m * products[idx]
-                esym = esym + m
-            expected = esym if i % 2 == 0 else -esym
-            assert cc.q[i] == expected
+    def test_vieta_signs(self, vieta_x_coeffs):
+        # Q_i is (-1)^i times the i-th elementary symmetric polynomial of
+        # the subset products, multiplied out in x.
+        for band in range(1, 6):
+            for extra in range(band + 1):
+                q_e = char_coeffs(band, extra).q_elementary
+                got = [expand_elementary(p) for p in q_e]
+                assert got == vieta_x_coeffs(band, extra), (band, extra)
 
-    def test_symmetric_under_variable_swap(self):
+    def test_symmetric_under_variable_swap(self, vieta_x_coeffs):
         cc = char_coeffs(3, 1)
-        for poly in cc.q:
+        q = [expand_elementary(q_e) for q_e in cc.q_elementary]
+        assert q == vieta_x_coeffs(3, 1)
+        for poly in q:
             coeffs = dict(poly.terms())
             for exps, coeff in coeffs.items():
                 swapped = (exps[1], exps[0], exps[2])
                 assert coeffs.get(swapped, 0) == coeff
+
+    @pytest.mark.parametrize("band", range(1, 8))
+    def test_closed_forms(self, band):
+        # extra = 0, 1, n - 1 and n have closed forms in e, checked to band 7
+        one, e = MultiPoly.one(band), elementary_variable
+        e_n = e(band, band)
+        assert char_coeffs(band, 0).q_elementary == (one, -one)
+        assert char_coeffs(band, 1).q_elementary == tuple(
+            (-1) ** i * e(i, band) for i in range(band + 1)
+        )
+        power = [one]
+        for _ in range(band):
+            power.append(power[-1] * e_n)
+        assert char_coeffs(band, band - 1).q_elementary == (one,) + tuple(
+            (-1) ** i * e(band - i, band) * power[i - 1]
+            for i in range(1, band + 1)
+        )
+        assert char_coeffs(band, band).q_elementary == (one, -e_n)
+
+    def test_division_must_be_exact(self):
+        p = MultiPoly(2, {(1, 0): 6, (0, 2): -4})
+        half = MultiPoly(2, {(1, 0): 3, (0, 2): -2})
+        assert recurrence._exact_quotient(p, 2) == half
+        with pytest.raises(ArithmeticError, match="3 does not divide"):
+            recurrence._exact_quotient(p, 3)
 
     def test_memoised_per_band_and_extra(self):
         assert char_coeffs(3, 1) is char_coeffs(3, 1)

@@ -11,7 +11,13 @@ from hypothesis import given, strategies as st
 from bandschur.polyring import MultiPoly, elementary_symmetric, expand_elementary
 from bandschur.schur import symbolic_det
 from bandschur.shapes import MinorSpec
-from bandschur.recurrence import recurrence_residual, verify_recurrence
+from bandschur import recurrence, toeplitz
+from bandschur.recurrence import (
+    CharCoeffs,
+    char_coeffs,
+    recurrence_residual,
+    verify_recurrence,
+)
 from bandschur.shapes import min_k, surviving
 from bandschur.toeplitz import (
     MINOR_CACHE_SIZE,
@@ -309,6 +315,15 @@ class TestExactOracle:
             assert _value(det, s[1:]) == want
             assert _value(in_x, point) == want
 
+    @pytest.mark.parametrize("band, extra", [(6, 2), (6, 3), (7, 2)])
+    def test_char_coeffs_at_integer_points(self, band, extra):
+        # Q_i in e at e_d(point), against prod_S (t - x_S) multiplied out in ints
+        q_e = char_coeffs(band, extra).q_elementary
+        for point in ((2, -1, 3, -2, 5, 1, -3), (1, 4, -3, 2, -1, 3, 2)):
+            point = point[:band]
+            s = _e_at(point)
+            assert [_value(q, s[1:]) for q in q_e] == _q_values(point, extra)
+
     @pytest.mark.parametrize("alpha, beta, band", [
         ((), (2, 4), 4),
         ((3,), (1, 3), 4),
@@ -354,6 +369,25 @@ class TestMinorCache:
                 peak = max(peak, minor_det_symbolic.cache_info().currsize)
         assert 12 * 4 > MINOR_CACHE_SIZE
         assert peak == MINOR_CACHE_SIZE
+
+    def test_band_7_sweep_computes_each_minor_once(self, monkeypatch):
+        # c - r = 3 at band 7: each residual reads a window of C(7, 3) + 1 = 36
+        # minors, so four residuals need 39 distinct ones; a smaller bound
+        # evicts each minor just before the next residual reads it again
+        spec = MinorSpec((), (1, 2, 3), 7)
+        one = MultiPoly.one(7)
+        stub = CharCoeffs(7, 3, (one,) * 36)
+        monkeypatch.setattr(recurrence, "char_coeffs", lambda band, extra: stub)
+        built = []  # the size of every minor whose determinant is computed
+        monkeypatch.setattr(
+            toeplitz, "symbolic_det", lambda m: built.append(m.size) or one
+        )
+        minor_det_symbolic.cache_clear()
+        try:
+            verify_recurrence(spec, 3)
+        finally:
+            minor_det_symbolic.cache_clear()
+        assert sorted(built) == list(range(39))
 
     def test_recurrence_sweep_builds_each_minor_once(self):
         # residual j reads sizes j..j + b, so a sweep to j_max needs
