@@ -37,7 +37,6 @@ from .spectra import (
     ComparisonResult,
     GridSpec,
     LimitSetReport,
-    RootConvergenceError,
     SpectrumResult,
     finite_section_spectrum,
     limit_set_scan,
@@ -88,7 +87,6 @@ __all__ = [
     "Partition",
     "PolyMatrix",
     "RecurrenceReport",
-    "RootConvergenceError",
     "SEPARATION",
     "SkewShape",
     "SpectrumResult",

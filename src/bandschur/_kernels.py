@@ -1,23 +1,18 @@
-"""Aberth-Ehrlich iteration kernels.
+"""Aberth-Ehrlich iteration kernel for the limit-set scan.
 
-aberth_sweeps solves one polynomial with scalar Python arithmetic, one
-root at a time (Gauss-Seidel: later roots see earlier corrections); it is
-the engine of spectra.poly_roots and the independent reference the grid
-scan is checked against.  scan_moduli uses the simultaneous form of the
-same update (Aberth, Math. Comp. 27, 1973) for every grid point at once:
+scan_moduli solves the polynomials of every grid point at once with the
+simultaneous form of the Aberth update (Aberth, Math. Comp. 27, 1973):
 each sweep moves every root of every point that has not yet converged,
 all from the iterates before the sweep, with a fixed number of numpy
-operations.  Both are deterministic, so repeated runs give byte-identical
+operations.  It is deterministic, so repeated runs give byte-identical
 results.
 
-Both share one stop test: a root z_i has converged when |p(z_i)| is at
-most the rounding floor of evaluating p there and that floor is finite.
-The floor bounds the rounding error of Horner's rule at z_i, so a residual
-under it cannot be told from zero; it is built from the terms that meet at
-z_i, so a coefficient that dwarfs them does not loosen it.
+The stop test: a root z_i has converged when |p(z_i)| is at most the
+rounding floor of evaluating p there and that floor is finite.  The floor
+bounds the rounding error of Horner's rule at z_i, so a residual under it
+cannot be told from zero; it is built from the terms that meet at z_i, so
+a coefficient that dwarfs them does not loosen it.
 """
-
-import math
 
 import numpy as np
 
@@ -29,62 +24,6 @@ JIT_ENABLED = False
 # margin covers complex arithmetic and the rounding of z itself.
 FLOOR_ULPS = 4.0
 EPS = np.finfo(np.float64).eps
-
-
-def aberth_sweeps(coeffs, z, max_iter):
-    """Run Aberth updates on z in place until every root passes the stop test.
-
-    coeffs are ascending; z holds the current root iterates.  A root z_i
-    passes when |p(z_i)| is no larger than the rounding floor of evaluating
-    p there (_floor_coeffs) and that floor is finite.  A NaN residual fails,
-    and so does an iterate that overflowed, whose floor is inf or NaN.
-    Returns True if every root passes within max_iter sweeps.  Updates are
-    sequential within a sweep (later roots see earlier corrections).
-    """
-    d = z.shape[0]
-    deg = coeffs.shape[0] - 1
-    # Python floats, which overflow to inf quietly
-    floor_coeffs = _floor_coeffs(np.abs(coeffs), deg).tolist()
-    with np.errstate(all="ignore"):
-        for sweep in range(max_iter + 1):
-            for i in range(d):
-                zi = z[i]
-                ri = float(abs(zi))
-                pv = coeffs[deg]
-                floor = floor_coeffs[deg]
-                for m in range(deg - 1, -1, -1):
-                    pv = pv * zi + coeffs[m]
-                    floor = floor * ri + floor_coeffs[m]
-                res = abs(pv)
-                if not res <= floor < math.inf:
-                    break
-            else:
-                return True
-            if sweep == max_iter:
-                return False
-            for i in range(d):
-                zi = z[i]
-                pv = coeffs[deg]
-                dv = 0j
-                for m in range(deg - 1, -1, -1):
-                    dv = dv * zi + pv
-                    pv = pv * zi + coeffs[m]
-                if pv == 0j:
-                    continue
-                s = 0j
-                for j in range(d):
-                    if j != i:
-                        diff = zi - z[j]
-                        if diff != 0j:
-                            s += 1.0 / diff
-                if dv != 0j:
-                    w = pv / dv
-                    denom = 1.0 - w * s
-                    if denom != 0j:
-                        z[i] = zi - w / denom
-                elif s != 0j:
-                    # stationary point of p: fall back to the pairwise repulsion
-                    z[i] = zi + 1.0 / s
 
 
 def _floor_coeffs(abs_coeffs, deg):
@@ -122,9 +61,9 @@ def _aberth_update(z, pv, dv):
     Each column of z holds the iterates of one polynomial, and pv, dv hold
     its values and derivatives there.  Root i moves to z_i - w / (1 - w * s)
     with w = p/p' and s = sum over j != i of 1/(z_i - z_j), all taken
-    before the move.  The guards of aberth_sweeps run only on the columns
-    whose plain update is not finite: each guard either leaves the plain
-    update as it is or replaces an inf or NaN.
+    before the move.  The guards of _guarded_update run only on the
+    columns whose plain update is not finite: each guard either leaves the
+    plain update as it is or replaces an inf or NaN.
     """
     d = z.shape[0]
     zz = np.concatenate((z, z))
@@ -144,7 +83,10 @@ def _aberth_update(z, pv, dv):
 
 
 def _guarded_update(z, pv, dv):
-    """_aberth_update with the guards of aberth_sweeps, entry by entry."""
+    """_aberth_update, entry by entry, guarded where the plain one fails.
+
+    A root with p = 0 or a zero denominator stays where it is.
+    """
     d = z.shape[0]
     zz = np.concatenate((z, z))
     s = np.zeros_like(z)
@@ -163,8 +105,8 @@ def _guarded_update(z, pv, dv):
 def scan_moduli(base, c_index, vre, vim, z0, max_iter):
     """Sorted root moduli of base(z) - v*z^c_index for a batch of v values.
 
-    The stop test of aberth_sweeps with the simultaneous update of
-    _aberth_update, run for all points at once.  The iterates are one
+    The stop test of the module docstring with the simultaneous update
+    of _aberth_update, run for all points at once.  The iterates are one
     array, a row per root and a column per point; every point starts from
     z0.  Each sweep evaluates p and p' at every iterate in one Horner pass,
     which serves both the stop test and the update.  A point stops when

@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 2 on a validation error (malformed flag values,
 inconsistent dimensions), 1 on a computation failure (an identity that
-does not hold, root-finder non-convergence, an empty scan hit set, a
-numeric determinant that overflows) and 1, silently, when stdout is a pipe
-whose reader has closed it (as in `bandschur limitset ... | head -2`).
+does not hold, a root beyond double range, unconverged scan points, an
+empty scan hit set, a numeric determinant that overflows) and 1,
+silently, when stdout is a pipe whose reader has closed it (as in
+`bandschur limitset ... | head -2`).
 Repeated invocations with the same arguments produce byte-identical
 output: all orderings are canonical and all seeds are fixed.
 """

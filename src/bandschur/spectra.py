@@ -9,12 +9,12 @@ detects; isolated exceptional eigenvalue limits, when the symbol has any,
 are out of scope and the reports say so.
 
 The root moduli of every grid point come from one batched Aberth-Ehrlich
-call, _kernels.scan_moduli, which moves all roots of all points at once.
-poly_roots solves single polynomials with the scalar
-_kernels.aberth_sweeps, the same update taken one root at a time
-(Gauss-Seidel order), and is the reference the scan is checked against.
-Both count a root as converged when its residual is at the rounding floor
+call, _kernels.scan_moduli, which moves all roots of all points at once
+and counts a root as converged when its residual is at the rounding floor
 of evaluating the polynomial there; there is no tolerance to set.
+poly_roots solves single polynomials as companion-matrix eigenvalues
+(LAPACK), a different algorithm, so checking the scan against it is an
+independent check.
 """
 
 from __future__ import annotations
@@ -35,14 +35,6 @@ SCAN_NOTE = (
     "hits mark curve-coincidence points of root moduli; "
     "isolated exceptional limit points are not detected"
 )
-
-
-class RootConvergenceError(RuntimeError):
-    """Aberth iteration missed the residual target; best iterate attached."""
-
-    def __init__(self, message: str, best: np.ndarray):
-        super().__init__(message)
-        self.best = best
 
 
 @functools.lru_cache(maxsize=64)
@@ -69,28 +61,29 @@ def _initial_circle(coeffs: np.ndarray) -> np.ndarray:
 
 
 def poly_roots(coeffs) -> np.ndarray:
-    """All roots of c_0 + c_1 z + ... + c_d z^d by Aberth-Ehrlich iteration.
+    """All roots of c_0 + c_1 z + ... + c_d z^d, as companion-matrix eigenvalues.
 
-    Converged means every residual |p(z_i)| is at most the finite rounding
-    floor of evaluating p at z_i (_kernels.aberth_sweeps).  Multiple roots
-    come back as near-coincident clusters.  Roots are sorted by modulus,
-    then phase.  Raises RootConvergenceError (carrying the best iterate) if
-    MAX_SWEEPS sweeps do not reach the floor.
+    The companion matrix is the one numpy.roots builds, top row
+    -c_(d-1)/c_d, ..., -c_0/c_d and ones below the diagonal, and its
+    eigenvalues (LAPACK) are backward stable roots (Edelman & Murakami,
+    Math. Comp. 64, 1995).  Multiple roots come back as near-coincident
+    clusters.  Roots are sorted by modulus, then phase.  Raises ValueError
+    when a companion entry or a root lies beyond double range.
     """
     coeffs = np.asarray([complex(v) for v in coeffs], dtype=np.complex128)
     if coeffs.ndim != 1 or len(coeffs) < 2:
         raise ValueError("need at least degree 1")
     if coeffs[-1] == 0:
         raise ValueError("leading coefficient is zero")
-    z = _initial_circle(coeffs)
-    good = _kernels.aberth_sweeps(coeffs, z, MAX_SWEEPS)
-    order = np.lexsort((np.angle(z), np.abs(z)))
-    z = z[order]
-    if not good:
-        raise RootConvergenceError(
-            f"no convergence after {MAX_SWEEPS} sweeps", best=z
-        )
-    return z
+    with np.errstate(all="ignore"):
+        top_row = -coeffs[-2::-1] / coeffs[-1]
+    if np.isfinite(top_row).all():
+        companion = np.eye(len(top_row), k=-1, dtype=np.complex128)
+        companion[0] = top_row
+        z = np.linalg.eigvals(companion)
+        if np.isfinite(z).all():
+            return z[np.lexsort((np.angle(z), np.abs(z)))]
+    raise ValueError("root or companion entry beyond double range")
 
 
 def root_modulus_profile(sym: BandedSymbol, c: int, v: complex) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Two equivalent forms of Widom's determinant formula for the contiguous
 minor (first c columns deleted), plus the Hall-type evaluation of an
-arbitrary Schur polynomial at pairwise distinct points.  All three are
+arbitrary Schur polynomial at pairwise distinct points; the root-product
+form is that evaluation on the rectangle (k^c).  All three are
 rational expressions in the roots, so distinctness is a hard hypothesis:
 near-coincident root sets are rejected, not regularized (the exact
 Jacobi-Trudi path covers confluent inputs).  A power beyond double range
@@ -11,7 +12,7 @@ comes back inf or nan, as in MultiPoly.evaluate, instead of raising.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 SEPARATION = 1e-9
 
@@ -71,30 +72,42 @@ def widom_original(psi_roots, s_n: complex, c: int, k: int) -> complex:
 
 
 def widom_modified(chi_roots, c: int, k: int) -> complex:
-    """Root-product form: sum over c-subsets of the reciprocal-type roots.
+    """Root-product form: the rectangular Schur value s_{(k^c)}(x).
 
     chi_roots are the roots x_i of the reversed symbol polynomial
-    t^n + s_1 t^(n-1) + ... + s_n (so s_d = e_d(x)); each subset tau
+    t^n + s_1 t^(n-1) + ... + s_n (so s_d = e_d(x)); each c-subset tau
     contributes prod_{i in tau} x_i^k * prod_{i in tau, j not in tau}
-    x_i / (x_i - x_j).
+    x_i / (x_i - x_j), which is hall_schur_eval on the rectangle.
     """
-    roots = check_separated(chi_roots, "characteristic roots")
-    n = len(roots)
+    n = len(chi_roots)
     if not 0 <= c <= n:
         raise ValueError(f"c must be in 0..{n}, got {c}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    total = 0j
-    for tau in combinations(range(n), c):
-        inside = set(tau)
-        term = 1 + 0j
-        for i in tau:
-            term *= _power(roots[i], k)
-            for j in range(n):
-                if j not in inside:
-                    term *= roots[i] / (roots[i] - roots[j])
-        total += term
-    return total
+    return hall_schur_eval((k,) * c, chi_roots)
+
+
+def _arrangements(padded: tuple[int, ...]) -> list:
+    """Distinct rearrangements of a weakly decreasing tuple.
+
+    The positions of the largest value are chosen with combinations, and
+    the rearrangements of the rest fill the other positions, so a
+    rectangle (k^c, 0^m) comes in the order of combinations(range(n), c).
+    """
+    n = len(padded)
+    count = padded.count(padded[0]) if padded else 0
+    if count == n:
+        return [padded]
+    tails = _arrangements(padded[count:])
+    found = []
+    for chosen in combinations(range(n), count):
+        free = [i for i in range(n) if i not in chosen]
+        for tail in tails:
+            arrangement = [padded[0]] * n
+            for i, value in zip(free, tail):
+                arrangement[i] = value
+            found.append(arrangement)
+    return found
 
 
 def hall_schur_eval(parts, points) -> complex:
@@ -115,13 +128,14 @@ def hall_schur_eval(parts, points) -> complex:
         parts = parts[:n]
     padded = parts + (0,) * (n - len(parts))
     total = 0j
-    for arrangement in sorted(set(permutations(padded))):
+    for arrangement in _arrangements(padded):
         term = 1 + 0j
-        for i in range(n):
-            if arrangement[i]:
-                term *= _power(x[i], arrangement[i])
-            for j in range(n):
-                if arrangement[i] > arrangement[j]:
-                    term *= x[i] / (x[i] - x[j])
+        for i, a in enumerate(arrangement):
+            if a:
+                xi = x[i]
+                term *= _power(xi, a)
+                for j, b in enumerate(arrangement):
+                    if a > b:
+                        term *= xi / (xi - x[j])
         total += term
     return total

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from bandschur import recurrence, tableaux
+from bandschur import recurrence, spectra, tableaux
 from bandschur.cli import COMMAND_OPERATIONS, build_parser, main
 from bandschur.shapes import Partition, SkewShape
 
@@ -322,10 +322,11 @@ class TestWidomCommand:
         assert float(lines["max-rel-diff"]) <= 1e-9
 
     def test_near_double_root_fails_honestly(self, capsys):
-        # 1 + 2t + t^2 has a double root: the rational formulas degrade and
-        # the disagreement against the exact determinant is reported.
+        # (1 + t)^4 has a fourfold root, which the eigensolver splits into
+        # roots about 1e-4 apart: the rational formulas degrade and the
+        # disagreement against the exact determinant is reported.
         code, out, err = run(
-            capsys, ["widom", "--symbol", "1,2,1", "--c", "1", "--k", "3"]
+            capsys, ["widom", "--symbol", "1,4,6,4,1", "--c", "2", "--k", "3"]
         )
         assert code == 1
         assert "disagree" in err
@@ -349,14 +350,24 @@ class TestWidomCommand:
         ]
         assert err == "error: numeric determinant is not finite: inf+nani\n"
 
-    def test_unconverged_roots_exit_one(self, capsys):
-        # the root near -1e100 is 150 orders of magnitude from the starting
-        # circle; the start's residual, about 1e150, is far above the floor
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_root_beyond_double_range_exits_one(self, capsys):
+        # one root of 1 + 1e10 t + 1e-300 t^2 lies near -1e310
+        code, out, err = run(
+            capsys, ["widom", "--symbol", "1,1e10,1e-300", "--c", "1", "--k", "3"]
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: root or companion entry beyond double range\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_roots_far_apart_are_found(self, capsys):
+        # roots 300 orders of magnitude apart; the determinant then overflows
         code, out, err = run(
             capsys, ["widom", "--symbol", "1,1e200,1e100", "--c", "1", "--k", "3"]
         )
-        assert (code, out) == (1, "")
-        assert err == "error: no convergence after 200 sweeps\n"
+        assert code == 1
+        assert out.splitlines()[0] == "psi-roots: -1e-200, -1e+100"
+        assert err == "error: numeric determinant is not finite: inf+nani\n"
 
     @pytest.mark.parametrize(
         "symbol, c, k",
@@ -474,6 +485,22 @@ class TestLimitsetCommand:
         assert code == 1
         assert out.splitlines()[:2] == ["hits: 1", "failures: 6"]
         assert err == "error: 6 grid points did not converge\n"
+
+    def test_wrong_scan_fails_the_crosscheck(self, capsys, monkeypatch):
+        # the companion-matrix profile of a few hits catches a scan kernel
+        # whose c-th modulus is off by 1e-3 relative
+        scan_moduli = spectra._kernels.scan_moduli
+
+        def skewed(base, c_index, *args):
+            moduli, ok = scan_moduli(base, c_index, *args)
+            moduli[:, c_index - 1] *= 1 + 1e-3
+            return moduli, ok
+
+        monkeypatch.setattr(spectra._kernels, "scan_moduli", skewed)
+        code, out, err = run(capsys, self.ARGS)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: scan gap ")
+        assert "disagrees with direct profile" in err
 
     def test_large_roots_converge(self, capsys):
         # roots near 1e6 leave residuals above tol * max|c_m| that are only

@@ -90,15 +90,28 @@ class TestFormEquivalence:
                         assert abs(a - b) <= 1e-9 * scale
 
     def test_rectangle_equals_hall(self):
+        # widom_modified is the Hall sum on the rectangle (k^c); the
+        # classical form over the symbol roots t = -1/x checks it
         rng = np.random.default_rng(12)
         for n in (2, 3):
             x = _separated_points(rng, n)
+            t = tuple(-1 / v for v in x)
+            s_n = complex(np.prod(x))
             for c in range(n + 1):
                 for k in (0, 2, 5):
                     rect = hall_schur_eval((k,) * c, x)
-                    direct = widom_modified(x, c, k)
+                    direct = widom_original(t, s_n, c, k)
                     scale = max(1.0, abs(direct))
                     assert abs(rect - direct) <= 1e-9 * scale
+                    assert widom_modified(x, c, k) == rect
+
+    def test_twelve_point_rectangle(self):
+        # 924 distinct arrangements of (3^6, 0^6) among 12! permutations
+        x = _separated_points(np.random.default_rng(15), 12)
+        t = tuple(-1 / v for v in x)
+        rect = hall_schur_eval((3,) * 6, x)
+        direct = widom_original(t, complex(np.prod(x)), 6, 3)
+        assert abs(rect - direct) <= 1e-9 * max(1.0, abs(direct))
 
     def test_hall_matches_symbolic_schur(self):
         rng = np.random.default_rng(13)
@@ -109,6 +122,14 @@ class TestFormEquivalence:
             closed = hall_schur_eval(parts, x)
             scale = max(1.0, abs(exact))
             assert abs(closed - exact) <= 1e-9 * scale
+
+    def test_hall_with_repeated_parts_matches_symbolic_schur(self):
+        # three distinct values, each placed more than once: (3, 3, 1, 1, 0, 0)
+        x = _separated_points(np.random.default_rng(16), 6)
+        shape = SkewShape(Partition((3, 3, 1, 1)), Partition(()))
+        exact = schur_jacobi_trudi(shape, 6).evaluate(x)
+        closed = hall_schur_eval((3, 3, 1, 1), x)
+        assert abs(closed - exact) <= 1e-9 * max(1.0, abs(exact))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(14)
