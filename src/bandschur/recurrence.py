@@ -7,12 +7,13 @@ threshold.  Its coefficients are, up to sign, the elementary symmetric
 polynomials of all products of c - r distinct variables: expanding
 prod over subsets (t - x_{i1}...x_{id}) as sum Q_{b-m} t^m defines Q.
 
-Residuals are formed in the elementary basis (see polyring): the minors
-come from toeplitz, and the memoised char_coeffs builds each Q from an
-exterior power of a companion matrix, both in e_1..e_n.  A residual is
-zero in e exactly when it is zero in x.  recurrence_residual and
-RecurrenceReport.residuals hand out the e-form; polyring.expand_elementary
-gives the x-form.
+Residuals are formed in the elementary basis (see polyring): one
+leading_minors sweep over the largest symbolic minor a j range reads gives
+every smaller minor as a leading block, and the memoised char_coeffs
+builds each Q from an exterior power of a companion matrix, both in
+e_1..e_n.  A residual is zero in e exactly when it is zero in x.
+recurrence_residual and RecurrenceReport.residuals hand out the e-form;
+polyring.expand_elementary gives the x-form.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from itertools import combinations
 from math import comb
 
 from .polyring import Monomial, MultiPoly, _addmul, _raw, elementary_variable
-from .schur import PolyMatrix, symbolic_det
+from .schur import PolyMatrix, leading_minors, symbolic_det
 from .shapes import MinorSpec, min_k
-from .toeplitz import minor_det_symbolic
+from .toeplitz import build_minor_symbolic
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,23 @@ def recurrence_residual(spec: MinorSpec, j: int) -> MultiPoly:
     """
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
+    return _residuals(spec, j, j)[0]
+
+
+def _residuals(spec: MinorSpec, lo: int, hi: int) -> tuple[MultiPoly, ...]:
+    """Residuals j = lo..hi from one sweep over the minor at size hi + b.
+
+    Each smaller minor is a leading block of that one, so leading_minors
+    gives every determinant the window reads.
+    """
     q = char_coeffs(spec.band, spec.c - spec.r).q_elementary
     b = len(q) - 1
-    total = MultiPoly.zero(spec.band)
-    for m in range(b + 1):
-        total = total + q[b - m] * minor_det_symbolic(spec, m + j)
-    return total
+    dets = leading_minors(build_minor_symbolic(spec, hi + b))
+    zero = MultiPoly.zero(spec.band)
+    return tuple(
+        sum((q[b - m] * dets[m + j] for m in range(b + 1)), zero)
+        for j in range(lo, hi + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -145,7 +157,7 @@ def verify_recurrence(spec: MinorSpec, j_max: int) -> RecurrenceReport:
     lo = min_k(spec)
     if j_max < lo:
         raise ValueError(f"j_max = {j_max} below min_k = {lo} for {spec}")
-    residuals = tuple(recurrence_residual(spec, j) for j in range(j_max + 1))
+    residuals = _residuals(spec, 0, j_max)
     failures = [j for j in range(lo, j_max + 1) if not residuals[j].is_zero]
     return RecurrenceReport(
         spec=spec,

@@ -24,7 +24,7 @@ from .polyring import MultiPoly, elementary_variable
 from .schur import PolyMatrix, jacobi_trudi_matrix, symbolic_det
 from .shapes import MinorSpec, min_k, shape_from_minor, surviving
 
-MINOR_CACHE_SIZE = 36  # C(7, 3) + 1: the minors one residual reads, n <= 7
+MINOR_CACHE_SIZE = 36  # verify_minor_schur's minors; recurrences sweep their own
 
 
 def parse_complex(text: str) -> complex:

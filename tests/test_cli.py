@@ -287,16 +287,17 @@ class TestRecurrenceCommand:
     def test_each_residual_computed_once(
         self, capsys, monkeypatch, alpha, beta, nvars, jmax, fmt
     ):
-        calls = []
-        real = recurrence.recurrence_residual
+        # one leading-minor sweep per command, over the minor of size jmax + b
+        sizes = []
+        real = recurrence.leading_minors
 
-        def counting(spec, j):
-            calls.append(j)
-            return real(spec, j)
+        def counting(matrix):
+            sizes.append(matrix.size)
+            return real(matrix)
 
-        monkeypatch.setattr(recurrence, "recurrence_residual", counting)
+        monkeypatch.setattr(recurrence, "leading_minors", counting)
         recurrence.char_coeffs.cache_clear()
-        code, _, _ = run(
+        code, out, _ = run(
             capsys,
             [
                 "recurrence", "--alpha", alpha, "--beta", beta,
@@ -304,7 +305,11 @@ class TestRecurrenceCommand:
             ],
         )
         assert code == 0
-        assert calls == list(range(jmax + 1))
+        if fmt == "json":
+            b = json.loads(out)["b"]
+        else:
+            b = int(out.splitlines()[0].removeprefix("b: "))
+        assert sizes == [jmax + b]
         assert recurrence.char_coeffs.cache_info().misses == 1
 
 

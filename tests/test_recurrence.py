@@ -149,8 +149,10 @@ class TestVerifyRecurrence:
         # Only residuals at or above min_k count, and the first nonzero wins.
         spec = MinorSpec((), (2,), 2)
         x1 = MultiPoly.variable(2, 1)
-        fake = {0: x1, 1: MultiPoly.zero(2), 2: x1, 3: x1}
-        monkeypatch.setattr(recurrence, "recurrence_residual", lambda s, j: fake[j])
+        fake = (x1, MultiPoly.zero(2), x1, x1)
+        monkeypatch.setattr(
+            recurrence, "_residuals", lambda s, lo, hi: fake[lo:hi + 1]
+        )
         report = verify_recurrence(spec, 3)
         assert not report.all_zero and report.first_failure == 2
         assert report.residuals == (x1, MultiPoly.zero(2), x1, x1)

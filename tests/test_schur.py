@@ -7,6 +7,7 @@ from bandschur.polyring import MultiPoly, elementary_symmetric, expand_elementar
 from bandschur.schur import (
     PolyMatrix,
     jacobi_trudi_matrix,
+    leading_minors,
     schur_jacobi_trudi,
     symbolic_det,
 )
@@ -40,6 +41,46 @@ def _cofactor_det(matrix: PolyMatrix) -> MultiPoly:
         term = entry * _cofactor_det(sub)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def _leibniz_det(matrix: PolyMatrix, k: int) -> MultiPoly:
+    """Sum over permutations of the leading k x k block, as an oracle."""
+    total: dict = {}
+
+    def walk(row, cols, sign, partial):
+        if row == k:
+            for exps, coeff in partial.terms():
+                total[exps] = total.get(exps, 0) + sign * coeff
+            return
+        for pos, j in enumerate(cols):
+            if not matrix[row, j].is_zero:
+                rest = cols[:pos] + cols[pos + 1:]
+                walk(row + 1, rest, -sign if pos % 2 else sign, partial * matrix[row, j])
+
+    walk(0, tuple(range(k)), 1, MultiPoly.one(matrix.nvars))
+    return MultiPoly(matrix.nvars, total)
+
+
+@st.composite
+def integer_matrices(draw, max_size=7):
+    """Dense or sparse square matrices of integer polynomials, 1-3 variables.
+
+    Dense entries have at most one term, so the Leibniz oracle stays cheap
+    at 7 x 7; a sparse matrix zeroes about half its entries.
+    """
+    size = draw(st.integers(0, max_size))
+    nvars = draw(st.integers(1, 3))
+    sparse = draw(st.booleans())
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    terms = st.dictionaries(exps, st.integers(-3, 3), max_size=2 if sparse else 1)
+    entries = [
+        [
+            MultiPoly(nvars, {} if sparse and draw(st.booleans()) else draw(terms))
+            for _ in range(size)
+        ]
+        for _ in range(size)
+    ]
+    return PolyMatrix(entries, nvars)
 
 
 @st.composite
@@ -134,6 +175,28 @@ class TestSymbolicDet:
     @given(poly_matrices(max_size=4))
     def test_anti_transpose_preserves_det(self, matrix):
         assert symbolic_det(matrix) == symbolic_det(matrix.anti_transpose())
+
+
+class TestLeadingMinors:
+    @given(integer_matrices())
+    def test_each_entry_is_a_leading_block_determinant(self, matrix):
+        dets = leading_minors(matrix)
+        assert len(dets) == matrix.size + 1
+        for k, det in enumerate(dets):
+            assert det == _leibniz_det(matrix, k)
+
+    def test_block_kept_when_no_later_column_reaches_its_rows(self):
+        # Row 1 is zero beyond column 0, so no full matching survives past
+        # column 0, but the 1 x 1 block is still x1.
+        x1, x2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
+        one, zero = MultiPoly.one(2), MultiPoly.zero(2)
+        m = PolyMatrix([[x1, zero, zero], [one, zero, zero], [zero, x2, one]])
+        assert leading_minors(m) == [one, x1, zero, zero]
+
+    def test_zero_column_zeroes_the_blocks_that_hold_it(self):
+        one, zero = MultiPoly.one(1), MultiPoly.zero(1)
+        m = PolyMatrix([[one, zero, one], [one, zero, one], [zero, zero, one]])
+        assert leading_minors(m) == [one, one, zero, zero]
 
 
 class TestSchurAgreement:

@@ -2,16 +2,16 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import prod
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bandschur.polyring import MultiPoly, elementary_symmetric, expand_elementary
-from bandschur.schur import symbolic_det
+from bandschur.schur import leading_minors, symbolic_det
 from bandschur.shapes import MinorSpec
-from bandschur import recurrence, toeplitz
+from bandschur import recurrence
 from bandschur.recurrence import (
     CharCoeffs,
     char_coeffs,
@@ -353,11 +353,6 @@ class TestExactOracle:
 
 
 class TestMinorCache:
-    def test_bound_covers_every_recurrence_order_through_band_6(self):
-        orders = [comb(n, d) for n in range(1, 7) for d in range(n + 1)]
-        assert minor_det_symbolic.cache_info().maxsize == MINOR_CACHE_SIZE
-        assert MINOR_CACHE_SIZE >= max(orders) + 1
-
     def test_currsize_stays_within_the_bound(self):
         # 12 deleted columns x 4 sizes = 48 distinct minors, more than the bound
         minor_det_symbolic.cache_clear()
@@ -371,30 +366,62 @@ class TestMinorCache:
         assert peak == MINOR_CACHE_SIZE
 
     def test_band_7_sweep_computes_each_minor_once(self, monkeypatch):
-        # c - r = 3 at band 7: each residual reads a window of C(7, 3) + 1 = 36
-        # minors, so four residuals need 39 distinct ones; a smaller bound
-        # evicts each minor just before the next residual reads it again
+        # c - r = 3 at band 7: residuals j = 0..3 read sizes 0..3 + C(7, 3),
+        # all leading blocks of the one minor of size 38
         spec = MinorSpec((), (1, 2, 3), 7)
         one = MultiPoly.one(7)
         stub = CharCoeffs(7, 3, (one,) * 36)
         monkeypatch.setattr(recurrence, "char_coeffs", lambda band, extra: stub)
-        built = []  # the size of every minor whose determinant is computed
+        built = []  # the size of every symbolic minor built
+        real_build = recurrence.build_minor_symbolic
         monkeypatch.setattr(
-            toeplitz, "symbolic_det", lambda m: built.append(m.size) or one
+            recurrence,
+            "build_minor_symbolic",
+            lambda s, k: built.append(k) or real_build(s, k),
+        )
+        monkeypatch.setattr(
+            recurrence, "leading_minors", lambda m: [one] * (m.size + 1)
         )
         minor_det_symbolic.cache_clear()
-        try:
-            verify_recurrence(spec, 3)
-        finally:
-            minor_det_symbolic.cache_clear()
-        assert sorted(built) == list(range(39))
+        verify_recurrence(spec, 3)
+        assert built == [38]
+        assert minor_det_symbolic.cache_info().misses == 0
 
-    def test_recurrence_sweep_builds_each_minor_once(self):
-        # residual j reads sizes j..j + b, so a sweep to j_max needs
-        # j_max + b + 1 distinct minors and the bound keeps them all reusable
+    def test_recurrence_sweep_builds_each_minor_once(self, monkeypatch):
+        # residual j reads sizes j..j + b, so a sweep to j_max reads the
+        # leading blocks of the one minor of size j_max + b
         spec = MinorSpec((), (1, 2), 4)
         j_max = min_k(spec) + 2
+        built = []
+        real_build = recurrence.build_minor_symbolic
+        monkeypatch.setattr(
+            recurrence,
+            "build_minor_symbolic",
+            lambda s, k: built.append(k) or real_build(s, k),
+        )
         minor_det_symbolic.cache_clear()
         report = verify_recurrence(spec, j_max)
         assert report.all_zero
-        assert minor_det_symbolic.cache_info().misses == j_max + report.b + 1
+        assert built == [j_max + report.b]
+        assert minor_det_symbolic.cache_info().misses == 0
+
+
+def _minor_specs(band: int):
+    """Every spec deleting rows and columns among 1..3 at this band."""
+    for c in range(min(band, 3) + 1):
+        for cols in combinations(range(1, 4), c):
+            for r in range(c + 1):
+                for rows in combinations(range(1, 4), r):
+                    if all(a >= b for a, b in zip(rows, cols)):
+                        yield MinorSpec(rows, cols, band)
+
+
+class TestLeadingBlocks:
+    @pytest.mark.parametrize("band", [1, 2, 3, 4, 5])
+    def test_smaller_minors_are_leading_blocks(self, band):
+        specs = list(_minor_specs(band))
+        assert any(spec.r > 0 for spec in specs)
+        for spec in specs:
+            dets = leading_minors(build_minor_symbolic(spec, 7))
+            for k in range(8):
+                assert dets[k] == minor_det_symbolic(spec, k), (spec, k)
