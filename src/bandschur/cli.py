@@ -100,6 +100,7 @@ COMMAND_OPERATIONS = {
         "recurrence.verify_recurrence",
         "toeplitz.build_minor_symbolic",
         "schur.leading_minors",
+        "schur.symbolic_det",
         "shapes.min_k",
         "polyring.expand_elementary",
     ),

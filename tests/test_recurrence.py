@@ -79,12 +79,18 @@ class TestCharCoeffs:
         )
         assert char_coeffs(band, band).q_elementary == (one, -e_n)
 
-    def test_division_must_be_exact(self):
-        p = MultiPoly(2, {(1, 0): 6, (0, 2): -4})
-        half = MultiPoly(2, {(1, 0): 3, (0, 2): -2})
-        assert recurrence._exact_quotient(p, 2) == half
-        with pytest.raises(ArithmeticError, match="3 does not divide"):
-            recurrence._exact_quotient(p, 3)
+    @pytest.mark.parametrize("band", range(1, 7))
+    def test_first_and_last_coefficient(self, band):
+        # Q_1 = -sum_S x_S = -e_extra; Q_b = (-1)^b prod_S x_S, and each
+        # x_i lies in C(n - 1, extra - 1) of the subsets S
+        for extra in range(band + 1):
+            q_e = char_coeffs(band, extra).q_elementary
+            b = len(q_e) - 1
+            power = comb(band - 1, extra - 1) if extra else 0
+            assert q_e[1] == -elementary_variable(extra, band), extra
+            assert q_e[b] == MultiPoly(
+                band, {(0,) * (band - 1) + (power,): (-1) ** b}
+            ), extra
 
     def test_memoised_per_band_and_extra(self):
         assert char_coeffs(3, 1) is char_coeffs(3, 1)

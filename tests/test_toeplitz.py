@@ -315,7 +315,7 @@ class TestExactOracle:
             assert _value(det, s[1:]) == want
             assert _value(in_x, point) == want
 
-    @pytest.mark.parametrize("band, extra", [(6, 2), (6, 3), (7, 2)])
+    @pytest.mark.parametrize("band, extra", [(6, 2), (6, 3), (6, 4), (7, 2), (7, 5)])
     def test_char_coeffs_at_integer_points(self, band, extra):
         # Q_i in e at e_d(point), against prod_S (t - x_S) multiplied out in ints
         q_e = char_coeffs(band, extra).q_elementary
