@@ -1,11 +1,11 @@
 """Command-line front end with stable text, JSON, and CSV output.
 
 Exit codes: 0 on success, 2 on a validation error (malformed flag values,
-inconsistent dimensions), 1 on a computation failure (an identity that
-does not hold, a root beyond double range, unconverged scan points, an
-empty scan hit set, a numeric determinant that overflows) and 1,
-silently, when stdout is a pipe whose reader has closed it (as in
-`bandschur limitset ... | head -2`).
+inconsistent dimensions), 1 on a computation failure (an identity that does
+not hold, a root beyond double range, unconverged scan points, an empty scan
+hit set, a numeric determinant that overflows, a matrix too large to
+allocate) and 1, silently, when stdout is a pipe whose reader has closed it
+(as in `bandschur limitset ... | head -2`).
 Repeated invocations with the same arguments produce byte-identical
 output: all orderings are canonical and all seeds are fixed.
 """
@@ -48,7 +48,7 @@ from .toeplitz import (
     format_complex,
     verify_minor_schur,
 )
-from .widom import check_separated, widom_modified, widom_original
+from .widom import check_separated, hall_schur_eval, widom_modified, widom_original
 
 SYMBOL_HELP = (
     "comma-separated band coefficients s_0,...,s_n; each value is a complex "
@@ -436,12 +436,11 @@ def _run_widom(args) -> tuple[str, int, str | None]:
     check_separated(chi_points, "reciprocal points")
 
     w_orig = widom_original(t_roots, sym.coeffs[-1], args.c, args.k)
-    # widom_modified is the Hall sum on the rectangle (k^c): one evaluation
-    # prints on both the widom-modified and the hall-schur line
     w_mod = widom_modified(chi_points, args.c, args.k)
+    w_hall = hall_schur_eval((args.k,) * args.c, chi_points)
     spec = MinorSpec((), tuple(range(1, args.c + 1)), n)
     det = det_numeric(build_minor_numeric(sym, spec, args.k))
-    rel = [_rel_diff(v, det) for v in (w_orig, w_mod)]
+    rel = [_rel_diff(v, det) for v in (w_orig, w_mod, w_hall)]
     worst = math.nan if any(map(math.isnan, rel)) else max(rel)
 
     if args.format == "json":
@@ -453,7 +452,7 @@ def _run_widom(args) -> tuple[str, int, str | None]:
             "chi_points": [format_complex(x) for x in chi_points],
             "widom_original": format_complex(w_orig),
             "widom_modified": format_complex(w_mod),
-            "hall_schur": format_complex(w_mod),
+            "hall_schur": format_complex(w_hall),
             "minor_det": format_complex(det),
             "max_rel_diff": worst,
         }
@@ -467,7 +466,7 @@ def _run_widom(args) -> tuple[str, int, str | None]:
                 + ", ".join(format_complex(x) for x in chi_points),
                 f"widom-original: {format_complex(w_orig)}",
                 f"widom-modified: {format_complex(w_mod)}",
-                f"hall-schur: {format_complex(w_mod)}",
+                f"hall-schur: {format_complex(w_hall)}",
                 f"minor-det: {format_complex(det)}",
                 f"max-rel-diff: {worst:.12g}",
             ]
@@ -740,6 +739,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # The reader has gone.  Point the descriptor at devnull, so that the

@@ -208,10 +208,6 @@ class MultiPoly:
             {"coeff": str(coeff), "exps": list(exps)} for exps, coeff in self.terms()
         ]
 
-    @classmethod
-    def from_json_obj(cls, nvars: int, obj: list[dict]) -> "MultiPoly":
-        return cls(nvars, {tuple(t["exps"]): int(t["coeff"]) for t in obj})
-
 
 def _addmul(
     out: dict[Monomial, int], a: MultiPoly, b: Mapping[Monomial, int], scale: int

@@ -1,18 +1,20 @@
 """Closed-form evaluation of minor determinants from symbol roots.
 
-Two equivalent forms of Widom's determinant formula for the contiguous
-minor (first c columns deleted), plus the Hall-type evaluation of an
-arbitrary Schur polynomial at pairwise distinct points; the root-product
-form is that evaluation on the rectangle (k^c).  All three are
-rational expressions in the roots, so distinctness is a hard hypothesis:
+Three independent routes to the contiguous minor (first c columns
+deleted): widom_original, the classical subset sum over the symbol roots
+psi; widom_modified, Hall's subset sum over the reversed-symbol roots chi;
+and hall_schur_eval, any Schur polynomial at distinct points as Jacobi's
+bialternant by LU, here on the rectangle (k^c).  All three are rational
+expressions in the roots, so distinctness is a hard hypothesis:
 near-coincident root sets are rejected, not regularized (the exact
 Jacobi-Trudi path covers confluent inputs).  A power beyond double range
-comes back inf or nan, as in MultiPoly.evaluate, instead of raising.
-"""
+comes back inf or nan, as in MultiPoly.evaluate, instead of raising."""
 
 from __future__ import annotations
 
 from itertools import combinations
+
+from .toeplitz import det_numeric
 
 SEPARATION = 1e-9
 
@@ -72,50 +74,43 @@ def widom_original(psi_roots, s_n: complex, c: int, k: int) -> complex:
 
 
 def widom_modified(chi_roots, c: int, k: int) -> complex:
-    """Root-product form: the rectangular Schur value s_{(k^c)}(x).
+    """Root-product form: sum over c-subsets of the reversed-symbol roots.
 
     chi_roots are the roots x_i of the reversed symbol polynomial
     t^n + s_1 t^(n-1) + ... + s_n (so s_d = e_d(x)); each c-subset tau
     contributes prod_{i in tau} x_i^k * prod_{i in tau, j not in tau}
-    x_i / (x_i - x_j), which is hall_schur_eval on the rectangle.
+    x_i / (x_i - x_j).  The sum is the rectangular Schur value
+    s_{(k^c)}(x); at k = 0 it is exactly 1.
     """
     n = len(chi_roots)
     if not 0 <= c <= n:
         raise ValueError(f"c must be in 0..{n}, got {c}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return hall_schur_eval((k,) * c, chi_roots)
-
-
-def _arrangements(padded: tuple[int, ...]) -> list:
-    """Distinct rearrangements of a weakly decreasing tuple.
-
-    The positions of the largest value are chosen with combinations, and
-    the rearrangements of the rest fill the other positions, so a
-    rectangle (k^c, 0^m) comes in the order of combinations(range(n), c).
-    """
-    n = len(padded)
-    count = padded.count(padded[0]) if padded else 0
-    if count == n:
-        return [padded]
-    tails = _arrangements(padded[count:])
-    found = []
-    for chosen in combinations(range(n), count):
-        free = [i for i in range(n) if i not in chosen]
-        for tail in tails:
-            arrangement = [padded[0]] * n
-            for i, value in zip(free, tail):
-                arrangement[i] = value
-            found.append(arrangement)
-    return found
+    x = check_separated(chi_roots, "evaluation points")
+    if k == 0:
+        return 1 + 0j
+    total = 0j
+    for tau in combinations(range(n), c):
+        term = 1 + 0j
+        for i in tau:
+            xi = x[i]
+            term *= _power(xi, k)
+            for j in range(n):
+                if j not in tau:
+                    term *= xi / (xi - x[j])
+        total += term
+    return total
 
 
 def hall_schur_eval(parts, points) -> complex:
-    """Schur polynomial value at distinct points, no tableaux involved.
+    """Schur polynomial value at distinct points by Jacobi's bialternant.
 
-    Sums over the distinct rearrangements a of the partition (padded with
-    zeros to the number of points): each contributes
-    prod x_i^(a_i) * prod_{a_i > a_j} x_i / (x_i - x_j).
+    det[x_i^(lambda_j + n - j)] / prod_{i<j} (x_i - x_j), the partition
+    padded with zeros to the n points and the determinant taken by LU.  The
+    name stays from the Hall sum this replaced: it is public API, the
+    perfbench layer trace (layers.TARGETS) wraps it, and perfbench's checks
+    read the `hall-schur` line that widom prints from it.
     """
     x = check_separated(points, "evaluation points")
     n = len(x)
@@ -126,16 +121,12 @@ def hall_schur_eval(parts, points) -> complex:
         if any(p != 0 for p in parts[n:]):
             raise ValueError(f"partition {parts} longer than point count {n}")
         parts = parts[:n]
+    if not n:
+        return 1 + 0j
     padded = parts + (0,) * (n - len(parts))
-    total = 0j
-    for arrangement in _arrangements(padded):
-        term = 1 + 0j
-        for i, a in enumerate(arrangement):
-            if a:
-                xi = x[i]
-                term *= _power(xi, a)
-                for j, b in enumerate(arrangement):
-                    if a > b:
-                        term *= xi / (xi - x[j])
-        total += term
-    return total
+    alternant = [[_power(xi, a + n - 1 - j) for j, a in enumerate(padded)] for xi in x]
+    value = det_numeric(alternant)
+    for i in range(n):
+        for j in range(i + 1, n):
+            value /= x[i] - x[j]
+    return value

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from bandschur import recurrence, spectra, tableaux
+from bandschur import cli, recurrence, spectra, tableaux
 from bandschur.cli import COMMAND_OPERATIONS, build_parser, main
 from bandschur.shapes import Partition, SkewShape
 
@@ -392,6 +392,26 @@ class TestWidomCommand:
         lines = dict(line.split(": ", 1) for line in out.splitlines())
         assert float(lines["max-rel-diff"]) <= 1e-9
 
+    def test_hall_schur_line_is_its_own_route(self, capsys, monkeypatch):
+        # a perturbed subset sum moves only the widom-modified line, and the
+        # check against the other routes catches it
+        argv = ["widom", "--symbol", "1,5,6", "--c", "1", "--k", "2"]
+        code, clean, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        widom_modified = cli.widom_modified
+        monkeypatch.setattr(
+            cli,
+            "widom_modified",
+            lambda *a: widom_modified(*a) * (1 + 1e-6),
+        )
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert err.startswith("error: formula values disagree beyond 1e-08: ")
+        before = dict(line.split(": ", 1) for line in clean.splitlines())
+        after = dict(line.split(": ", 1) for line in out.splitlines())
+        assert after["hall-schur"] == before["hall-schur"]
+        assert after["widom-modified"] != before["widom-modified"]
+
     @pytest.mark.parametrize(
         "tol, message",
         [
@@ -658,6 +678,25 @@ class TestHarness:
         )
         assert proc.returncode == 0
         assert "x1 + x2" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["widom", "--symbol", "1,1,1", "--c", "1", "--k", "100000"],
+        ["minor-det", "--symbol", "1,1,1", "--beta", "1", "--k", "100000"],
+        ["eigs", "--symbol", "1,1,1", "--c", "1", "--k", "100000"],
+    ])
+    def test_out_of_memory_is_an_error_line(self, capsys, monkeypatch, argv):
+        # a real k this large may be killed by the host instead of raising
+        def refuse(sym, spec, k):
+            raise MemoryError(f"Unable to allocate an index array for k = {k}")
+
+        monkeypatch.setattr(cli, "build_minor_numeric", refuse)
+        monkeypatch.setattr(spectra, "build_minor_numeric", refuse)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: out of memory: Unable to allocate an index array for "
+            "k = 100000\n"
+        )
 
     @pytest.mark.parametrize("argv, message", [
         (

@@ -182,10 +182,13 @@ class TestCanonicalForm:
         for poly, expected in cases:
             assert str(poly) == expected
 
-    def test_json_round_trip(self):
-        poly = MultiPoly(2, {(2, 0): 1, (1, 1): -2, (0, 0): 3})
-        blob = json.dumps(poly.to_json_obj())
-        assert MultiPoly.from_json_obj(2, json.loads(blob)) == poly
+    def test_json_golden(self):
+        # canonical term order, coefficients as strings, exponents as lists
+        poly = MultiPoly(2, {(0, 0): 3, (1, 1): -2, (2, 0): 1})
+        assert json.dumps(poly.to_json_obj()) == (
+            '[{"coeff": "1", "exps": [2, 0]}, {"coeff": "-2", "exps": [1, 1]},'
+            ' {"coeff": "3", "exps": [0, 0]}]'
+        )
 
     def test_hash_consistency(self):
         a = MultiPoly(2, {(1, 0): 1, (0, 1): 1})

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bandschur.polyring import elementary_symmetric
 from bandschur.schur import schur_jacobi_trudi
@@ -65,6 +66,21 @@ class TestGoldenValues:
         assert hall_schur_eval((1,), (2.0, 3.0)) == pytest.approx(5.0)
         assert hall_schur_eval((), (2.0, 3.0)) == pytest.approx(1.0)
 
+    def test_empty_partition_at_no_points(self):
+        assert hall_schur_eval((), ()) == 1
+        assert hall_schur_eval((0, 0), ()) == 1
+
+    def test_rectangle_edges(self):
+        # k = 0 and c = 0 are the empty product, exactly 1 in the subset
+        # sum; c = n is the single subset, x_1^k ... x_n^k
+        x = (2.0, 3.0, -0.5j)
+        for c in range(4):
+            assert widom_modified(x, c, 0) == 1
+        for k in (0, 1, 4):
+            assert widom_modified(x, 0, k) == 1
+            full = (2.0 * 3.0 * -0.5j) ** k
+            assert widom_modified(x, 3, k) == pytest.approx(full, rel=1e-15)
+
     def test_matches_full_minor_determinant(self):
         sym = BandedSymbol((1, 5, 6))
         spec = MinorSpec((), (1,), 2)
@@ -90,8 +106,9 @@ class TestFormEquivalence:
                         assert abs(a - b) <= 1e-9 * scale
 
     def test_rectangle_equals_hall(self):
-        # widom_modified is the Hall sum on the rectangle (k^c); the
-        # classical form over the symbol roots t = -1/x checks it
+        # the bialternant on the rectangle (k^c), the Hall subset sum and
+        # the classical form over the symbol roots t = -1/x are three
+        # separate computations of one value
         rng = np.random.default_rng(12)
         for n in (2, 3):
             x = _separated_points(rng, n)
@@ -103,10 +120,11 @@ class TestFormEquivalence:
                     direct = widom_original(t, s_n, c, k)
                     scale = max(1.0, abs(direct))
                     assert abs(rect - direct) <= 1e-9 * scale
-                    assert widom_modified(x, c, k) == rect
+                    hall = widom_modified(x, c, k)
+                    assert abs(hall - rect) <= 1e-9 * max(1.0, abs(rect))
 
     def test_twelve_point_rectangle(self):
-        # 924 distinct arrangements of (3^6, 0^6) among 12! permutations
+        # one 12 x 12 alternant; the Hall subset sum has C(12, 6) = 924 terms
         x = _separated_points(np.random.default_rng(15), 12)
         t = tuple(-1 / v for v in x)
         rect = hall_schur_eval((3,) * 6, x)
@@ -124,11 +142,35 @@ class TestFormEquivalence:
             assert abs(closed - exact) <= 1e-9 * scale
 
     def test_hall_with_repeated_parts_matches_symbolic_schur(self):
-        # three distinct values, each placed more than once: (3, 3, 1, 1, 0, 0)
+        # repeated parts (3, 3, 1, 1, 0, 0): the staircase n - j keeps the
+        # alternant's exponents distinct
         x = _separated_points(np.random.default_rng(16), 6)
         shape = SkewShape(Partition((3, 3, 1, 1)), Partition(()))
         exact = schur_jacobi_trudi(shape, 6).evaluate(x)
         closed = hall_schur_eval((3, 3, 1, 1), x)
+        assert abs(closed - exact) <= 1e-9 * max(1.0, abs(exact))
+
+    @settings(derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 6))
+    def test_bialternant_matches_jacobi_trudi(self, data, n):
+        # distinct points of the 0.1 lattice in a box, so at least 0.1 apart
+        cells = data.draw(
+            st.lists(
+                st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+                min_size=n,
+                max_size=n,
+                unique=True,
+            )
+        )
+        x = tuple(complex(a, b) / 10 for a, b in cells)
+        parts = data.draw(
+            st.lists(st.integers(1, 4), max_size=n).map(
+                lambda p: tuple(sorted(p, reverse=True))
+            )
+        )
+        shape = SkewShape(Partition(parts), Partition(()))
+        exact = schur_jacobi_trudi(shape, n).evaluate(x)
+        closed = hall_schur_eval(parts, x)
         assert abs(closed - exact) <= 1e-9 * max(1.0, abs(exact))
 
     def test_permutation_invariance(self):
