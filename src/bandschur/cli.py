@@ -6,6 +6,9 @@ not hold, a root beyond double range, unconverged scan points, an empty scan
 hit set, a numeric determinant that overflows, a matrix too large to
 allocate) and 1, silently, when stdout is a pipe whose reader has closed it
 (as in `bandschur limitset ... | head -2`).
+The cross-checks of `widom` and of `minor-det`'s dual route hold to one
+fixed tolerance, DUAL_ROUTE_TOL = 1e-8, on the difference scaled by
+max(1, |det|) (see _rel_diff).
 Repeated invocations with the same arguments produce byte-identical
 output: all orderings are canonical and all seeds are fixed.
 """
@@ -199,6 +202,12 @@ def _det_status(det: complex) -> tuple[int, str | None]:
 def _rel_diff(value: complex, ref: complex) -> float:
     """|value - ref| / max(1, |ref|), inf or nan when either is not finite.
 
+    The floor 1 keeps exact-zero minors checkable: a purely relative rule
+    fails them on rounding noise (`widom --symbol 1.0,0.0,-1.0 --c 1 --k 3`
+    has det 0 and a widom-original of -7.2e-16).  Below |ref| = 1 the rule
+    is therefore an absolute one; a sharper check needs a scale other than
+    |ref|.
+
     abs() of a complex whose parts are nan and not inf can raise a stale
     OverflowError, so a non-finite difference goes through math.hypot.
     """
@@ -210,14 +219,6 @@ def _rel_diff(value: complex, ref: complex) -> float:
 
 def _fmt_parts(parts) -> str:
     return "(" + ",".join(str(p) for p in parts) + ")"
-
-
-def _fmt_shape(shape: SkewShape) -> str:
-    return (
-        _fmt_parts(shape.outer.normalized())
-        + "/"
-        + _fmt_parts(shape.inner.normalized())
-    )
 
 
 def _dump_json(obj) -> str:
@@ -242,8 +243,8 @@ def _run_schur(args) -> tuple[str, int, str | None]:
         equal = polys["tableaux"] == polys["jacobi-trudi"]
     if args.format == "json":
         obj = {
-            "outer": list(outer.normalized()),
-            "inner": list(inner.normalized()),
+            "outer": list(outer.parts),
+            "inner": list(inner.parts),
             "nvars": nvars,
         }
         if "tableaux" in polys:
@@ -342,7 +343,7 @@ def _run_check_identity(args) -> tuple[str, int, str | None]:
         f"beta={_fmt_parts(spec.deleted_cols)} n={nvars}",
         f"min_k: {kmin}",
         f"k: {args.k}",
-        f"shape: {_fmt_shape(shape_k)} -> {_fmt_shape(shape_next)}",
+        f"shape: {shape_k} -> {shape_next}",
     ]
     if ok_schur:
         lines.append("minor-vs-schur: ok")
@@ -428,7 +429,6 @@ def _run_widom(args) -> tuple[str, int, str | None]:
         raise UsageError(f"--k must be >= 0, got {args.k}")
     if sym.coeffs[-1] == 0:
         raise UsageError("--symbol: top coefficient s_n must be nonzero")
-    _require_tol(args.tol)
 
     t_roots = poly_roots(list(sym.coeffs))
     check_separated(t_roots, "symbol roots")
@@ -472,8 +472,8 @@ def _run_widom(args) -> tuple[str, int, str | None]:
             ]
         )
     code, err = _det_status(det)
-    if code == 0 and not worst <= args.tol:
-        code, err = 1, f"formula values disagree beyond {args.tol}: {worst:.3e}"
+    if code == 0 and not worst <= DUAL_ROUTE_TOL:
+        code, err = 1, f"formula values disagree beyond {DUAL_ROUTE_TOL}: {worst:.3e}"
     return out, code, err
 
 
@@ -647,14 +647,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "widom",
         help="evaluate the minor determinant four ways from a numeric symbol",
+        description=(
+            "Evaluate the minor determinant four ways from a numeric symbol; "
+            "exit 1 unless the three closed forms agree with the LU "
+            f"determinant to {DUAL_ROUTE_TOL:g} relative to max(1, |det|)."
+        ),
     )
     p.add_argument("--symbol", required=True, help=SYMBOL_HELP)
     p.add_argument("--c", type=int, required=True, help="deleted column count")
     p.add_argument("--k", type=int, required=True, help="minor size")
-    p.add_argument(
-        "--tol", type=float, default=1e-8,
-        help="relative agreement tolerance (default: 1e-8)",
-    )
     fmt_flag(p, ("text", "json"), "text")
     p.set_defaults(func=_run_widom)
 

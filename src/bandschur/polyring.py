@@ -260,17 +260,21 @@ def elementary_symmetric(degree: int, nvars: int) -> MultiPoly:
     return _raw(nvars, terms)
 
 
-@lru_cache(maxsize=None)
 def elementary_variable(degree: int, nvars: int) -> MultiPoly:
     """e_degree in the elementary basis: the variable y_degree.
 
     e_0 = 1; e_d = 0 for d < 0 or d > nvars, as in elementary_symmetric.
+    Every degree off 0..nvars gets the one shared zero, so the cache
+    behind this holds nvars + 2 polynomials whatever degrees callers ask.
     """
-    if degree < 0 or degree > nvars:
-        return MultiPoly.zero(nvars)
-    if degree == 0:
-        return MultiPoly.one(nvars)
-    return MultiPoly.variable(nvars, degree)
+    return _elementary_basis(nvars)[degree if 0 <= degree <= nvars else -1]
+
+
+@lru_cache(maxsize=None)
+def _elementary_basis(nvars: int) -> tuple[MultiPoly, ...]:
+    """(1, y_1, ..., y_nvars, 0) in nvars variables."""
+    ys = [MultiPoly.variable(nvars, d) for d in range(1, nvars + 1)]
+    return (MultiPoly.one(nvars), *ys, MultiPoly.zero(nvars))
 
 
 def expand_elementary(p: MultiPoly) -> MultiPoly:

@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 
 class Partition:
-    """Weakly decreasing tuple of non-negative integers.
+    """Weakly decreasing tuple of positive integers.
 
-    Trailing zeros are ignored for equality and hashing but the declared
-    parts are preserved, since shape arithmetic sometimes pads with zeros.
-    The normalized parts and the hash are computed once, at construction.
+    Trailing zeros are dropped at construction, so a partition holds no
+    zero parts: Partition((2, 1, 0)) has parts (2, 1) and equals
+    Partition((2, 1)).  The hash is computed once, at construction.
     """
 
-    __slots__ = ("parts", "_norm", "_hash")
+    __slots__ = ("parts", "_hash")
 
     def __init__(self, parts=()):
         parts = tuple(int(p) for p in parts)
@@ -28,33 +28,26 @@ class Partition:
                 raise ValueError(f"not weakly decreasing: {parts}")
         if parts and parts[-1] < 0:
             raise ValueError(f"negative part in {parts}")
-        end = len(parts)
-        while end and parts[end - 1] == 0:
-            end -= 1
-        norm = parts[:end]
+        # weakly decreasing and non-negative: the zeros are the tail
+        parts = parts[: len(parts) - parts.count(0)]
         object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_norm", norm)
-        object.__setattr__(self, "_hash", hash(norm))
+        object.__setattr__(self, "_hash", hash(parts))
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
-
-    def normalized(self) -> tuple[int, ...]:
-        """Parts with trailing zeros removed."""
-        return self._norm
 
     def __eq__(self, other):
         if isinstance(other, (tuple, list)):
             other = Partition(other)
         if not isinstance(other, Partition):
             return NotImplemented
-        return self._norm == other._norm
+        return self.parts == other.parts
 
     def __hash__(self):
         return self._hash
 
     def __len__(self):
-        return len(self._norm)
+        return len(self.parts)
 
     def __getitem__(self, i):
         return self.parts[i]
@@ -66,26 +59,22 @@ class Partition:
         return f"Partition{self.parts}"
 
     def __str__(self):
-        return ",".join(str(p) for p in self.normalized())
+        return ",".join(str(p) for p in self.parts)
 
     def size(self) -> int:
         return sum(self.parts)
 
     def part(self, i: int) -> int:
-        """1-based part access, 0 beyond the declared length."""
+        """1-based part access, 0 beyond the last part."""
         return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
 
     def contains(self, other: "Partition") -> bool:
-        n = max(len(self.parts), len(other.parts))
-        return all(self.part(i) >= other.part(i) for i in range(1, n + 1))
+        return all(self.part(i) >= p for i, p in enumerate(other.parts, 1))
 
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram: column lengths become parts."""
-        parts = self.normalized()
-        if not parts:
-            return Partition()
         return Partition(
-            tuple(sum(1 for p in parts if p >= j) for j in range(1, parts[0] + 1))
+            sum(1 for p in self.parts if p >= j) for j in range(1, self.part(1) + 1)
         )
 
 
@@ -104,7 +93,7 @@ def parse_partition(text: str) -> Partition:
 class SkewShape:
     """Pair of partitions outer/inner with inner contained in outer.
 
-    Equality and hashing read the normalized parts, paired once at
+    Equality and hashing read the parts of both, paired once at
     construction.
     """
 
@@ -115,7 +104,7 @@ class SkewShape:
         inner = inner if isinstance(inner, Partition) else Partition(inner)
         if not outer.contains(inner):
             raise ValueError(f"inner {inner} not contained in outer {outer}")
-        key = (outer._norm, inner._norm)
+        key = (outer.parts, inner.parts)
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "_key", key)
@@ -143,10 +132,7 @@ class SkewShape:
 
         Row i occupies columns inner_i..outer_i-1; empty rows allowed.
         """
-        return [
-            (self.inner.part(i), self.outer.part(i))
-            for i in range(1, len(self.outer.normalized()) + 1)
-        ]
+        return [(self.inner.part(i), hi) for i, hi in enumerate(self.outer.parts, 1)]
 
     def box_count(self) -> int:
         return self.outer.size() - self.inner.size()
@@ -238,13 +224,12 @@ def shape_from_minor(spec: MinorSpec, k: int) -> SkewShape:
     """Skew shape whose Schur polynomial equals the k-th minor determinant.
 
     outer_i = k + i - deleted_cols[i-1] over the c deleted columns, and
-    inner_i = k + i - deleted_rows[i-1] over the r deleted rows, padded
-    with zeros to length c.  Defined for k >= min_k(spec).
+    inner_i = k + i - deleted_rows[i-1] over the r deleted rows (zero
+    parts drop out).  Defined for k >= min_k(spec).
     """
     lo = min_k(spec)
     if k < lo:
         raise ValueError(f"k = {k} below min_k = {lo} for {spec}")
     outer = tuple(k + i - b for i, b in enumerate(spec.deleted_cols, start=1))
     inner = tuple(k + i - a for i, a in enumerate(spec.deleted_rows, start=1))
-    inner = inner + (0,) * (spec.c - spec.r)
     return SkewShape(Partition(outer), Partition(inner))

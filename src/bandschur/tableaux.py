@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, count
 from operator import lt, sub
 
 from .polyring import MultiPoly
@@ -96,13 +96,17 @@ def _validate(plan: _Plan, rows: tuple[tuple[int, ...], ...], nmax: int):
         )
     if nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {nmax}")
-    if tuple(map(len, rows)) != lengths:
-        _raise_row_error(lengths, rows, nmax)
-    for row in rows:
+    for i, want, row in zip(count(1), lengths, rows):
+        if len(row) != want:
+            raise ValueError(f"row {i} has {len(row)} entries, shape wants {want}")
         if row and not (
             1 <= row[0] and row[-1] <= nmax and list(row) == sorted(row)
         ):
-            _raise_row_error(lengths, rows, nmax)
+            # with every entry in range, the fault is a decrease
+            for v in row:
+                if not 1 <= v <= nmax:
+                    raise ValueError(f"entry {v} outside 1..{nmax}")
+            raise ValueError(f"row {i} not weakly increasing: {row}")
     for i, a0, a1, b0, b1, first in plan.checks:
         if not all(map(lt, rows[i - 1][a0:a1], rows[i][b0:b1])):
             for j, (above, here) in enumerate(
@@ -113,20 +117,6 @@ def _validate(plan: _Plan, rows: tuple[tuple[int, ...], ...], nmax: int):
                         f"column {j + 1} not strictly increasing: "
                         f"{above} above {here}"
                     )
-
-
-def _raise_row_error(lengths, rows, nmax):
-    """The first row fault of _validate, checked one cell at a time."""
-    for i, (want, row) in enumerate(zip(lengths, rows)):
-        if len(row) != want:
-            raise ValueError(
-                f"row {i + 1} has {len(row)} entries, shape wants {want}"
-            )
-        for v in row:
-            if not 1 <= v <= nmax:
-                raise ValueError(f"entry {v} outside 1..{nmax}")
-        if any(a > b for a, b in zip(row, row[1:])):
-            raise ValueError(f"row {i + 1} not weakly increasing: {row}")
 
 
 class Tableau:
@@ -168,8 +158,8 @@ class Tableau:
 
     def to_json_obj(self) -> dict:
         return {
-            "outer": list(self.shape.outer.normalized()),
-            "inner": list(self.shape.inner.normalized()),
+            "outer": list(self.shape.outer.parts),
+            "inner": list(self.shape.inner.parts),
             "rows": [list(row) for row in self.rows],
         }
 

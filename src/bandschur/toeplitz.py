@@ -28,39 +28,20 @@ MINOR_CACHE_SIZE = 36  # verify_minor_schur's minors; recurrences sweep their ow
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a', 'bi', or 'a+bi' (also 'a-bi', 'i', '-i'); floats allowed."""
+    """Parse 'a', 'bi', or 'a+bi' (also 'a-bi', 'i', '-i'); floats allowed.
+
+    Spaces are ignored.  The grammar is Python's complex() with i for j,
+    so Python's own forms 'bj', 'bJ' and '(a+bj)' are refused.
+    """
     tok = text.strip().replace(" ", "")
     if not tok:
         raise ValueError("empty complex token")
-    try:
-        return complex(float(tok))
-    except ValueError:
-        pass
-    if not tok.endswith("i"):
-        raise ValueError(f"bad complex token {text!r}")
-    body = tok[:-1]
-    # split the imaginary tail off at the last sign not inside an exponent
-    for p in range(len(body) - 1, 0, -1):
-        if body[p] in "+-" and body[p - 1] not in "eE":
-            re_part, im_part = body[:p], body[p:]
-            break
-    else:
-        re_part, im_part = "", body
-    if im_part in ("", "+"):
-        im = 1.0
-    elif im_part == "-":
-        im = -1.0
-    else:
+    if not any(ch in tok for ch in "jJ("):
         try:
-            im = float(im_part)
+            return complex(tok[:-1] + "j" if tok.endswith("i") else tok)
         except ValueError:
-            raise ValueError(f"bad complex token {text!r}") from None
-    if re_part:
-        try:
-            return complex(float(re_part), im)
-        except ValueError:
-            raise ValueError(f"bad complex token {text!r}") from None
-    return complex(0.0, im)
+            pass
+    raise ValueError(f"bad complex token {text!r}")
 
 
 def format_complex(z: complex) -> str:

@@ -412,20 +412,14 @@ class TestWidomCommand:
         assert after["hall-schur"] == before["hall-schur"]
         assert after["widom-modified"] != before["widom-modified"]
 
-    @pytest.mark.parametrize(
-        "tol, message",
-        [
-            ("nan", "--tol must be finite, got nan"),
-            ("inf", "--tol must be finite, got inf"),
-            ("-1", "--tol must be >= 0, got -1.0"),
-        ],
-    )
-    def test_bad_tol_is_usage_error(self, capsys, tol, message):
-        code, out, err = run(
-            capsys,
-            ["widom", "--symbol", "1,5,6", "--c", "1", "--k", "2", "--tol", tol],
-        )
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+    def test_tolerance_is_fixed(self, capsys):
+        # widom checks against DUAL_ROUTE_TOL, and its help says so
+        argv = ["widom", "--symbol", "1,5,6", "--c", "1", "--k", "2"]
+        code, out, err = run(capsys, argv + ["--tol", "1e-3"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --tol 1e-3\n")
+        code, out, err = run(capsys, argv + ["--help"])
+        assert code == 0 and "--tol" not in out and "1e-08" in out
 
 
 class TestLimitsetCommand:

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from bandschur import polyring
 from bandschur.polyring import (
     MultiPoly,
     elementary_symmetric,
@@ -12,6 +13,8 @@ from bandschur.polyring import (
     expand_elementary,
 )
 from bandschur.recurrence import char_coeffs
+from bandschur.shapes import MinorSpec
+from bandschur.toeplitz import build_minor_symbolic
 
 
 def _var(nvars, index):
@@ -135,6 +138,16 @@ class TestElementaryBasis:
             assert expand_elementary(elementary_variable(d, 3)) == (
                 elementary_symmetric(d, 3)
             )
+
+    def test_caches_do_not_grow_with_the_minor_size(self):
+        # a k x k band-2 minor asks for every degree in 1-k..k-1; off the
+        # band they are all one zero, so k = 400 caches what k = 10 did
+        caches = [f for f in vars(polyring).values() if hasattr(f, "cache_info")]
+        spec = MinorSpec((), (1,), 2)
+        build_minor_symbolic(spec, 10)
+        sizes = [f.cache_info().currsize for f in caches]
+        build_minor_symbolic(spec, 400)
+        assert [f.cache_info().currsize for f in caches] == sizes
 
     def test_expansion_is_the_substitution(self):
         # 3*y1^2*y3 - y2 + 5 with y_d = e_d(x1, x2, x3)

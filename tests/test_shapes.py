@@ -53,11 +53,11 @@ def minor_specs(draw, max_band=4, max_index=6):
 
 class TestPartition:
     def test_normalizes_trailing_zeros(self):
-        assert Partition((3, 1, 0, 0)).normalized() == (3, 1)
-        assert Partition((0,)).normalized() == ()
+        assert Partition((3, 1, 0, 0)).parts == (3, 1)
+        assert Partition((0,)).parts == ()
         padded, plain = Partition((2, 1, 0)), Partition((2, 1))
         assert padded == plain and hash(padded) == hash(plain)
-        assert padded.parts == (2, 1, 0) and len(padded) == 2
+        assert padded.parts == (2, 1) and len(padded) == len(list(padded))
         zeros, empty = Partition((0, 0)), Partition(())
         assert zeros == empty and hash(zeros) == hash(empty)
         assert Partition((2, 1, 0)) != Partition((2, 1, 1))

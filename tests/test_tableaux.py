@@ -225,7 +225,7 @@ class TestInsertionContentIdentity:
         # Summing content monomials of insert(T, seq) over all T of a shape
         # equals the shape's Schur polynomial times the sequence monomial.
         for shape in SMALL_SHAPES:
-            rows = len(shape.outer.normalized())
+            rows = len(shape.outer.parts)
             for nvars in (2, 3):
                 base = schur_by_tableaux(shape, nvars)
                 tabs = list(enumerate_ssyt(shape, nvars))
@@ -318,7 +318,7 @@ class TestEngineOracle:
     @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
     @pytest.mark.parametrize("nmax", [1, 2, 3])
     def test_every_insertion_matches_its_rebuild(self, shape, nmax):
-        skew_rows = len(shape.inner.normalized())
+        skew_rows = len(shape.inner.parts)
         values = list(range(-skew_rows - 1, 0)) + list(range(1, nmax + 1))
         seqs = [
             InsertionSequence(combo)
@@ -379,7 +379,7 @@ def _outcome(step, *args):
 
 def _grown(shape, skew_rows, extra):
     """The shape every sequence of extension_sequences(skew_rows, extra) builds."""
-    outer, inner = list(shape.outer.normalized()), list(shape.inner.normalized())
+    outer, inner = list(shape.outer.parts), list(shape.inner.parts)
     grow = skew_rows + extra
     outer += [0] * (grow - len(outer))
     inner += [0] * (len(outer) - len(inner))
@@ -401,7 +401,7 @@ class TestInsertionStepOracle:
     @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=str)
     @pytest.mark.parametrize("nmax", [1, 2, 3])
     def test_step_matches_the_reference(self, shape, nmax):
-        skew_rows = len(shape.inner.normalized())
+        skew_rows = len(shape.inner.parts)
         for extra in range(nmax + 1):
             seqs = extension_sequences(skew_rows, extra, nmax)
             # the shape the sequences build, where images are found among
@@ -419,7 +419,7 @@ class TestInsertionStepOracle:
         # every strictly increasing sequence up to one row past the shape,
         # each building its own target, in one call
         nmax = 3
-        skew_rows = len(shape.inner.normalized())
+        skew_rows = len(shape.inner.parts)
         values = list(range(-skew_rows - 1, 0)) + list(range(1, nmax + 1))
         seqs = [
             InsertionSequence(combo)

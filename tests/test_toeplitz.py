@@ -51,7 +51,12 @@ class TestParseComplex:
             assert parse_complex(text) == expected
 
     def test_errors(self):
-        for bad in ["", "x", "2+", "1+2", "i3", "2..5", "1e+i2"]:
+        # complex() reads the next four, but the grammar writes i, not j,
+        # and takes no parentheses
+        for bad in [
+            "", "x", "2+", "1+2", "i3", "2..5", "1e+i2",
+            "1+2j", "2J", "j", "(1+2i)",
+        ]:
             with pytest.raises(ValueError):
                 parse_complex(bad)
 
