@@ -7,10 +7,19 @@ ever happens inside the ring; floating point only enters through
 canonical (graded lexicographic, highest total degree first), which makes
 printed and serialized forms deterministic.
 
+All monomial products go through one multiply-accumulate, _addmul, which
+adds a product into a term dict; MultiPoly.__mul__, sum_of_products (a sum
+of products in one dict, with no product or partial sum built on its own)
+and the determinant sweep in schur call it.
+
 A MultiPoly in n variables is read either in x_1..x_n or in the elementary
 basis, where variable d stands for y_d = e_d(x_1..x_n).  The e_d are
 algebraically independent, so a polynomial in y is zero exactly when its
-expansion in x is.  expand_elementary maps the y-form to x (for printing).
+expansion in x is.  expand_elementary maps the y-form to x (for printing),
+multiplying by e_d with the Pieri rule on monomial symmetric functions
+(Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., I.6) read
+from a bounded memo.  The printed text of each factor x_i^e is cached too,
+also bounded.
 """
 
 from __future__ import annotations
@@ -21,6 +30,9 @@ from itertools import combinations, permutations
 from typing import Iterable, Iterator, Mapping
 
 Monomial = tuple[int, ...]
+
+FACTOR_CACHE_SIZE = 1024  # (variable, exponent) pairs whose text __str__ keeps
+PIERI_CACHE_SIZE = 4096  # (partition, d, n) steps whose products are kept
 
 
 class MultiPoly:
@@ -83,8 +95,17 @@ class MultiPoly:
 
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical order: total degree descending, then lex descending."""
+        return [(exps, coeff) for _, exps, coeff in self._ranked()]
+
+    def _ranked(self) -> list[tuple[int, Monomial, int]]:
+        """(total degree, exps, coeff) per term, in canonical order.
+
+        Decorated tuples sort without a key call per term, and two terms
+        never share a monomial, so coefficients are never compared.
+        """
         return sorted(
-            self._terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
+            [(sum(exps), exps, coeff) for exps, coeff in self._terms.items()],
+            reverse=True,
         )
 
     def __len__(self) -> int:
@@ -168,7 +189,7 @@ class MultiPoly:
         if len(pt) != self.nvars:
             raise ValueError(f"point has {len(pt)} coordinates, expected {self.nvars}")
         total = 0j
-        for exps, coeff in self.terms():
+        for _, exps, coeff in self._ranked():
             mono = complex(coeff)
             for base, e in zip(pt, exps):
                 for _ in range(e):
@@ -180,12 +201,8 @@ class MultiPoly:
         if not self._terms:
             return "0"
         pieces: list[str] = []
-        for exps, coeff in self.terms():
-            body = "*".join(
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(exps)
-                if e
-            )
+        for _, exps, coeff in self._ranked():
+            body = "*".join([_factor(i, e) for i, e in enumerate(exps) if e])
             mag = abs(coeff)
             if not body:
                 text = str(mag)
@@ -205,7 +222,8 @@ class MultiPoly:
     def to_json_obj(self) -> list[dict]:
         """JSON-ready list of terms, canonical order, coefficients as strings."""
         return [
-            {"coeff": str(coeff), "exps": list(exps)} for exps, coeff in self.terms()
+            {"coeff": str(coeff), "exps": list(exps)}
+            for _, exps, coeff in self._ranked()
         ]
 
 
@@ -214,11 +232,11 @@ def _addmul(
 ) -> None:
     """Add scale * a * b into the term dict out; cancelled terms are dropped.
 
-    The only place two polynomials' monomials are multiplied (the
-    partition weights of _times_elementary are the one other place
-    exponents are added).  a's terms form the outer loop, so a should be
-    the factor with fewer terms; b is a term dict of the same variable
-    count, and scale must be nonzero.
+    The only place two polynomials' monomials are multiplied (the Pieri
+    memo _pieri_step, which adds e_d's exponent vectors to a partition, is
+    the one other place exponents are added).  a's terms form the outer
+    loop, so a should be the factor with fewer terms; b is a term dict of
+    the same variable count, and scale must be nonzero.
     """
     add = operator.add
     get = out.get
@@ -231,6 +249,31 @@ def _addmul(
                 out[key] = s
             else:
                 del out[key]
+
+
+def sum_of_products(
+    pairs: Iterable[tuple[MultiPoly, MultiPoly]], nvars: int
+) -> MultiPoly:
+    """The sum of a * b over pairs of polynomials in nvars variables.
+
+    Every product is added into one term dict by _addmul, with the smaller
+    factor outside, so no product is built as a polynomial of its own and
+    no partial sum is copied.  The result is a compact copy of that dict,
+    which keeps the slots of cancelled terms.
+    """
+    acc: dict[Monomial, int] = {}
+    for a, b in pairs:
+        if a.nvars != nvars or b.nvars != nvars:
+            raise ValueError(f"variable count mismatch: expected {nvars}")
+        small, big = (a, b) if len(a) <= len(b) else (b, a)
+        _addmul(acc, small, big._terms, 1)
+    return _raw(nvars, dict(acc))
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _factor(i: int, e: int) -> str:
+    """x_{i+1}^e as __str__ prints it; one entry per (variable, exponent)."""
+    return f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
 
 
 def _raw(nvars: int, terms: dict[Monomial, int]) -> MultiPoly:
@@ -284,7 +327,9 @@ def expand_elementary(p: MultiPoly) -> MultiPoly:
     partition (see _times_elementary) and each partition is spread over its
     distinct permutations only at the end.  Products are shared by Horner's
     rule in y_n, and inside each of its coefficients in y_{n-1}, and so on
-    down to y_1.
+    down to y_1.  Each multiplication by e_d reads the memoised Pieri step
+    of every partition it meets, so a partition that recurs across Horner
+    steps or across calls is walked once.
     """
     n = p.nvars
     out: dict[Monomial, int] = {}
@@ -323,25 +368,33 @@ def _times_elementary(f: dict[Monomial, int], d: int, n: int) -> dict[Monomial, 
     The weight of a partition lam is its coefficient times the number of
     distinct permutations of lam, which is the sum of the coefficients of
     every monomial sorting to lam.  A monomial x^a times a monomial x^v of
-    e_d sorts to sort(a + v), so by symmetry the product's weights are the
-    sums of f[mu] over mu and v with sort(mu + v) = nu: one sort per pair,
-    and no monomial outside the partitions is ever formed.  Weights may be
-    zero; expand_elementary drops those.
+    e_d sorts to sort(a + v), so by symmetry the product's weights are
+    sum over mu of f[mu] times the number of v with sort(mu + v) = nu: the
+    Pieri rule for e_d on monomial symmetric functions, read from the
+    memoised _pieri_step, and no monomial outside the partitions is ever
+    formed.  Weights may be zero; expand_elementary drops those.
     """
     out: dict[Monomial, int] = {}
     get = out.get
-    add = operator.add
-    vectors = _unit_vectors(d, n)
     for mu, weight in f.items():
         if weight:
-            for v in vectors:
-                nu = tuple(sorted(map(add, mu, v), reverse=True))
-                out[nu] = get(nu, 0) + weight
+            for nu, count in _pieri_step(mu, d, n):
+                out[nu] = get(nu, 0) + weight * count
     return out
 
 
-@lru_cache(maxsize=None)
-def _unit_vectors(d: int, n: int) -> tuple[Monomial, ...]:
-    """The exponent vectors of the monomials of e_d(x_1..x_n)."""
-    return tuple(elementary_symmetric(d, n)._terms)
+@lru_cache(maxsize=PIERI_CACHE_SIZE)
+def _pieri_step(mu: Monomial, d: int, n: int) -> tuple[tuple[Monomial, int], ...]:
+    """The pairs (nu, number of v with sort(mu + v) = nu), v over e_d's monomials.
 
+    mu is a partition padded to n parts.  A partition that recurs across
+    Horner steps and across polynomials costs one walk over these few
+    pairs instead of C(n, d) sorts; the one other place exponents are added
+    besides _addmul.
+    """
+    add = operator.add
+    counts: dict[Monomial, int] = {}
+    for v in elementary_symmetric(d, n)._terms:
+        nu = tuple(sorted(map(add, mu, v), reverse=True))
+        counts[nu] = counts.get(nu, 0) + 1
+    return tuple(counts.items())

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .polyring import MultiPoly, elementary_variable
+from .polyring import MultiPoly, elementary_variable, sum_of_products
 from .schur import PolyMatrix, leading_minors, symbolic_det
 from .shapes import MinorSpec, min_k
 from .toeplitz import build_minor_symbolic
@@ -101,14 +101,14 @@ def _residuals(spec: MinorSpec, lo: int, hi: int) -> tuple[MultiPoly, ...]:
     """Residuals j = lo..hi from one sweep over the minor at size hi + b.
 
     Each smaller minor is a leading block of that one, so leading_minors
-    gives every determinant the window reads.
+    gives every determinant the window reads.  Each residual adds its
+    b + 1 products into one term dict (polyring.sum_of_products).
     """
     q = char_coeffs(spec.band, spec.c - spec.r).q_elementary
     b = len(q) - 1
     dets = leading_minors(build_minor_symbolic(spec, hi + b))
-    zero = MultiPoly.zero(spec.band)
     return tuple(
-        sum((q[b - m] * dets[m + j] for m in range(b + 1)), zero)
+        sum_of_products(((q[b - m], dets[m + j]) for m in range(b + 1)), spec.band)
         for j in range(lo, hi + 1)
     )
 

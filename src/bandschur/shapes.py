@@ -38,7 +38,10 @@ class Partition:
 
     def __eq__(self, other):
         if isinstance(other, (tuple, list)):
-            other = Partition(other)
+            try:
+                other = Partition(other)
+            except (TypeError, ValueError):  # not a partition, so not equal
+                return False
         if not isinstance(other, Partition):
             return NotImplemented
         return self.parts == other.parts

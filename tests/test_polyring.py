@@ -1,6 +1,8 @@
 """Tests for the integer multivariate polynomial ring."""
 
 import json
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -164,6 +166,56 @@ class TestElementaryBasis:
             assert list(map(expand_elementary, q_e)) == vieta_x_coeffs(band, extra)
 
 
+@st.composite
+def padded_partitions(draw):
+    """(mu, d, n): a partition padded to n <= 7 parts and 1 <= d <= n."""
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(1, n))
+    parts = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    return tuple(sorted(parts, reverse=True)), d, n
+
+
+@st.composite
+def y_polys(draw):
+    """A small polynomial in y_1..y_n, n <= 4."""
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*([st.integers(0, 2)] * n))
+    return MultiPoly(n, draw(st.dictionaries(exps, st.integers(-5, 5), max_size=4)))
+
+
+class TestPieriStep:
+    @given(padded_partitions())
+    def test_matches_the_counts_of_sorted_sums(self, case):
+        # e_d's monomials are the 0/1 vectors with d ones
+        mu, d, n = case
+        expected = Counter()
+        for ones in combinations(range(n), d):
+            v = [1 if i in ones else 0 for i in range(n)]
+            expected[tuple(sorted((a + b for a, b in zip(mu, v)), reverse=True))] += 1
+        assert dict(polyring._pieri_step(mu, d, n)) == expected
+
+    @given(y_polys())
+    def test_expansion_matches_products_of_elementary_polynomials(self, y):
+        # y^a -> prod_d e_d^(a_d), multiplied out with MultiPoly.__mul__ alone
+        n = y.nvars
+        expected = MultiPoly.zero(n)
+        for exps, coeff in y.terms():
+            term = MultiPoly.constant(n, coeff)
+            for d, power in enumerate(exps, start=1):
+                for _ in range(power):
+                    term = term * elementary_symmetric(d, n)
+            expected = expected + term
+        assert expand_elementary(y) == expected
+
+    def test_pieri_and_factor_caches_are_bounded(self):
+        for cache, size in (
+            (polyring._pieri_step, polyring.PIERI_CACHE_SIZE),
+            (polyring._factor, polyring.FACTOR_CACHE_SIZE),
+        ):
+            assert cache.cache_info().maxsize == size
+            assert 0 < size < float("inf")
+
+
 class TestEvaluate:
     def test_golden_quadratic(self):
         # x1^2 + x1*x2 + x2^2 at (2, 3).
@@ -191,6 +243,7 @@ class TestCanonicalForm:
             (MultiPoly(2, {(1, 0): -1}), "-x1"),
             (MultiPoly(2, {(2, 0): 1, (1, 1): -2, (0, 0): 3}), "x1^2 - 2*x1*x2 + 3"),
             (MultiPoly(3, {(1, 1, 1): 3}), "3*x1*x2*x3"),
+            (MultiPoly(10, {(1,) + (0,) * 8 + (12,): -4}), "-4*x1*x10^12"),
         ]
         for poly, expected in cases:
             assert str(poly) == expected
@@ -220,6 +273,20 @@ class TestRingProperties:
         assert a * (b + c) == a * b + a * c
         assert a + (-a) == MultiPoly.zero(a.nvars)
         assert a * MultiPoly.one(a.nvars) == a
+
+    @given(poly_batches(count=3))
+    def test_sum_of_products(self, batch):
+        a, b, c = batch
+        n = a.nvars
+        assert polyring.sum_of_products([(a, b), (c, b), (a, c)], n) == (
+            a * b + c * b + a * c
+        )
+        cancelled = polyring.sum_of_products([(a, b), (-b, a)], n)
+        assert cancelled.is_zero and len(cancelled) == 0
+
+    def test_sum_of_products_checks_variable_counts(self):
+        with pytest.raises(ValueError, match="variable count"):
+            polyring.sum_of_products([(_var(2, 1), _var(3, 1))], 2)
 
     @given(poly_batches(count=2), points)
     def test_evaluate_is_ring_homomorphism(self, batch, point):

@@ -1,5 +1,6 @@
 """Tests for the minor-determinant linear recurrence."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -12,7 +13,22 @@ from bandschur.recurrence import (
     recurrence_residual,
     verify_recurrence,
 )
+from bandschur.schur import leading_minors
 from bandschur.shapes import MinorSpec, min_k
+from bandschur.toeplitz import build_minor_symbolic
+
+
+def _all_specs(max_band: int, max_index: int = 4) -> list[MinorSpec]:
+    """Every spec with band <= max_band and deleted indices <= max_index."""
+    specs = []
+    for band in range(1, max_band + 1):
+        for c in range(band + 1):
+            for beta in combinations(range(1, max_index + 1), c):
+                for r in range(c + 1):
+                    for alpha in combinations(range(1, max_index + 1), r):
+                        if all(a >= b for a, b in zip(alpha, beta)):
+                            specs.append(MinorSpec(alpha, beta, band))
+    return specs
 
 
 class TestCharCoeffs:
@@ -126,6 +142,27 @@ class TestResidual:
         for spec in [MinorSpec((1,), (1,), 2), MinorSpec((2,), (2,), 2)]:
             for j in range(min_k(spec), min_k(spec) + 3):
                 assert recurrence_residual(spec, j).is_zero
+
+    @pytest.mark.parametrize("band", range(1, 5))
+    def test_one_dict_sums_match_polynomial_arithmetic(self, band):
+        # the residuals accumulate every product in one term dict; here each
+        # Q_{b-m} * D_{m+j} is a MultiPoly product and the sum uses +
+        specs = [s for s in _all_specs(band) if s.band == band]
+        nonzero = 0
+        for spec in specs:
+            q = char_coeffs(spec.band, spec.c - spec.r).q_elementary
+            b = len(q) - 1
+            hi = min_k(spec) + 1
+            dets = leading_minors(build_minor_symbolic(spec, hi + b))
+            got = recurrence._residuals(spec, 0, hi)
+            for j, residual in enumerate(got):
+                expected = MultiPoly.zero(band)
+                for m in range(b + 1):
+                    expected = expected + q[b - m] * dets[m + j]
+                assert residual == expected, (spec, j)
+                assert 0 not in dict(residual.terms()).values(), (spec, j)
+                nonzero += not residual.is_zero
+        assert nonzero > 0  # below min_k the sums do not all cancel
 
     def test_negative_j_rejected(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,14 @@ class TestPartition:
         assert Partition((3, 1)) == (3, 1)
         assert Partition((3, 1)) == [3, 1]
         assert Partition(()) == ()
+        assert Partition((3, 1)) == (3, 1, 0)
+
+    def test_equality_with_a_non_partition_sequence_is_false(self):
+        assert not Partition((3, 1)) == (1, 3)
+        assert Partition((3, 1)) != (1, 3)
+        assert not Partition((3, 1)) == [3, -1]
+        assert Partition((3, 1)) != [3, -1]
+        assert not Partition(()) == (0, -2)
 
     def test_must_be_weakly_decreasing(self):
         with pytest.raises(ValueError):
