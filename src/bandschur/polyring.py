@@ -258,8 +258,8 @@ def sum_of_products(
 
     Every product is added into one term dict by _addmul, with the smaller
     factor outside, so no product is built as a polynomial of its own and
-    no partial sum is copied.  The result is a compact copy of that dict,
-    which keeps the slots of cancelled terms.
+    no partial sum is copied.  That dict keeps the slots of cancelled
+    terms, so the result holds a compact copy of it.
     """
     acc: dict[Monomial, int] = {}
     for a, b in pairs:
