@@ -645,6 +645,367 @@ class TestCompareCommand:
         )
 
 
+SCAN_FAILED = "error: 6 grid points did not converge\n"
+
+# (argv, exit code, stdout, stderr) of every layout a command prints from
+# a library result: limitset, eigs and compare in each --format, and
+# recurrence --format json.
+OUTPUT_GOLDENS = {
+    "limitset-csv": (
+        "limitset --symbol 1,0,1 --c 1 --grid=-1.5,1.5,-0.5,0.5,7,3 --tol"
+        " 0.6",
+        0,
+        """\
+re_v,im_v,gap
+-1.5,-0.5,0.5
+-1,-0.5,0.430383591642
+-0.5,-0.5,0.399378992595
+0,-0.5,0.390388203202
+0.5,-0.5,0.399378992595
+1,-0.5,0.430383591642
+1.5,-0.5,0.5
+-1.5,0,0
+-1,0,0
+-0.5,0,0
+0,0,0
+0.5,0,0
+1,0,0
+1.5,0,0
+-1.5,0.5,0.5
+-1,0.5,0.430383591642
+-0.5,0.5,0.399378992595
+0,0.5,0.390388203202
+0.5,0.5,0.399378992595
+1,0.5,0.430383591642
+1.5,0.5,0.5
+""",
+        "",
+    ),
+    "limitset-json": (
+        "limitset --symbol 1,0,1 --c 1 --grid=-1,1,-0.5,0.5,3,3 --tol 0.1"
+        " --format json",
+        0,
+        """\
+{
+  "symbol": [
+    "1",
+    "0",
+    "1"
+  ],
+  "c": 1,
+  "grid": {
+    "re_min": -1.0,
+    "re_max": 1.0,
+    "im_min": -0.5,
+    "im_max": 0.5,
+    "nx": 3,
+    "ny": 3
+  },
+  "tol": 0.1,
+  "hits": [
+    {
+      "re": -1.0,
+      "im": 0.0,
+      "gap": 0.0
+    },
+    {
+      "re": 0.0,
+      "im": 0.0,
+      "gap": 0.0
+    },
+    {
+      "re": 1.0,
+      "im": 0.0,
+      "gap": 0.0
+    }
+  ],
+  "failures": [],
+  "note": "hits mark curve-coincidence points of root moduli; isolated exceptional limit points are not detected"
+}
+""",
+        "",
+    ),
+    "limitset-text": (
+        "limitset --symbol 1,0,1 --c 1 --grid=-1,1,-0.5,0.5,3,3 --tol 0.1"
+        " --format text",
+        0,
+        """\
+hits: 3
+failures: 0
+note: hits mark curve-coincidence points of root moduli; isolated exceptional limit points are not detected
+""",
+        "",
+    ),
+    "limitset-fail-csv": (
+        "limitset --symbol 1,1e200,1 --c 1 --grid=-1,2e200,-1,1,3,3",
+        1,
+        """\
+re_v,im_v,gap
+1e+200,0,0
+""",
+        SCAN_FAILED,
+    ),
+    "limitset-fail-json": (
+        "limitset --symbol 1,1e200,1 --c 1 --grid=-1,2e200,-1,1,3,3"
+        " --format json",
+        1,
+        """\
+{
+  "symbol": [
+    "1",
+    "1e+200",
+    "1"
+  ],
+  "c": 1,
+  "grid": {
+    "re_min": -1.0,
+    "re_max": 2e+200,
+    "im_min": -1.0,
+    "im_max": 1.0,
+    "nx": 3,
+    "ny": 3
+  },
+  "tol": 0.01,
+  "hits": [
+    {
+      "re": 1e+200,
+      "im": 0.0,
+      "gap": 0.0
+    }
+  ],
+  "failures": [
+    {
+      "re": -1.0,
+      "im": -1.0,
+      "error": "no convergence after 200 sweeps"
+    },
+    {
+      "re": 2e+200,
+      "im": -1.0,
+      "error": "no convergence after 200 sweeps"
+    },
+    {
+      "re": -1.0,
+      "im": 0.0,
+      "error": "no convergence after 200 sweeps"
+    },
+    {
+      "re": 2e+200,
+      "im": 0.0,
+      "error": "no convergence after 200 sweeps"
+    },
+    {
+      "re": -1.0,
+      "im": 1.0,
+      "error": "no convergence after 200 sweeps"
+    },
+    {
+      "re": 2e+200,
+      "im": 1.0,
+      "error": "no convergence after 200 sweeps"
+    }
+  ],
+  "note": "hits mark curve-coincidence points of root moduli; isolated exceptional limit points are not detected"
+}
+""",
+        SCAN_FAILED,
+    ),
+    "limitset-fail-text": (
+        "limitset --symbol 1,1e200,1 --c 1 --grid=-1,2e200,-1,1,3,3"
+        " --format text",
+        1,
+        """\
+hits: 1
+failures: 6
+note: hits mark curve-coincidence points of root moduli; isolated exceptional limit points are not detected
+""",
+        SCAN_FAILED,
+    ),
+    "eigs-csv": (
+        "eigs --symbol 1,0.5-2i --k 3 --c 1",
+        0,
+        """\
+re,im
+0.5,-2
+0.5,-2
+0.5,-2
+""",
+        "",
+    ),
+    "eigs-json": (
+        "eigs --symbol 1,0.5-2i --k 3 --c 1 --format json",
+        0,
+        """\
+{
+  "alpha": [],
+  "beta": [
+    1
+  ],
+  "n": 1,
+  "k": 3,
+  "eigenvalues": [
+    {
+      "re": 0.5,
+      "im": -2.0
+    },
+    {
+      "re": 0.5,
+      "im": -2.0
+    },
+    {
+      "re": 0.5,
+      "im": -2.0
+    }
+  ]
+}
+""",
+        "",
+    ),
+    "eigs-text": (
+        "eigs --symbol 1,0.5-2i --k 3 --c 1 --format text",
+        0,
+        """\
+0.5-2i
+0.5-2i
+0.5-2i
+""",
+        "",
+    ),
+    "eigs-alpha-beta-json": (
+        "eigs --symbol 1,0,2 --k 3 --alpha 3 --beta 1,2 --format json",
+        0,
+        """\
+{
+  "alpha": [
+    3
+  ],
+  "beta": [
+    1,
+    2
+  ],
+  "n": 2,
+  "k": 3,
+  "eigenvalues": [
+    {
+      "re": 0.0,
+      "im": 0.0
+    },
+    {
+      "re": 2.0,
+      "im": 0.0
+    },
+    {
+      "re": 2.0,
+      "im": 0.0
+    }
+  ]
+}
+""",
+        "",
+    ),
+    "compare-json": (
+        "compare --symbol 1,2,1 --c 1 --k 1 --grid=0,4,0,0,3,1 --format"
+        " json",
+        0,
+        """\
+{
+  "k": 1,
+  "hit_count": 3,
+  "median_distance": 0.0,
+  "max_distance": 0.0
+}
+""",
+        "",
+    ),
+    "compare-text": (
+        "compare --symbol 1,2,1 --c 1 --k 1 --grid=0,4,0,0,3,1",
+        0,
+        """\
+k: 1
+hits: 3
+median-distance: 0
+max-distance: 0
+""",
+        "",
+    ),
+    "compare-fail-json": (
+        "compare --symbol 1,1e200,1 --c 1 --k 4 --grid=-1,2e200,-1,1,3,3"
+        " --format json",
+        1,
+        """\
+{
+  "k": 4,
+  "hit_count": 1,
+  "median_distance": 0.0,
+  "max_distance": 0.0
+}
+""",
+        SCAN_FAILED,
+    ),
+    "recurrence-json": (
+        "recurrence --alpha 2 --beta 1,3 --nvars 3 --jmax 4 --format json",
+        0,
+        """\
+{
+  "report": {
+    "spec": {
+      "alpha": [
+        2
+      ],
+      "beta": [
+        1,
+        3
+      ],
+      "n": 3
+    },
+    "b": 3,
+    "j_range": [
+      1,
+      4
+    ],
+    "all_zero": true,
+    "first_failure": null
+  },
+  "b": 3,
+  "residuals": [
+    {
+      "j": 0,
+      "zero": false
+    },
+    {
+      "j": 1,
+      "zero": true
+    },
+    {
+      "j": 2,
+      "zero": true
+    },
+    {
+      "j": 3,
+      "zero": true
+    },
+    {
+      "j": 4,
+      "zero": true
+    }
+  ]
+}
+""",
+        "",
+    ),
+}
+
+
+class TestOutputGoldens:
+    """Byte-exact output of each layout cli builds from a library result."""
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err", OUTPUT_GOLDENS.values(), ids=list(OUTPUT_GOLDENS)
+    )
+    def test_golden(self, capsys, argv, code, out, err):
+        assert run(capsys, argv.split()) == (code, out, err)
+
+
 LIMITSET_SEGMENT_ARGS = [
     "limitset", "--symbol", "1,0,1", "--c", "1",
     "--grid=-3,3,0,0,61,1", "--tol", "1e-6", "--format", "text",
