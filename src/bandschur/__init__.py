@@ -12,7 +12,6 @@ from .polyring import (
     expand_elementary,
 )
 from .recurrence import (
-    CharCoeffs,
     RecurrenceReport,
     char_coeffs,
     recurrence_residual,
@@ -37,7 +36,6 @@ from .spectra import (
     ComparisonResult,
     GridSpec,
     LimitSetReport,
-    SpectrumResult,
     finite_section_spectrum,
     limit_set_scan,
     poly_roots,
@@ -76,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandedSymbol",
-    "CharCoeffs",
     "ComparisonResult",
     "GridSpec",
     "InsertionSequence",
@@ -89,7 +86,6 @@ __all__ = [
     "RecurrenceReport",
     "SEPARATION",
     "SkewShape",
-    "SpectrumResult",
     "Tableau",
     "build_minor_numeric",
     "build_minor_symbolic",

@@ -1,5 +1,8 @@
 """Command-line front end with stable text, JSON, and CSV output.
 
+Every command's output layout is built here, from library results that
+hold only what they computed and from the flags the command was given.
+
 Exit codes: 0 on success, 2 on a validation error (malformed flag values,
 inconsistent dimensions), 1 on a computation failure (an identity that does
 not hold, a root beyond double range, unconverged scan points, an empty scan
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import dataclasses
 import functools
 import json
 import math
@@ -65,15 +69,19 @@ SCAN_TOL_HELP = (
     "below that noise"
 )
 
+SCAN_NOTE = (
+    "hits mark curve-coincidence points of root moduli; "
+    "isolated exceptional limit points are not detected"
+)
+
 DUAL_ROUTE_TOL = 1e-8
 GAP_CROSSCHECK_TOL = 1e-4
 
 # Which library operations each command drives; the test suite checks that
-# every public operation appears here and that every name resolves.
+# every public operation appears here, that every name resolves, and that
+# the command's README example enters each one.
 COMMAND_OPERATIONS = {
     "schur": (
-        "polyring.MultiPoly.__add__",
-        "polyring.MultiPoly.__mul__",
         "polyring.elementary_symmetric",
         "shapes.Partition.conjugate",
         "tableaux.schur_by_tableaux",
@@ -225,6 +233,14 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
+def _spec_json(spec: MinorSpec) -> dict:
+    return {
+        "alpha": list(spec.deleted_rows),
+        "beta": list(spec.deleted_cols),
+        "n": spec.band,
+    }
+
+
 def _run_schur(args) -> tuple[str, int, str | None]:
     nvars = _require_nvars(args.nvars)
     outer = _parse_partition_flag(args.outer, "--outer")
@@ -288,12 +304,7 @@ def _run_minor_det(args) -> tuple[str, int, str | None]:
         det_num = det_numeric(build_minor_numeric(sym, spec, args.k))
 
     code, err = 0, None
-    obj = {
-        "alpha": list(spec.deleted_rows),
-        "beta": list(spec.deleted_cols),
-        "n": band,
-        "k": args.k,
-    }
+    obj = {**_spec_json(spec), "k": args.k}
     lines = []
     if det_sym is not None and det_num is not None:
         # dual route: the exact polynomial is in e_1..e_n, and the symbol's
@@ -370,9 +381,7 @@ def _run_check_identity(args) -> tuple[str, int, str | None]:
         )
     good = ok_schur and step.ok
     obj = {
-        "alpha": list(spec.deleted_rows),
-        "beta": list(spec.deleted_cols),
-        "n": nvars,
+        **_spec_json(spec),
         "k": args.k,
         "min_k": kmin,
         "minor_vs_schur": ok_schur,
@@ -394,7 +403,13 @@ def _run_recurrence(args) -> tuple[str, int, str | None]:
 
     if args.format == "json":
         obj = {
-            "report": report.to_json_obj(),
+            "report": {
+                "spec": _spec_json(spec),
+                "b": report.b,
+                "j_range": [kmin, args.jmax],
+                "all_zero": report.all_zero,
+                "first_failure": report.first_failure,
+            },
             "b": report.b,
             "residuals": [
                 {"j": j, "zero": p.is_zero} for j, p in enumerate(report.residuals)
@@ -511,15 +526,33 @@ def _run_limitset(args) -> tuple[str, int, str | None]:
     report = limit_set_scan(sym, args.c, grid, args.tol)
     _crosscheck_hits(sym, args.c, report)
     if args.format == "json":
-        out = _dump_json(report.to_json_obj())
+        obj = {
+            "symbol": [format_complex(v) for v in sym.coeffs],
+            "c": args.c,
+            "grid": dataclasses.asdict(grid),
+            "tol": args.tol,
+            "hits": [
+                {"re": re_v, "im": im_v, "gap": gap}
+                for re_v, im_v, gap in report.hits
+            ],
+            "failures": [
+                {"re": re_v, "im": im_v, "error": msg}
+                for re_v, im_v, msg in report.failures
+            ],
+            "note": SCAN_NOTE,
+        }
+        out = _dump_json(obj)
     elif args.format == "csv":
-        out = report.to_csv()
+        rows = (
+            f"{re_v:.12g},{im_v:.12g},{gap:.12g}" for re_v, im_v, gap in report.hits
+        )
+        out = "\n".join(["re_v,im_v,gap", *rows])
     else:
         out = "\n".join(
             [
                 f"hits: {len(report.hits)}",
                 f"failures: {len(report.failures)}",
-                f"note: {report.note}",
+                f"note: {SCAN_NOTE}",
             ]
         )
     return out, *_scan_failure_status(len(report.failures))
@@ -537,13 +570,19 @@ def _run_eigs(args) -> tuple[str, int, str | None]:
         spec = MinorSpec((), tuple(range(1, args.c + 1)), sym.band)
     else:
         spec = _make_spec(args.alpha, args.beta, sym.band)
-    result = finite_section_spectrum(sym, spec, args.k)
+    eigs = finite_section_spectrum(sym, spec, args.k)
     if args.format == "json":
-        out = _dump_json(result.to_json_obj())
+        obj = {
+            **_spec_json(spec),
+            "k": args.k,
+            "eigenvalues": [{"re": z.real, "im": z.imag} for z in eigs],
+        }
+        out = _dump_json(obj)
     elif args.format == "csv":
-        out = result.to_csv()
+        rows = (f"{z.real:.12g},{z.imag:.12g}" for z in eigs)
+        out = "\n".join(["re,im", *rows])
     else:
-        out = "\n".join(format_complex(z) for z in result.eigenvalues)
+        out = "\n".join(format_complex(z) for z in eigs)
     return out, 0, None
 
 
@@ -559,11 +598,17 @@ def _run_compare(args) -> tuple[str, int, str | None]:
     _require_tol(args.tol)
     result = spectrum_vs_limitset(sym, args.c, args.k, grid, args.tol)
     if args.format == "json":
-        out = _dump_json(result.to_json_obj())
+        obj = {
+            "k": args.k,
+            "hit_count": result.hit_count,
+            "median_distance": result.median_distance,
+            "max_distance": result.max_distance,
+        }
+        out = _dump_json(obj)
     else:
         out = "\n".join(
             [
-                f"k: {result.k}",
+                f"k: {args.k}",
                 f"hits: {result.hit_count}",
                 f"median-distance: {result.median_distance:.12g}",
                 f"max-distance: {result.max_distance:.12g}",

@@ -33,6 +33,8 @@ Monomial = tuple[int, ...]
 
 FACTOR_CACHE_SIZE = 1024  # (variable, exponent) pairs whose text __str__ keeps
 PIERI_CACHE_SIZE = 4096  # (partition, d, n) steps whose products are kept
+ELEMENTARY_CACHE_SIZE = 128  # (d, n) with 0 <= d <= n: every degree to n = 14
+BASIS_CACHE_SIZE = 32  # variable counts whose elementary basis is kept
 
 
 class MultiPoly:
@@ -284,14 +286,20 @@ def _raw(nvars: int, terms: dict[Monomial, int]) -> MultiPoly:
     return p
 
 
-@lru_cache(maxsize=None)
 def elementary_symmetric(degree: int, nvars: int) -> MultiPoly:
     """e_degree(x1..xn): sum of all squarefree monomials of the given degree.
 
-    e_0 = 1; e_d = 0 for d < 0 or d > nvars.
+    e_0 = 1; e_d = 0 for d < 0 or d > nvars.  Every degree off 0..nvars
+    gets the one shared zero of elementary_variable and adds no cache entry.
     """
-    if degree < 0 or degree > nvars:
-        return MultiPoly.zero(nvars)
+    if 0 <= degree <= nvars:
+        return _squarefree_sum(degree, nvars)
+    return _elementary_basis(nvars)[-1]
+
+
+@lru_cache(maxsize=ELEMENTARY_CACHE_SIZE)
+def _squarefree_sum(degree: int, nvars: int) -> MultiPoly:
+    """e_degree(x1..xn) for 0 <= degree <= nvars."""
     if degree == 0:
         return MultiPoly.one(nvars)
     terms: dict[Monomial, int] = {}
@@ -313,7 +321,7 @@ def elementary_variable(degree: int, nvars: int) -> MultiPoly:
     return _elementary_basis(nvars)[degree if 0 <= degree <= nvars else -1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _elementary_basis(nvars: int) -> tuple[MultiPoly, ...]:
     """(1, y_1, ..., y_nvars, 0) in nvars variables."""
     ys = [MultiPoly.variable(nvars, d) for d in range(1, nvars + 1)]

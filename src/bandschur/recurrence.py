@@ -13,7 +13,8 @@ every smaller minor as a leading block, and the memoised char_coeffs
 reads each Q off the characteristic polynomial of an exterior power of a
 companion matrix, both in e_1..e_n.  A residual is zero in e exactly when
 it is zero in x.  recurrence_residual and RecurrenceReport.residuals hand
-out the e-form; polyring.expand_elementary gives the x-form.
+out the e-form; polyring.expand_elementary gives the x-form.  A report
+holds only what was checked; the recurrence command lays it out.
 """
 
 from __future__ import annotations
@@ -28,25 +29,15 @@ from .schur import PolyMatrix, leading_minors, symbolic_det
 from .shapes import MinorSpec, min_k
 from .toeplitz import build_minor_symbolic
 
-
-@dataclass(frozen=True)
-class CharCoeffs:
-    """Recurrence coefficients Q_0..Q_b in e_1..e_band for d = `extra`."""
-
-    band: int
-    extra: int
-    q_elementary: tuple[MultiPoly, ...] = field(repr=False)
-
-    @property
-    def order(self) -> int:
-        return len(self.q_elementary) - 1
+CHAR_COEFFS_CACHE_SIZE = 32  # (band, extra) pairs; a sweep of bands 3-4 uses < 10
 
 
-@lru_cache(maxsize=None)
-def char_coeffs(band: int, extra: int) -> CharCoeffs:
-    """Q from the characteristic polynomial of an exterior power, in e.
+@lru_cache(maxsize=CHAR_COEFFS_CACHE_SIZE)
+def char_coeffs(band: int, extra: int) -> tuple[MultiPoly, ...]:
+    """Recurrence coefficients Q_0..Q_b in e_1..e_band, for d = extra.
 
-    The companion matrix C of prod (u - x_i) has 1 on its subdiagonal and
+    Q is read off the characteristic polynomial of an exterior power.  The
+    companion matrix C of prod (u - x_i) has 1 on its subdiagonal and
     (-1)^(n-i+1) e_{n-i} in row i (from 0) of its last column.  Entry (I, J)
     of its extra-th exterior power A is the minor of C on rows I, columns
     J, and A has eigenvalues x_S, so det(t - A) = prod_S (t - x_S): one
@@ -82,7 +73,7 @@ def char_coeffs(band: int, extra: int) -> CharCoeffs:
     q = [{} for _ in range(b + 1)]  # term dicts of Q_0..Q_b
     for exps, coeff in symbolic_det(PolyMatrix(t_minus_a)):
         q[b - exps[band]][exps[:band]] = coeff
-    return CharCoeffs(band, extra, tuple(MultiPoly(band, terms) for terms in q))
+    return tuple(MultiPoly(band, terms) for terms in q)
 
 
 def recurrence_residual(spec: MinorSpec, j: int) -> MultiPoly:
@@ -104,7 +95,7 @@ def _residuals(spec: MinorSpec, lo: int, hi: int) -> tuple[MultiPoly, ...]:
     gives every determinant the window reads.  Each residual adds its
     b + 1 products into one term dict (polyring.sum_of_products).
     """
-    q = char_coeffs(spec.band, spec.c - spec.r).q_elementary
+    q = char_coeffs(spec.band, spec.c - spec.r)
     b = len(q) - 1
     dets = leading_minors(build_minor_symbolic(spec, hi + b))
     return tuple(
@@ -115,29 +106,12 @@ def _residuals(spec: MinorSpec, lo: int, hi: int) -> tuple[MultiPoly, ...]:
 
 @dataclass(frozen=True)
 class RecurrenceReport:
-    """Outcome of checking the recurrence over a j range."""
+    """Outcome of checking the recurrence for j = min_k..j_max."""
 
-    spec: MinorSpec
     b: int
-    j_lo: int
-    j_hi: int
     all_zero: bool
     first_failure: int | None
-    # j = 0..j_hi in e_1..e_n, not in JSON
-    residuals: tuple[MultiPoly, ...] = field(repr=False)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "spec": {
-                "alpha": list(self.spec.deleted_rows),
-                "beta": list(self.spec.deleted_cols),
-                "n": self.spec.band,
-            },
-            "b": self.b,
-            "j_range": [self.j_lo, self.j_hi],
-            "all_zero": self.all_zero,
-            "first_failure": self.first_failure,
-        }
+    residuals: tuple[MultiPoly, ...] = field(repr=False)  # j = 0..j_max, in e
 
 
 def verify_recurrence(spec: MinorSpec, j_max: int) -> RecurrenceReport:
@@ -148,10 +122,7 @@ def verify_recurrence(spec: MinorSpec, j_max: int) -> RecurrenceReport:
     residuals = _residuals(spec, 0, j_max)
     failures = [j for j in range(lo, j_max + 1) if not residuals[j].is_zero]
     return RecurrenceReport(
-        spec=spec,
         b=comb(spec.band, spec.c - spec.r),
-        j_lo=lo,
-        j_hi=j_max,
         all_zero=not failures,
         first_failure=failures[0] if failures else None,
         residuals=residuals,

@@ -6,7 +6,7 @@ smallest root moduli of z -> sum s_i z^i - v z^c coincide.  limit_set_scan
 walks a rectangular grid of v values and reports the points whose relative
 modulus gap falls below a tolerance.  Curve-coincidence points are all it
 detects; isolated exceptional eigenvalue limits, when the symbol has any,
-are out of scope and the reports say so.
+are out of scope (the limitset command says so in its output).
 
 The root moduli of every grid point come from one batched Aberth-Ehrlich
 call, _kernels.scan_moduli, which moves all roots of all points at once
@@ -15,26 +15,25 @@ of evaluating the polynomial there; there is no tolerance to set.
 poly_roots solves single polynomials as companion-matrix eigenvalues
 (LAPACK), a different algorithm, so checking the scan against it is an
 independent check.
+
+Results hold only what was computed: the hits and failures of a scan, the
+sorted eigenvalues of a minor, the distance statistics of a comparison.
+Their JSON, CSV and text layouts belong to cli.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .shapes import MinorSpec
-from .toeplitz import BandedSymbol, build_minor_numeric, format_complex
+from .toeplitz import BandedSymbol, build_minor_numeric
 
 MAX_SWEEPS = 200
-
-SCAN_NOTE = (
-    "hits mark curve-coincidence points of root moduli; "
-    "isolated exceptional limit points are not detected"
-)
 
 
 @functools.lru_cache(maxsize=64)
@@ -146,48 +145,13 @@ class GridSpec:
         dy = (self.im_max - self.im_min) / (self.ny - 1) if self.ny > 1 else 0.0
         return max(dx, dy)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "re_min": self.re_min, "re_max": self.re_max,
-            "im_min": self.im_min, "im_max": self.im_max,
-            "nx": self.nx, "ny": self.ny,
-        }
-
 
 @dataclass(frozen=True)
 class LimitSetReport:
     """Scan outcome: hit points in row-major grid order, plus failures."""
 
-    symbol: BandedSymbol
-    c: int
-    grid: GridSpec
-    tol: float
     hits: tuple[tuple[float, float, float], ...]  # (re, im, gap)
-    failures: tuple[tuple[float, float, str], ...]
-    note: str = SCAN_NOTE
-
-    def to_csv(self) -> str:
-        lines = ["re_v,im_v,gap"]
-        for re_v, im_v, gap in self.hits:
-            lines.append(f"{re_v:.12g},{im_v:.12g},{gap:.12g}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "symbol": [format_complex(v) for v in self.symbol.coeffs],
-            "c": self.c,
-            "grid": self.grid.to_json_obj(),
-            "tol": self.tol,
-            "hits": [
-                {"re": re_v, "im": im_v, "gap": gap}
-                for re_v, im_v, gap in self.hits
-            ],
-            "failures": [
-                {"re": re_v, "im": im_v, "error": msg}
-                for re_v, im_v, msg in self.failures
-            ],
-            "note": self.note,
-        }
+    failures: tuple[tuple[float, float, str], ...]  # (re, im, message)
 
 
 def limit_set_scan(
@@ -229,46 +193,18 @@ def limit_set_scan(
     )
     hit = ok & (gaps <= tol)
     hits = tuple(zip(vre[hit].tolist(), vim[hit].tolist(), gaps[hit].tolist()))
-    return LimitSetReport(
-        symbol=sym, c=c, grid=grid, tol=tol,
-        hits=hits, failures=failures,
-    )
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Eigenvalues of one finite minor, sorted by (real, imag)."""
-
-    spec: MinorSpec
-    k: int
-    eigenvalues: tuple[complex, ...]
-
-    def to_csv(self) -> str:
-        lines = ["re,im"]
-        for z in self.eigenvalues:
-            lines.append(f"{z.real:.12g},{z.imag:.12g}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "alpha": list(self.spec.deleted_rows),
-            "beta": list(self.spec.deleted_cols),
-            "n": self.spec.band,
-            "k": self.k,
-            "eigenvalues": [
-                {"re": z.real, "im": z.imag} for z in self.eigenvalues
-            ],
-        }
+    return LimitSetReport(hits=hits, failures=failures)
 
 
 def finite_section_spectrum(
     sym: BandedSymbol, spec: MinorSpec, k: int
-) -> SpectrumResult:
-    """Eigenvalues of the k x k minor (dense Hessenberg + shifted QR).
+) -> tuple[complex, ...]:
+    """Eigenvalues of the k x k minor, sorted by (real, imag).
 
-    When no rows are deleted and the deleted columns are exactly 1..c,
-    the minor has constant diagonal s_c; that is asserted on the built
-    matrix as a structural invariant.
+    Dense Hessenberg reduction and shifted QR (LAPACK).  When no rows are
+    deleted and the deleted columns are exactly 1..c, the minor has
+    constant diagonal s_c; that is asserted on the built matrix as a
+    structural invariant.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -279,10 +215,7 @@ def finite_section_spectrum(
         assert np.all(diag == sym.coeffs[c]), "contiguous minor lost its diagonal"
     eigs = np.linalg.eigvals(matrix)
     order = np.lexsort((eigs.imag, eigs.real))
-    eigs = eigs[order]
-    return SpectrumResult(
-        spec=spec, k=k, eigenvalues=tuple(complex(z) for z in eigs)
-    )
+    return tuple(complex(z) for z in eigs[order])
 
 
 @dataclass(frozen=True)
@@ -293,20 +226,10 @@ class ComparisonResult:
     converge; those points are neither hits nor misses.
     """
 
-    k: int
     hit_count: int
     median_distance: float
     max_distance: float
     failure_count: int
-    distances: tuple[float, ...] = field(repr=False)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "k": self.k,
-            "hit_count": self.hit_count,
-            "median_distance": self.median_distance,
-            "max_distance": self.max_distance,
-        }
 
 
 def spectrum_vs_limitset(
@@ -325,16 +248,13 @@ def spectrum_vs_limitset(
     if not report.hits:
         raise ValueError("empty hit set: enlarge the grid or tolerance")
     spec = MinorSpec((), tuple(range(1, c + 1)), sym.band)
-    spectrum = finite_section_spectrum(sym, spec, k)
+    eigs = np.array(finite_section_spectrum(sym, spec, k))
     hits = np.array(report.hits)
     hit_pts = hits[:, 0] + 1j * hits[:, 1]
-    eigs = np.array(spectrum.eigenvalues)
     dists = np.abs(eigs[:, None] - hit_pts[None, :]).min(axis=1)
     return ComparisonResult(
-        k=k,
         hit_count=len(report.hits),
         median_distance=float(np.median(dists)),
         max_distance=float(dists.max()),
-        distances=tuple(dists.tolist()),
         failure_count=len(report.failures),
     )

@@ -156,13 +156,6 @@ class Tableau:
         """Multiplicity vector: how many times each of 1..nmax appears."""
         return _content(self.rows, self.nmax)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "outer": list(self.shape.outer.parts),
-            "inner": list(self.shape.inner.parts),
-            "rows": [list(row) for row in self.rows],
-        }
-
 
 def _fill(tab: Tableau, shape: SkewShape, rows, nmax: int) -> None:
     object.__setattr__(tab, "shape", shape)

@@ -3,13 +3,19 @@
 import argparse
 import errno
 import importlib
+import inspect
 import json
 import os
+import pkgutil
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bandschur
 from bandschur import cli, recurrence, spectra, tableaux
 from bandschur.cli import COMMAND_OPERATIONS, build_parser, main
 from bandschur.shapes import Partition, SkewShape
@@ -19,6 +25,27 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _readme_examples() -> dict[str, list[str]]:
+    """The argv of the README's example of each command, keyed by command."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("bandschur ")]
+    return {argv[0]: argv for argv in (shlex.split(line)[1:] for line in lines)}
+
+
+def _caches():
+    """Every lru_cache defined in a bandschur module, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(bandschur.__path__):
+        if info.name.startswith("__"):  # __main__ runs the CLI on import
+            continue
+        module = importlib.import_module(f"bandschur.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                found[f"{info.name}.{name}"] = obj
+    return found
 
 
 SCHUR_GOLDEN = (
@@ -1140,10 +1167,29 @@ class TestHarness:
             second = run(capsys, list(argv))
             assert first == second
 
-    def test_operation_coverage_map_is_accurate(self):
-        # Every advertised operation must resolve to a real attribute.
+    def test_operation_coverage_map_is_accurate(self, capsys):
+        # Every advertised operation must resolve to a real attribute, and
+        # the README example of its command must enter it.
+        examples = _readme_examples()
+        # check-identity expands its residual to x only when the minor and
+        # the Schur polynomial differ, a path the README example never takes
+        failure_path_only = {("check-identity", "polyring.expand_elementary")}
         seen = set()
         for command, operations in COMMAND_OPERATIONS.items():
+            for cache in _caches().values():
+                cache.cache_clear()  # a cache hit never enters the function
+            entered = set()
+
+            def record(frame, event, arg):
+                if event == "call":
+                    entered.add(frame.f_code)
+
+            sys.setprofile(record)
+            try:
+                assert main(examples[command]) == 0, command
+            finally:
+                sys.setprofile(None)
+            capsys.readouterr()
             for dotted in operations:
                 seen.add(dotted)
                 module_name, *attrs = dotted.split(".")
@@ -1151,6 +1197,8 @@ class TestHarness:
                 for attr in attrs:
                     obj = getattr(obj, attr)
                 assert callable(obj), dotted
+                if (command, dotted) not in failure_path_only:
+                    assert inspect.unwrap(obj).__code__ in entered, (command, dotted)
         required = {
             "tableaux.schur_by_tableaux",
             "schur.schur_jacobi_trudi",
@@ -1173,6 +1221,14 @@ class TestHarness:
             "spectra.spectrum_vs_limitset",
         }
         assert required <= seen
+
+    def test_every_cache_is_bounded(self):
+        caches = _caches()
+        assert "recurrence.char_coeffs" in caches
+        for name, cache in caches.items():
+            if name == "cli.build_parser":  # no arguments, so one entry
+                continue
+            assert cache.cache_info().maxsize is not None, name
 
 
 EIGS_JSON_GOLDEN = """{

@@ -122,6 +122,14 @@ class TestElementarySymmetric:
     def test_cached(self):
         assert elementary_symmetric(2, 3) is elementary_symmetric(2, 3)
 
+    def test_off_range_degrees_add_no_cache_entry(self):
+        caches = [f for f in vars(polyring).values() if hasattr(f, "cache_info")]
+        zero = elementary_symmetric(-1, 3)
+        sizes = [f.cache_info().currsize for f in caches]
+        for d in (*range(-1000, 0), *range(4, 1010)):
+            assert elementary_symmetric(d, 3) is zero
+        assert [f.cache_info().currsize for f in caches] == sizes
+
     def test_generating_product(self):
         # prod_i (1 + x_i t) expanded at t = 1 equals sum of all e_d.
         nvars = 3
@@ -162,7 +170,7 @@ class TestElementaryBasis:
     def test_recurrence_coefficients_round_trip(self, band, vieta_x_coeffs):
         # built in e, they expand to the coefficients multiplied out in x
         for extra in range(band + 1):
-            q_e = char_coeffs(band, extra).q_elementary
+            q_e = char_coeffs(band, extra)
             assert list(map(expand_elementary, q_e)) == vieta_x_coeffs(band, extra)
 
 
