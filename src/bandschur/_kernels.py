@@ -12,9 +12,15 @@ rounding floor of evaluating p there and that floor is finite.  The floor
 bounds the rounding error of Horner's rule at z_i, so a residual under it
 cannot be told from zero; it is built from the terms that meet at z_i, so
 a coefficient that dwarfs them does not loosen it.
+
+numpy is imported on the first scan, not with this module: np comes from
+_numpy, and EPS is sys.float_info.epsilon, which equals
+np.finfo(np.float64).eps.
 """
 
-import numpy as np
+import sys
+
+from ._numpy import np
 
 # No compiled path exists; the constant remains because benchmark reports read it.
 JIT_ENABLED = False
@@ -23,7 +29,7 @@ JIT_ENABLED = False
 # (Higham, Accuracy and Stability of Numerical Algorithms, sec. 5.1); the
 # margin covers complex arithmetic and the rounding of z itself.
 FLOOR_ULPS = 4.0
-EPS = np.finfo(np.float64).eps
+EPS = sys.float_info.epsilon
 
 
 def _floor_coeffs(abs_coeffs, deg):

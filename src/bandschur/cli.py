@@ -133,8 +133,9 @@ COMMAND_OPERATIONS = {
         "toeplitz.build_minor_numeric",
     ),
     "compare": (
-        "spectra.spectrum_vs_limitset",
         "spectra.limit_set_scan",
+        "spectra.root_modulus_profile",
+        "spectra.spectrum_vs_limitset",
         "spectra.finite_section_spectrum",
     ),
 }
@@ -493,7 +494,10 @@ def _run_widom(args) -> tuple[str, int, str | None]:
 
 
 def _crosscheck_hits(sym: BandedSymbol, c: int, report) -> None:
-    """Recompute a few hit gaps through the one-point profile route."""
+    """Recompute a few hit gaps through the one-point profile route.
+
+    limitset and compare both run it on their scan before using the hits.
+    """
     hits = report.hits
     if not hits:
         return
@@ -596,7 +600,9 @@ def _run_compare(args) -> tuple[str, int, str | None]:
         raise UsageError(f"--k must be >= 1, got {args.k}")
     grid = _parse_grid_flag(args.grid)
     _require_tol(args.tol)
-    result = spectrum_vs_limitset(sym, args.c, args.k, grid, args.tol)
+    report = limit_set_scan(sym, args.c, grid, args.tol)
+    _crosscheck_hits(sym, args.c, report)
+    result = spectrum_vs_limitset(sym, args.c, args.k, report)
     if args.format == "json":
         obj = {
             "k": args.k,

@@ -19,6 +19,9 @@ independent check.
 Results hold only what was computed: the hits and failures of a scan, the
 sorted eigenvalues of a minor, the distance statistics of a comparison.
 Their JSON, CSV and text layouts belong to cli.
+
+numpy is imported on the first numeric step, not with this module: np
+comes from _numpy, and nothing here reads it at import time.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels
+from ._numpy import np
 from .shapes import MinorSpec
 from .toeplitz import BandedSymbol, build_minor_numeric
 
@@ -233,18 +235,15 @@ class ComparisonResult:
 
 
 def spectrum_vs_limitset(
-    sym: BandedSymbol,
-    c: int,
-    k: int,
-    grid: GridSpec,
-    tol: float,
+    sym: BandedSymbol, c: int, k: int, report: LimitSetReport
 ) -> ComparisonResult:
-    """Distance statistics from minor eigenvalues to scan hits.
+    """Distance statistics from minor eigenvalues to the hits of a scan.
 
-    Uses the contiguous minor (first c columns deleted).  An empty hit set
-    is an error: the scan grid or tolerance does not see the limit set.
+    report is limit_set_scan's outcome for the same sym and c; the caller
+    runs the scan, so it can check the hits before they are used.  Uses
+    the contiguous minor (first c columns deleted).  An empty hit set is
+    an error: the scan grid or tolerance does not see the limit set.
     """
-    report = limit_set_scan(sym, c, grid, tol)
     if not report.hits:
         raise ValueError("empty hit set: enlarge the grid or tolerance")
     spec = MinorSpec((), tuple(range(1, c + 1)), sym.band)

@@ -11,6 +11,10 @@ Symbolic minors are built and kept in the elementary basis: s_d is the
 variable y_d = e_d (see polyring), so minor_det_symbolic and the
 verify_minor_schur residual are polynomials in e_1..e_band.  Callers that
 print or compare in x_1..x_band apply polyring.expand_elementary.
+
+numpy is imported on the first numeric step (build_minor_numeric,
+det_numeric), not with this module: np comes from _numpy, so the symbolic
+builders and verify_minor_schur run without it.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from __future__ import annotations
 import cmath
 from functools import lru_cache
 
-import numpy as np
-
+from ._numpy import np
 from .polyring import MultiPoly, elementary_variable
 from .schur import PolyMatrix, jacobi_trudi_matrix, symbolic_det
 from .shapes import MinorSpec, min_k, shape_from_minor, surviving

@@ -449,6 +449,18 @@ class TestWidomCommand:
         assert code == 0 and "--tol" not in out and "1e-08" in out
 
 
+def _skew_scan_kernel(monkeypatch):
+    """Make the scan kernel scale the c-th smallest modulus by 1 + 1e-3."""
+    scan_moduli = spectra._kernels.scan_moduli
+
+    def skewed(base, c_index, *args):
+        moduli, ok = scan_moduli(base, c_index, *args)
+        moduli[:, c_index - 1] *= 1 + 1e-3
+        return moduli, ok
+
+    monkeypatch.setattr(spectra._kernels, "scan_moduli", skewed)
+
+
 class TestLimitsetCommand:
     ARGS = [
         "limitset", "--symbol", "1,0,1", "--c", "1",
@@ -535,14 +547,7 @@ class TestLimitsetCommand:
     def test_wrong_scan_fails_the_crosscheck(self, capsys, monkeypatch):
         # the companion-matrix profile of a few hits catches a scan kernel
         # whose c-th modulus is off by 1e-3 relative
-        scan_moduli = spectra._kernels.scan_moduli
-
-        def skewed(base, c_index, *args):
-            moduli, ok = scan_moduli(base, c_index, *args)
-            moduli[:, c_index - 1] *= 1 + 1e-3
-            return moduli, ok
-
-        monkeypatch.setattr(spectra._kernels, "scan_moduli", skewed)
+        _skew_scan_kernel(monkeypatch)
         code, out, err = run(capsys, self.ARGS)
         assert (code, out) == (1, "")
         assert err.startswith("error: scan gap ")
@@ -652,6 +657,21 @@ class TestCompareCommand:
             "max-distance: 0\n"
         )
         assert err == "error: 6 grid points did not converge\n"
+
+    def test_wrong_scan_fails_the_crosscheck(self, capsys, monkeypatch):
+        # compare spot-checks the hits of its scan as limitset does, before
+        # it measures distances to them
+        _skew_scan_kernel(monkeypatch)
+        code, out, err = run(
+            capsys,
+            [
+                "compare", "--symbol", "1,0,1", "--c", "1", "--k", "10",
+                "--grid=-3,3,-1,1,121,41",
+            ],
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: scan gap ")
+        assert "disagrees with direct profile" in err
 
     def test_large_roots_converge(self, capsys):
         # The 61-point rows hit v = 1e6, where the limit set crosses the

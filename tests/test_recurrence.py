@@ -203,3 +203,46 @@ class TestVerifyRecurrence:
         for spec in specs:
             report = verify_recurrence(spec, min_k(spec) + 2)
             assert report.all_zero, f"failed for {spec}"
+
+
+class TestThreshold:
+    """Where the recurrence starts to hold, against min_k.
+
+    The paper says only "for k sufficiently large".  Over every spec of
+    bands 1-4 that deletes something, with indices in 1..4, min_k is the
+    first j from which the residuals vanish when c > r, and it can be
+    conservative when c = r, where consecutive determinants may be equal
+    sooner.
+    """
+
+    SPECS = [spec for spec in _all_specs(4) if spec.c > 0]
+
+    @staticmethod
+    def _first_zero(residuals) -> int:
+        """Smallest j from which every residual of the tuple is zero."""
+        j = len(residuals)
+        while j and residuals[j - 1].is_zero:
+            j -= 1
+        return j
+
+    def test_min_k_is_sharp_when_c_exceeds_r(self):
+        specs = [spec for spec in self.SPECS if spec.c > spec.r]
+        assert len(specs) == 187
+        for spec in specs:
+            report = verify_recurrence(spec, min_k(spec) + 1)
+            assert report.all_zero, spec
+            assert self._first_zero(report.residuals) == min_k(spec), spec
+
+    def test_min_k_can_be_conservative_when_c_equals_r(self):
+        spec = MinorSpec((4,), (4,), 1)
+        assert min_k(spec) == 3
+        report = verify_recurrence(spec, 4)
+        assert self._first_zero(report.residuals) == 0
+        specs = [spec for spec in self.SPECS if spec.c == spec.r]
+        assert len(specs) == 121
+        early = 0
+        for spec in specs:
+            report = verify_recurrence(spec, min_k(spec) + 1)
+            assert report.all_zero, spec
+            early += self._first_zero(report.residuals) < min_k(spec)
+        assert early == 36

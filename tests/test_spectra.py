@@ -293,7 +293,8 @@ class TestFiniteSectionSpectrum:
 class TestSpectrumVsLimitSet:
     def test_eigenvalues_land_near_hits(self):
         grid = GridSpec.parse("-3,3,-1,1,121,41")
-        result = spectrum_vs_limitset(TRIDIAG, 1, 8, grid, tol=1e-2)
+        report = limit_set_scan(TRIDIAG, 1, grid, tol=1e-2)
+        result = spectrum_vs_limitset(TRIDIAG, 1, 8, report)
         assert isinstance(result, ComparisonResult)
         assert result.hit_count > 0
         assert result.median_distance <= grid.pitch()
@@ -302,7 +303,7 @@ class TestSpectrumVsLimitSet:
     def test_empty_hit_set_is_an_error(self):
         grid = GridSpec.parse("5,6,1,2,3,3")
         with pytest.raises(ValueError, match="empty hit set"):
-            spectrum_vs_limitset(TRIDIAG, 1, 4, grid, tol=1e-3)
+            spectrum_vs_limitset(TRIDIAG, 1, 4, limit_set_scan(TRIDIAG, 1, grid, 1e-3))
 
 
 def _grid_points(grid):
