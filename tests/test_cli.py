@@ -1343,3 +1343,484 @@ class TestSharedParser:
         assert narrow[1] != wide[1]
         assert max(map(len, narrow[1].splitlines())) <= 60
         assert max(map(len, wide[1].splitlines())) > 60
+
+
+# (argv, stderr) of inputs that break exactly one usage rule, for every
+# rule of every command; each exits 2 and prints nothing on stdout.
+# argparse wraps its usage lines to COLUMNS, which the test sets to 80.
+USAGE_ERRORS = {
+    "schur-nvars": (
+        "schur --outer 2 --nvars 0",
+        "error: --nvars must be >= 1, got 0\n",
+    ),
+    "schur-outer-token": (
+        "schur --outer 2,x --nvars 2",
+        (
+            "error: --outer: bad partition '2,x': invalid literal for "
+            "int() with base 10: 'x'\n"
+        ),
+    ),
+    "schur-outer-order": (
+        "schur --outer 1,2 --nvars 2",
+        "error: --outer: not weakly decreasing: (1, 2)\n",
+    ),
+    "schur-outer-negative": (
+        "schur --outer=2,-1 --nvars 2",
+        "error: --outer: negative part in (2, -1)\n",
+    ),
+    "schur-inner-token": (
+        "schur --outer 2 --inner x --nvars 2",
+        (
+            "error: --inner: bad partition 'x': invalid literal for "
+            "int() with base 10: 'x'\n"
+        ),
+    ),
+    "schur-inner-fits": (
+        "schur --outer 1 --inner 2 --nvars 2",
+        "error: inner 2 not contained in outer 1\n",
+    ),
+    "minor-det-route": (
+        "minor-det --beta 1 --k 2",
+        "error: give --nvars (symbolic), --symbol (numeric), or both\n",
+    ),
+    "minor-det-k": (
+        "minor-det --beta 1 --k -1 --nvars 2",
+        "error: --k must be >= 0, got -1\n",
+    ),
+    "minor-det-nvars": (
+        "minor-det --beta 1 --k 2 --nvars 0",
+        "error: --nvars must be >= 1, got 0\n",
+    ),
+    "minor-det-symbol-token": (
+        "minor-det --beta 1 --k 2 --symbol 1,x",
+        "error: --symbol: bad complex token 'x'\n",
+    ),
+    "minor-det-symbol-finite": (
+        "minor-det --beta 1 --k 2 --symbol 1,inf",
+        "error: --symbol: coefficients must be finite\n",
+    ),
+    "minor-det-symbol-short": (
+        "minor-det --beta 1 --k 2 --symbol 1",
+        "error: --symbol: symbol needs at least s_0, s_1\n",
+    ),
+    "minor-det-band-match": (
+        "minor-det --beta 1 --k 2 --nvars 3 --symbol 1,3,2",
+        "error: --nvars 3 does not match --symbol band 2\n",
+    ),
+    "minor-det-alpha-token": (
+        "minor-det --alpha x --beta 1 --k 2 --nvars 2",
+        "error: --alpha: bad index 'x'\n",
+    ),
+    "minor-det-beta-token": (
+        "minor-det --beta 1,x --k 2 --nvars 2",
+        "error: --beta: bad index 'x'\n",
+    ),
+    "minor-det-beta-positive": (
+        "minor-det --beta 0 --k 2 --nvars 2",
+        "error: deleted_cols must be positive: (0,)\n",
+    ),
+    "minor-det-beta-increasing": (
+        "minor-det --beta 2,1 --k 2 --nvars 2",
+        "error: deleted_cols must be strictly increasing: (2, 1)\n",
+    ),
+    "minor-det-rows-over-cols": (
+        "minor-det --alpha 1 --k 2 --nvars 2",
+        (
+            "error: need len(deleted_rows) <= len(deleted_cols) <= "
+            "band, got 1 <= 0 <= 2\n"
+        ),
+    ),
+    "minor-det-cols-over-band": (
+        "minor-det --beta 1,2,3 --k 2 --nvars 2",
+        (
+            "error: need len(deleted_rows) <= len(deleted_cols) <= "
+            "band, got 0 <= 3 <= 2\n"
+        ),
+    ),
+    "minor-det-row-below-col": (
+        "minor-det --alpha 1 --beta 2 --k 2 --nvars 2",
+        "error: deleted_rows[0] = 1 < deleted_cols[0] = 2\n",
+    ),
+    "check-identity-nvars": (
+        "check-identity --beta 1 --nvars 0 --k 2",
+        "error: --nvars must be >= 1, got 0\n",
+    ),
+    "check-identity-beta-token": (
+        "check-identity --beta x --nvars 3 --k 1",
+        "error: --beta: bad index 'x'\n",
+    ),
+    "check-identity-spec": (
+        "check-identity --beta 1,1 --nvars 3 --k 1",
+        "error: deleted_cols must be strictly increasing: (1, 1)\n",
+    ),
+    "check-identity-min-k": (
+        "check-identity --beta 3 --nvars 3 --k 1",
+        "error: --k must be >= min_k = 2 for this spec\n",
+    ),
+    "recurrence-nvars": (
+        "recurrence --beta 1 --nvars 0 --jmax 2",
+        "error: --nvars must be >= 1, got 0\n",
+    ),
+    "recurrence-spec": (
+        "recurrence --alpha 2 --nvars 3 --jmax 3",
+        (
+            "error: need len(deleted_rows) <= len(deleted_cols) <= "
+            "band, got 1 <= 0 <= 3\n"
+        ),
+    ),
+    "recurrence-min-k": (
+        "recurrence --beta 3 --nvars 3 --jmax 1",
+        "error: --jmax must be >= min_k = 2 for this spec\n",
+    ),
+    "widom-symbol-token": (
+        "widom --symbol 1,x --c 1 --k 2",
+        "error: --symbol: bad complex token 'x'\n",
+    ),
+    "widom-c-high": (
+        "widom --symbol 1,3,2 --c 3 --k 2",
+        "error: --c must be in 0..2, got 3\n",
+    ),
+    "widom-c-low": (
+        "widom --symbol 1,3,2 --c -1 --k 2",
+        "error: --c must be in 0..2, got -1\n",
+    ),
+    "widom-k": (
+        "widom --symbol 1,3,2 --c 1 --k -1",
+        "error: --k must be >= 0, got -1\n",
+    ),
+    "widom-top-coefficient": (
+        "widom --symbol 1,3,0 --c 1 --k 2",
+        "error: --symbol: top coefficient s_n must be nonzero\n",
+    ),
+    "limitset-symbol-token": (
+        "limitset --symbol 1,x --c 1 --grid=-1,1,-1,1,3,3",
+        "error: --symbol: bad complex token 'x'\n",
+    ),
+    "limitset-c-high": (
+        "limitset --symbol 1,0,1 --c 2 --grid=-1,1,-1,1,3,3",
+        "error: --c must be in 1..1, got 2\n",
+    ),
+    "limitset-c-low": (
+        "limitset --symbol 1,0,1 --c 0 --grid=-1,1,-1,1,3,3",
+        "error: --c must be in 1..1, got 0\n",
+    ),
+    "limitset-top-coefficient": (
+        "limitset --symbol 1,0,0 --c 1 --grid=-1,1,-1,1,3,3",
+        "error: --symbol: top coefficient s_n must be nonzero\n",
+    ),
+    "limitset-grid-count": (
+        "limitset --symbol 1,0,1 --c 1 --grid 1,2",
+        (
+            "error: --grid: grid wants "
+            "re_min,re_max,im_min,im_max,nx,ny, got '1,2'\n"
+        ),
+    ),
+    "limitset-grid-token": (
+        "limitset --symbol 1,0,1 --c 1 --grid 1,2,3,4,x,1",
+        (
+            "error: --grid: bad grid '1,2,3,4,x,1': invalid literal "
+            "for int() with base 10: 'x'\n"
+        ),
+    ),
+    "limitset-grid-finite": (
+        "limitset --symbol 1,0,1 --c 1 --grid 0,1,0,inf,3,3",
+        (
+            "error: --grid: bad grid '0,1,0,inf,3,3': grid bounds must "
+            "be finite\n"
+        ),
+    ),
+    "limitset-grid-size": (
+        "limitset --symbol 1,0,1 --c 1 --grid 0,1,0,1,0,3",
+        (
+            "error: --grid: bad grid '0,1,0,1,0,3': grid needs nx, ny "
+            ">= 1, got 0, 3\n"
+        ),
+    ),
+    "limitset-grid-order": (
+        "limitset --symbol 1,0,1 --c 1 --grid 1,0,0,1,3,3",
+        (
+            "error: --grid: bad grid '1,0,0,1,3,3': grid ranges must "
+            "satisfy max >= min\n"
+        ),
+    ),
+    "limitset-tol-negative": (
+        "limitset --symbol 1,0,1 --c 1 --grid=-1,1,-1,1,3,3 --tol -1",
+        "error: --tol must be >= 0, got -1.0\n",
+    ),
+    "limitset-tol-nan": (
+        "limitset --symbol 1,0,1 --c 1 --grid=-1,1,-1,1,3,3 --tol nan",
+        "error: --tol must be finite, got nan\n",
+    ),
+    "limitset-tol-inf": (
+        "limitset --symbol 1,0,1 --c 1 --grid=-1,1,-1,1,3,3 --tol inf",
+        "error: --tol must be finite, got inf\n",
+    ),
+    "limitset-grid-missing": (
+        "limitset --symbol 1,0,1 --c 1",
+        (
+            "usage: bandschur limitset [-h] --symbol SYMBOL --c C "
+            "--grid GRID [--tol TOL]\n"
+            "                          [--format {csv,json,text}]\n"
+            "bandschur limitset: error: the following arguments are "
+            "required: --grid\n"
+        ),
+    ),
+    "eigs-symbol-token": (
+        "eigs --symbol 1,x --k 2",
+        "error: --symbol: bad complex token 'x'\n",
+    ),
+    "eigs-k": (
+        "eigs --symbol 1,2 --k 0",
+        "error: --k must be >= 1, got 0\n",
+    ),
+    "eigs-c-and-beta": (
+        "eigs --symbol 1,2 --k 2 --c 1 --beta 1",
+        "error: give either --c or --alpha/--beta, not both\n",
+    ),
+    "eigs-c-and-alpha": (
+        "eigs --symbol 1,2 --k 2 --c 1 --alpha 1",
+        "error: give either --c or --alpha/--beta, not both\n",
+    ),
+    "eigs-c-high": (
+        "eigs --symbol 1,2 --k 2 --c 2",
+        "error: --c must be in 1..1, got 2\n",
+    ),
+    "eigs-c-low": (
+        "eigs --symbol 1,2 --k 2 --c 0",
+        "error: --c must be in 1..1, got 0\n",
+    ),
+    "eigs-spec": (
+        "eigs --symbol 1,2 --k 2 --beta 0",
+        "error: deleted_cols must be positive: (0,)\n",
+    ),
+    "compare-symbol-token": (
+        "compare --symbol 1,x --c 1 --k 10 --grid=-1,1,-1,1,3,3",
+        "error: --symbol: bad complex token 'x'\n",
+    ),
+    "compare-c-high": (
+        "compare --symbol 1,0,1 --c 2 --k 10 --grid=-1,1,-1,1,3,3",
+        "error: --c must be in 1..1, got 2\n",
+    ),
+    "compare-c-low": (
+        "compare --symbol 1,0,1 --c 0 --k 10 --grid=-1,1,-1,1,3,3",
+        "error: --c must be in 1..1, got 0\n",
+    ),
+    "compare-top-coefficient": (
+        "compare --symbol 1,0,0 --c 1 --k 10 --grid=-1,1,-1,1,3,3",
+        "error: --symbol: top coefficient s_n must be nonzero\n",
+    ),
+    "compare-k": (
+        "compare --symbol 1,0,1 --c 1 --k 0 --grid=-1,1,-1,1,3,3",
+        "error: --k must be >= 1, got 0\n",
+    ),
+    "compare-grid-count": (
+        "compare --symbol 1,0,1 --c 1 --k 10 --grid 1,2",
+        (
+            "error: --grid: grid wants "
+            "re_min,re_max,im_min,im_max,nx,ny, got '1,2'\n"
+        ),
+    ),
+    "compare-grid-size": (
+        "compare --symbol 1,0,1 --c 1 --k 10 --grid 0,1,0,1,1,0",
+        (
+            "error: --grid: bad grid '0,1,0,1,1,0': grid needs nx, ny "
+            ">= 1, got 1, 0\n"
+        ),
+    ),
+    "compare-tol-negative": (
+        "compare --symbol 1,0,1 --c 1 --k 10 --grid=-1,1,-1,1,3,3 --tol -1",
+        "error: --tol must be >= 0, got -1.0\n",
+    ),
+    "compare-tol-nan": (
+        "compare --symbol 1,0,1 --c 1 --k 10 --grid=-1,1,-1,1,3,3 --tol nan",
+        "error: --tol must be finite, got nan\n",
+    ),
+    "compare-grid-missing": (
+        "compare --symbol 1,0,1 --c 1 --k 10",
+        (
+            "usage: bandschur compare [-h] --symbol SYMBOL --c C --k K "
+            "--grid GRID\n"
+            "                         [--tol TOL] [--format {text,json}]\n"
+            "bandschur compare: error: the following arguments are "
+            "required: --grid\n"
+        ),
+    ),
+}
+
+
+class TestUsageErrors:
+    """Byte-exact exit code, stdout and stderr of each usage error."""
+
+    @pytest.mark.parametrize(
+        "argv, err", USAGE_ERRORS.values(), ids=list(USAGE_ERRORS)
+    )
+    def test_usage_error(self, capsys, monkeypatch, argv, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, shlex.split(argv)) == (2, "", err)
+
+
+# Each command's --help, and the top-level one, at COLUMNS=80.
+HELP_GOLDENS = {
+    "bandschur": """\
+usage: bandschur [-h] command ...
+
+Minors of banded Toeplitz matrices as skew Schur polynomials: exact
+identities, determinant recurrences, Widom-style evaluation, and eigenvalue
+limit-set scans.
+
+positional arguments:
+  command
+    schur         skew Schur polynomial by both engines
+    minor-det     determinant of a deleted-row/column leading minor (symbolic
+                  with --nvars, numeric with --symbol, both cross-checked)
+    check-identity
+                  verify minor determinant = skew Schur polynomial and the
+                  one-step insertion correspondence at size k
+    recurrence    residuals of the minor determinant linear recurrence
+    widom         evaluate the minor determinant four ways from a numeric
+                  symbol
+    limitset      scan a grid for eigenvalue limit-set points of a banded
+                  symbol
+    eigs          eigenvalues of a finite minor of the banded matrix
+    compare       distance from finite-minor eigenvalues to scanned limit-set
+                  hits
+
+options:
+  -h, --help      show this help message and exit
+""",
+    "schur": """\
+usage: bandschur schur [-h] --outer OUTER [--inner INNER] --nvars NVARS
+                       [--method {tableaux,jacobi-trudi,both}]
+                       [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --outer OUTER         outer partition, e.g. 4,2,1
+  --inner INNER         inner partition (default empty)
+  --nvars NVARS         number of variables
+  --method {tableaux,jacobi-trudi,both}
+                        engine selection (default: both)
+  --format {text,json}  output format (default: text)
+""",
+    "minor-det": """\
+usage: bandschur minor-det [-h] [--alpha ALPHA] [--beta BETA] --k K
+                           [--nvars NVARS] [--symbol SYMBOL]
+                           [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --alpha ALPHA         deleted row indices, e.g. 2 or ''
+  --beta BETA           deleted column indices
+  --k K                 minor size
+  --nvars NVARS         band width for the symbolic route
+  --symbol SYMBOL       comma-separated band coefficients s_0,...,s_n; each
+                        value is a complex number written as a, bi, or a+bi /
+                        a-bi (example: 1,0.5-2i,3); s_0 must be 1 and is
+                        prepended automatically when omitted
+  --format {text,json}  output format (default: text)
+""",
+    "check-identity": """\
+usage: bandschur check-identity [-h] [--alpha ALPHA] [--beta BETA] --nvars
+                                NVARS --k K [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --alpha ALPHA         deleted row indices
+  --beta BETA           deleted column indices
+  --nvars NVARS         band width
+  --k K                 minor size
+  --format {text,json}  output format (default: text)
+""",
+    "recurrence": """\
+usage: bandschur recurrence [-h] [--alpha ALPHA] [--beta BETA] --nvars NVARS
+                            --jmax JMAX [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --alpha ALPHA         deleted row indices
+  --beta BETA           deleted column indices
+  --nvars NVARS         band width
+  --jmax JMAX           largest offset
+  --format {text,json}  output format (default: text)
+""",
+    "widom": """\
+usage: bandschur widom [-h] --symbol SYMBOL --c C --k K [--format {text,json}]
+
+Evaluate the minor determinant four ways from a numeric symbol; exit 1 unless
+the three closed forms agree with the LU determinant to 1e-08 relative to
+max(1, |det|).
+
+options:
+  -h, --help            show this help message and exit
+  --symbol SYMBOL       comma-separated band coefficients s_0,...,s_n; each
+                        value is a complex number written as a, bi, or a+bi /
+                        a-bi (example: 1,0.5-2i,3); s_0 must be 1 and is
+                        prepended automatically when omitted
+  --c C                 deleted column count
+  --k K                 minor size
+  --format {text,json}  output format (default: text)
+""",
+    "limitset": """\
+usage: bandschur limitset [-h] --symbol SYMBOL --c C --grid GRID [--tol TOL]
+                          [--format {csv,json,text}]
+
+options:
+  -h, --help            show this help message and exit
+  --symbol SYMBOL       comma-separated band coefficients s_0,...,s_n; each
+                        value is a complex number written as a, bi, or a+bi /
+                        a-bi (example: 1,0.5-2i,3); s_0 must be 1 and is
+                        prepended automatically when omitted
+  --c C                 shift index, 0 < c < n
+  --grid GRID           re_min,re_max,im_min,im_max,nx,ny
+  --tol TOL             relative modulus-gap threshold (default: 1e-2); near a
+                        double root the scanned gaps are only good to about
+                        3e-7, so a tol below about 1e-6 is below that noise
+  --format {csv,json,text}
+                        output format (default: csv)
+""",
+    "eigs": """\
+usage: bandschur eigs [-h] --symbol SYMBOL --k K [--c C] [--alpha ALPHA]
+                      [--beta BETA] [--format {csv,json,text}]
+
+options:
+  -h, --help            show this help message and exit
+  --symbol SYMBOL       comma-separated band coefficients s_0,...,s_n; each
+                        value is a complex number written as a, bi, or a+bi /
+                        a-bi (example: 1,0.5-2i,3); s_0 must be 1 and is
+                        prepended automatically when omitted
+  --k K                 minor size
+  --c C                 delete the first c columns (contiguous minor)
+  --alpha ALPHA         deleted row indices
+  --beta BETA           deleted column indices
+  --format {csv,json,text}
+                        output format (default: csv)
+""",
+    "compare": """\
+usage: bandschur compare [-h] --symbol SYMBOL --c C --k K --grid GRID
+                         [--tol TOL] [--format {text,json}]
+
+options:
+  -h, --help            show this help message and exit
+  --symbol SYMBOL       comma-separated band coefficients s_0,...,s_n; each
+                        value is a complex number written as a, bi, or a+bi /
+                        a-bi (example: 1,0.5-2i,3); s_0 must be 1 and is
+                        prepended automatically when omitted
+  --c C                 shift index, 0 < c < n
+  --k K                 minor size
+  --grid GRID           re_min,re_max,im_min,im_max,nx,ny
+  --tol TOL             relative modulus-gap threshold (default: 1e-2); near a
+                        double root the scanned gaps are only good to about
+                        3e-7, so a tol below about 1e-6 is below that noise
+  --format {text,json}  output format (default: text)
+""",
+}
+
+
+class TestHelpGoldens:
+    """Byte-exact --help of the parser and of each command."""
+
+    @pytest.mark.parametrize("command", list(HELP_GOLDENS))
+    def test_help(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [] if command == "bandschur" else [command]
+        assert run(capsys, [*argv, "--help"]) == (0, HELP_GOLDENS[command], "")
