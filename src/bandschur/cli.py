@@ -32,7 +32,6 @@ from .recurrence import verify_recurrence
 from .schur import schur_jacobi_trudi, symbolic_det
 from .shapes import (
     MinorSpec,
-    Partition,
     SkewShape,
     min_k,
     parse_partition,
@@ -145,11 +144,19 @@ class UsageError(ValueError):
     """Bad flag value or inconsistent request; maps to exit code 2."""
 
 
-def _parse_partition_flag(text: str, flag: str) -> Partition:
+def _flag(parse, flag: str, text: str):
+    """parse(text), with its ValueError reported as a usage error of flag."""
     try:
-        return parse_partition(text)
+        return parse(text)
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from None
+
+
+def _at_least(flag: str, value, lo):
+    """value, or a usage error when it is below lo."""
+    if value < lo:
+        raise UsageError(f"{flag} must be >= {lo}, got {value}")
+    return value
 
 
 def _parse_indices(text: str, flag: str) -> tuple[int, ...]:
@@ -165,20 +172,6 @@ def _parse_indices(text: str, flag: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _parse_symbol_flag(text: str) -> BandedSymbol:
-    try:
-        return BandedSymbol.parse(text)
-    except ValueError as exc:
-        raise UsageError(f"--symbol: {exc}") from None
-
-
-def _parse_grid_flag(text: str) -> GridSpec:
-    try:
-        return GridSpec.parse(text)
-    except ValueError as exc:
-        raise UsageError(f"--grid: {exc}") from None
-
-
 def _make_spec(alpha: str, beta: str, band: int) -> MinorSpec:
     rows = _parse_indices(alpha, "--alpha")
     cols = _parse_indices(beta, "--beta")
@@ -188,17 +181,15 @@ def _make_spec(alpha: str, beta: str, band: int) -> MinorSpec:
         raise UsageError(str(exc)) from None
 
 
-def _require_nvars(nvars: int) -> int:
-    if nvars < 1:
-        raise UsageError(f"--nvars must be >= 1, got {nvars}")
-    return nvars
-
-
-def _require_tol(tol: float) -> None:
-    if not math.isfinite(tol):
-        raise UsageError(f"--tol must be finite, got {tol}")
-    if tol < 0:
-        raise UsageError(f"--tol must be >= 0, got {tol}")
+def _rooted_symbol(args, c_lo: int, c_top: int) -> BandedSymbol:
+    """--symbol, with s_n != 0 so it has n roots, and --c in c_lo..n - c_top."""
+    sym = _flag(BandedSymbol.parse, "--symbol", args.symbol)
+    top = sym.band - c_top
+    if not c_lo <= args.c <= top:
+        raise UsageError(f"--c must be in {c_lo}..{top}, got {args.c}")
+    if sym.coeffs[-1] == 0:
+        raise UsageError("--symbol: top coefficient s_n must be nonzero")
+    return sym
 
 
 def _det_status(det: complex) -> tuple[int, str | None]:
@@ -243,9 +234,9 @@ def _spec_json(spec: MinorSpec) -> dict:
 
 
 def _run_schur(args) -> tuple[str, int, str | None]:
-    nvars = _require_nvars(args.nvars)
-    outer = _parse_partition_flag(args.outer, "--outer")
-    inner = _parse_partition_flag(args.inner, "--inner")
+    nvars = _at_least("--nvars", args.nvars, 1)
+    outer = _flag(parse_partition, "--outer", args.outer)
+    inner = _flag(parse_partition, "--inner", args.inner)
     try:
         shape = SkewShape(outer, inner)
     except ValueError as exc:
@@ -284,11 +275,12 @@ def _run_schur(args) -> tuple[str, int, str | None]:
 def _run_minor_det(args) -> tuple[str, int, str | None]:
     if args.nvars is None and args.symbol is None:
         raise UsageError("give --nvars (symbolic), --symbol (numeric), or both")
-    if args.k < 0:
-        raise UsageError(f"--k must be >= 0, got {args.k}")
-    sym = _parse_symbol_flag(args.symbol) if args.symbol is not None else None
+    _at_least("--k", args.k, 0)
+    sym = None
+    if args.symbol is not None:
+        sym = _flag(BandedSymbol.parse, "--symbol", args.symbol)
     if args.nvars is not None:
-        band = _require_nvars(args.nvars)
+        band = _at_least("--nvars", args.nvars, 1)
         if sym is not None and sym.band != band:
             raise UsageError(
                 f"--nvars {band} does not match --symbol band {sym.band}"
@@ -337,7 +329,7 @@ def _run_minor_det(args) -> tuple[str, int, str | None]:
 
 
 def _run_check_identity(args) -> tuple[str, int, str | None]:
-    nvars = _require_nvars(args.nvars)
+    nvars = _at_least("--nvars", args.nvars, 1)
     spec = _make_spec(args.alpha, args.beta, nvars)
     kmin = min_k(spec)
     if args.k < kmin:
@@ -395,7 +387,7 @@ def _run_check_identity(args) -> tuple[str, int, str | None]:
 
 
 def _run_recurrence(args) -> tuple[str, int, str | None]:
-    nvars = _require_nvars(args.nvars)
+    nvars = _at_least("--nvars", args.nvars, 1)
     spec = _make_spec(args.alpha, args.beta, nvars)
     kmin = min_k(spec)
     if args.jmax < kmin:
@@ -437,14 +429,8 @@ def _run_recurrence(args) -> tuple[str, int, str | None]:
 
 
 def _run_widom(args) -> tuple[str, int, str | None]:
-    sym = _parse_symbol_flag(args.symbol)
-    n = sym.band
-    if not 0 <= args.c <= n:
-        raise UsageError(f"--c must be in 0..{n}, got {args.c}")
-    if args.k < 0:
-        raise UsageError(f"--k must be >= 0, got {args.k}")
-    if sym.coeffs[-1] == 0:
-        raise UsageError("--symbol: top coefficient s_n must be nonzero")
+    sym = _rooted_symbol(args, 0, 0)
+    _at_least("--k", args.k, 0)
 
     t_roots = poly_roots(list(sym.coeffs))
     check_separated(t_roots, "symbol roots")
@@ -454,7 +440,7 @@ def _run_widom(args) -> tuple[str, int, str | None]:
     w_orig = widom_original(t_roots, sym.coeffs[-1], args.c, args.k)
     w_mod = widom_modified(chi_points, args.c, args.k)
     w_hall = hall_schur_eval((args.k,) * args.c, chi_points)
-    spec = MinorSpec((), tuple(range(1, args.c + 1)), n)
+    spec = MinorSpec.contiguous(args.c, sym.band)
     det = det_numeric(build_minor_numeric(sym, spec, args.k))
     rel = [_rel_diff(v, det) for v in (w_orig, w_mod, w_hall)]
     worst = math.nan if any(map(math.isnan, rel)) else max(rel)
@@ -494,10 +480,7 @@ def _run_widom(args) -> tuple[str, int, str | None]:
 
 
 def _crosscheck_hits(sym: BandedSymbol, c: int, report) -> None:
-    """Recompute a few hit gaps through the one-point profile route.
-
-    limitset and compare both run it on their scan before using the hits.
-    """
+    """Recompute a few hit gaps through the one-point profile route."""
     hits = report.hits
     if not hits:
         return
@@ -512,6 +495,18 @@ def _crosscheck_hits(sym: BandedSymbol, c: int, report) -> None:
             )
 
 
+def _checked_scan(args):
+    """Check limitset's and compare's flags, scan, and spot-check the hits."""
+    sym = _rooted_symbol(args, 1, 1)
+    grid = _flag(GridSpec.parse, "--grid", args.grid)
+    if not math.isfinite(args.tol):
+        raise UsageError(f"--tol must be finite, got {args.tol}")
+    _at_least("--tol", args.tol, 0)
+    report = limit_set_scan(sym, args.c, grid, args.tol)
+    _crosscheck_hits(sym, args.c, report)
+    return sym, grid, report
+
+
 def _scan_failure_status(failures: int) -> tuple[int, str | None]:
     """Exit code and stderr line for a scan with this many unconverged points."""
     if failures:
@@ -520,15 +515,7 @@ def _scan_failure_status(failures: int) -> tuple[int, str | None]:
 
 
 def _run_limitset(args) -> tuple[str, int, str | None]:
-    sym = _parse_symbol_flag(args.symbol)
-    if not 0 < args.c < sym.band:
-        raise UsageError(f"--c must be in 1..{sym.band - 1}, got {args.c}")
-    if sym.coeffs[-1] == 0:
-        raise UsageError("--symbol: top coefficient s_n must be nonzero")
-    grid = _parse_grid_flag(args.grid)
-    _require_tol(args.tol)
-    report = limit_set_scan(sym, args.c, grid, args.tol)
-    _crosscheck_hits(sym, args.c, report)
+    sym, grid, report = _checked_scan(args)
     if args.format == "json":
         obj = {
             "symbol": [format_complex(v) for v in sym.coeffs],
@@ -563,15 +550,14 @@ def _run_limitset(args) -> tuple[str, int, str | None]:
 
 
 def _run_eigs(args) -> tuple[str, int, str | None]:
-    sym = _parse_symbol_flag(args.symbol)
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
+    sym = _flag(BandedSymbol.parse, "--symbol", args.symbol)
+    _at_least("--k", args.k, 1)
     if args.c is not None:
         if args.alpha or args.beta:
             raise UsageError("give either --c or --alpha/--beta, not both")
         if not 1 <= args.c <= sym.band:
             raise UsageError(f"--c must be in 1..{sym.band}, got {args.c}")
-        spec = MinorSpec((), tuple(range(1, args.c + 1)), sym.band)
+        spec = MinorSpec.contiguous(args.c, sym.band)
     else:
         spec = _make_spec(args.alpha, args.beta, sym.band)
     eigs = finite_section_spectrum(sym, spec, args.k)
@@ -591,17 +577,8 @@ def _run_eigs(args) -> tuple[str, int, str | None]:
 
 
 def _run_compare(args) -> tuple[str, int, str | None]:
-    sym = _parse_symbol_flag(args.symbol)
-    if not 0 < args.c < sym.band:
-        raise UsageError(f"--c must be in 1..{sym.band - 1}, got {args.c}")
-    if sym.coeffs[-1] == 0:
-        raise UsageError("--symbol: top coefficient s_n must be nonzero")
-    if args.k < 1:
-        raise UsageError(f"--k must be >= 1, got {args.k}")
-    grid = _parse_grid_flag(args.grid)
-    _require_tol(args.tol)
-    report = limit_set_scan(sym, args.c, grid, args.tol)
-    _crosscheck_hits(sym, args.c, report)
+    _at_least("--k", args.k, 1)
+    sym, _, report = _checked_scan(args)
     result = spectrum_vs_limitset(sym, args.c, args.k, report)
     if args.format == "json":
         obj = {
@@ -647,6 +624,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=choices, default=default,
             help=f"output format (default: {default})",
         )
+
+    def scan_flags(p):
+        p.add_argument(
+            "--grid", required=True, help="re_min,re_max,im_min,im_max,nx,ny",
+        )
+        p.add_argument("--tol", type=float, default=1e-2, help=SCAN_TOL_HELP)
 
     p = sub.add_parser("schur", help="skew Schur polynomial by both engines")
     p.add_argument("--outer", required=True, help="outer partition, e.g. 4,2,1")
@@ -716,12 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--symbol", required=True, help=SYMBOL_HELP)
     p.add_argument("--c", type=int, required=True, help="shift index, 0 < c < n")
-    p.add_argument(
-        "--grid", required=True, help="re_min,re_max,im_min,im_max,nx,ny",
-    )
-    p.add_argument(
-        "--tol", type=float, default=1e-2, help=SCAN_TOL_HELP,
-    )
+    scan_flags(p)
     fmt_flag(p, ("csv", "json", "text"), "csv")
     p.set_defaults(func=_run_limitset)
 
@@ -746,12 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symbol", required=True, help=SYMBOL_HELP)
     p.add_argument("--c", type=int, required=True, help="shift index, 0 < c < n")
     p.add_argument("--k", type=int, required=True, help="minor size")
-    p.add_argument(
-        "--grid", required=True, help="re_min,re_max,im_min,im_max,nx,ny",
-    )
-    p.add_argument(
-        "--tol", type=float, default=1e-2, help=SCAN_TOL_HELP,
-    )
+    scan_flags(p)
     fmt_flag(p, ("text", "json"), "text")
     p.set_defaults(func=_run_compare)
 

@@ -67,17 +67,6 @@ class PolyMatrix:
         )
         return f"PolyMatrix[{rows}]"
 
-    def anti_transpose(self) -> "PolyMatrix":
-        """Flip across the anti-diagonal; determinants are unchanged."""
-        m = self.size
-        return PolyMatrix(
-            [
-                [self.entries[m - 1 - j][m - 1 - i] for j in range(m)]
-                for i in range(m)
-            ],
-            self.nvars,
-        )
-
 
 def jacobi_trudi_matrix(shape: SkewShape, nvars: int) -> PolyMatrix:
     """Elementary-symmetric (dual) Jacobi-Trudi matrix of a skew shape.

@@ -140,10 +140,6 @@ class SkewShape:
     def box_count(self) -> int:
         return self.outer.size() - self.inner.size()
 
-    def column_height(self, j: int) -> int:
-        """Number of boxes in 1-based column j."""
-        return self.outer.conjugate().part(j) - self.inner.conjugate().part(j)
-
 
 @dataclass(frozen=True)
 class MinorSpec:
@@ -182,6 +178,11 @@ class MinorSpec:
                 raise ValueError(
                     f"deleted_rows[{i}] = {a} < deleted_cols[{i}] = {b}"
                 )
+
+    @classmethod
+    def contiguous(cls, c: int, band: int) -> "MinorSpec":
+        """The minor that deletes no rows and the first c columns."""
+        return cls((), tuple(range(1, c + 1)), band)
 
     @property
     def r(self) -> int:

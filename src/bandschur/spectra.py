@@ -36,9 +36,10 @@ from .shapes import MinorSpec
 from .toeplitz import BandedSymbol, build_minor_numeric
 
 MAX_SWEEPS = 200
+UNIT_PHASES_CACHE_SIZE = 64  # one entry per polynomial degree
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=UNIT_PHASES_CACHE_SIZE)
 def _unit_phases(d: int) -> np.ndarray:
     """d points on the unit circle at random phases from seed 0, read-only."""
     rng = np.random.default_rng(0)
@@ -87,13 +88,18 @@ def poly_roots(coeffs) -> np.ndarray:
     raise ValueError("root or companion entry beyond double range")
 
 
-def root_modulus_profile(sym: BandedSymbol, c: int, v: complex) -> np.ndarray:
-    """Ascending root moduli of sum s_i z^i - v z^c at one shift v."""
+def _check_shift(sym: BandedSymbol, c: int) -> None:
+    """Require 0 < c < n and s_n != 0, so every shift keeps n roots."""
     n = sym.band
     if not 0 < c < n:
         raise ValueError(f"need 0 < c < band = {n}, got c = {c}")
     if sym.coeffs[-1] == 0:
         raise ValueError("top band coefficient is zero: degree drops")
+
+
+def root_modulus_profile(sym: BandedSymbol, c: int, v: complex) -> np.ndarray:
+    """Ascending root moduli of sum s_i z^i - v z^c at one shift v."""
+    _check_shift(sym, c)
     coeffs = list(sym.coeffs)
     coeffs[c] -= complex(v)
     roots = poly_roots(coeffs)
@@ -171,11 +177,7 @@ def limit_set_scan(
     c = 1 the true gap at v = -2 is 0, but the scan reports about 3e-9.  A
     tol below about 1e-6 is below that noise.
     """
-    n = sym.band
-    if not 0 < c < n:
-        raise ValueError(f"need 0 < c < band = {n}, got c = {c}")
-    if sym.coeffs[-1] == 0:
-        raise ValueError("top band coefficient is zero: degree drops")
+    _check_shift(sym, c)
     if not tol >= 0:  # also rejects NaN, which would mark no point a hit
         raise ValueError(f"tol must be >= 0, got {tol}")
     base = np.asarray(sym.coeffs, dtype=np.complex128)
@@ -211,10 +213,9 @@ def finite_section_spectrum(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     matrix = build_minor_numeric(sym, spec, k)
-    c = spec.c
-    if spec.r == 0 and spec.deleted_cols == tuple(range(1, c + 1)):
+    if spec == MinorSpec.contiguous(spec.c, spec.band):
         diag = np.diagonal(matrix)
-        assert np.all(diag == sym.coeffs[c]), "contiguous minor lost its diagonal"
+        assert np.all(diag == sym.coeffs[spec.c]), "contiguous minor lost its diagonal"
     eigs = np.linalg.eigvals(matrix)
     order = np.lexsort((eigs.imag, eigs.real))
     return tuple(complex(z) for z in eigs[order])
@@ -246,7 +247,7 @@ def spectrum_vs_limitset(
     """
     if not report.hits:
         raise ValueError("empty hit set: enlarge the grid or tolerance")
-    spec = MinorSpec((), tuple(range(1, c + 1)), sym.band)
+    spec = MinorSpec.contiguous(c, sym.band)
     eigs = np.array(finite_section_spectrum(sym, spec, k))
     hits = np.array(report.hits)
     hit_pts = hits[:, 0] + 1j * hits[:, 1]

@@ -1248,7 +1248,13 @@ class TestHarness:
         for name, cache in caches.items():
             if name == "cli.build_parser":  # no arguments, so one entry
                 continue
-            assert cache.cache_info().maxsize is not None, name
+            module = sys.modules[cache.__module__]
+            named = {
+                value for key, value in vars(module).items()
+                if key.isupper() and isinstance(value, int)
+            }
+            maxsize = cache.cache_info().maxsize
+            assert maxsize is not None and maxsize in named, name
 
 
 EIGS_JSON_GOLDEN = """{

@@ -146,11 +146,6 @@ class TestSkewShape:
         assert shape.box_count() == 8
         assert SkewShape(Partition(()), Partition(())).box_count() == 0
 
-    def test_column_heights(self):
-        shape = SkewShape(Partition((2, 2)), Partition((1,)))
-        assert shape.column_height(1) == 1
-        assert shape.column_height(2) == 2
-
 
 class TestMinorSpec:
     def test_str(self):

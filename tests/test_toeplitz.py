@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bandschur.polyring import MultiPoly, elementary_symmetric, expand_elementary
-from bandschur.schur import leading_minors, symbolic_det
+from bandschur.schur import PolyMatrix, leading_minors, symbolic_det
 from bandschur.shapes import MinorSpec
 from bandschur import recurrence
 from bandschur.recurrence import (
@@ -232,7 +232,16 @@ class TestMinorSchurIdentity:
         for spec in [MinorSpec((), (2,), 2), MinorSpec((2,), (1, 3), 3)]:
             for k in range(2, 5):
                 m = build_minor_symbolic(spec, k)
-                assert symbolic_det(m) == symbolic_det(m.anti_transpose())
+                assert symbolic_det(m) == symbolic_det(_anti_transpose(m))
+
+
+def _anti_transpose(matrix: PolyMatrix) -> PolyMatrix:
+    """Flip across the anti-diagonal, which leaves the determinant unchanged."""
+    m = matrix.size
+    return PolyMatrix(
+        [[matrix[m - 1 - j, m - 1 - i] for j in range(m)] for i in range(m)],
+        matrix.nvars,
+    )
 
 
 def _e_at(point: tuple[int, ...]) -> list[int]:
