@@ -5,10 +5,10 @@ hold only what they computed and from the flags the command was given.
 
 Exit codes: 0 on success, 2 on a validation error (malformed flag values,
 inconsistent dimensions), 1 on a computation failure (an identity that does
-not hold, a root beyond double range, unconverged scan points, an empty scan
-hit set, a numeric determinant that overflows, a matrix too large to
-allocate) and 1, silently, when stdout is a pipe whose reader has closed it
-(as in `bandschur limitset ... | head -2`).
+not hold, a root beyond double range, unconverged scan points, a scan spot
+check that fails, an empty scan hit set, a numeric determinant that
+overflows, a matrix too large to allocate) and 1, silently, when stdout is
+a pipe whose reader has closed it (as in `bandschur limitset ... | head -2`).
 The cross-checks of `widom` and of `minor-det`'s dual route hold to one
 fixed tolerance, DUAL_ROUTE_TOL = 1e-8, on the difference scaled by
 max(1, |det|) (see _rel_diff).
@@ -479,31 +479,45 @@ def _run_widom(args) -> tuple[str, int, str | None]:
     return out, code, err
 
 
-def _crosscheck_hits(sym: BandedSymbol, c: int, report) -> None:
-    """Recompute a few hit gaps through the one-point profile route."""
-    hits = report.hits
-    if not hits:
-        return
-    for idx in sorted({0, len(hits) // 2, len(hits) - 1}):
-        re_v, im_v, gap = hits[idx]
+def _crosscheck_scan(sym: BandedSymbol, c: int, tol: float, report) -> None:
+    """Recompute a few scan gaps from companion-matrix roots.
+
+    A few hits must match their scanned gaps, and the point the Pellet
+    screen skipped nearest its threshold must have a gap above tol.
+    """
+
+    def direct_gap(re_v, im_v):
         prof = root_modulus_profile(sym, c, complex(re_v, im_v))
-        direct = (prof[c] - prof[c - 1]) / prof[c]
+        return (prof[c] - prof[c - 1]) / prof[c]
+
+    hits = report.hits
+    for idx in sorted({0, len(hits) // 2, len(hits) - 1}) if hits else ():
+        re_v, im_v, gap = hits[idx]
+        direct = direct_gap(re_v, im_v)
         if abs(direct - gap) > GAP_CROSSCHECK_TOL:
             raise RuntimeError(
                 f"scan gap {gap:.6g} disagrees with direct profile "
                 f"{direct:.6g} at v = {re_v:.6g}+{im_v:.6g}i"
             )
+    if report.screen_edge is not None:
+        re_v, im_v = report.screen_edge
+        direct = direct_gap(re_v, im_v)
+        if not direct > tol:
+            raise RuntimeError(
+                f"screened point v = {re_v:.6g}+{im_v:.6g}i has direct profile "
+                f"gap {direct:.6g}, not above tol {tol:.6g}"
+            )
 
 
 def _checked_scan(args):
-    """Check limitset's and compare's flags, scan, and spot-check the hits."""
+    """Check limitset's and compare's flags, scan, and spot-check the result."""
     sym = _rooted_symbol(args, 1, 1)
     grid = _flag(GridSpec.parse, "--grid", args.grid)
     if not math.isfinite(args.tol):
         raise UsageError(f"--tol must be finite, got {args.tol}")
     _at_least("--tol", args.tol, 0)
     report = limit_set_scan(sym, args.c, grid, args.tol)
-    _crosscheck_hits(sym, args.c, report)
+    _crosscheck_scan(sym, args.c, args.tol, report)
     return sym, grid, report
 
 

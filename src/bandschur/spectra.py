@@ -8,17 +8,25 @@ modulus gap falls below a tolerance.  Curve-coincidence points are all it
 detects; isolated exceptional eigenvalue limits, when the symbol has any,
 are out of scope (the limitset command says so in its output).
 
-The root moduli of every grid point come from one batched Aberth-Ehrlich
-call, _kernels.scan_moduli, which moves all roots of all points at once
-and counts a root as converged when its residual is at the rounding floor
-of evaluating the polynomial there; there is no tolerance to set.
+Most grid points lie far from the curve, and Pellet's theorem proves it
+without solving: a shift v with |s_c - v| > T, one threshold per scan,
+has no root between two circles whose radii differ by the factor
+1 - tol - PELLET_MARGIN, so its gap exceeds tol and it is no hit.  Such a
+point is skipped, but only where the kernel's rounding floor is finite
+at the Cauchy root bound, so every point the kernel would fail on is
+still solved.  The root moduli of the other points come from one batched
+Aberth-Ehrlich call, _kernels.scan_moduli, which moves all roots of all
+points at once and counts a root as converged when its residual is at
+the rounding floor of evaluating the polynomial there; there is no
+tolerance to set.  Each point's iterates depend only on its own
+polynomial, so skipping points changes no other point's result.
 poly_roots solves single polynomials as companion-matrix eigenvalues
 (LAPACK), a different algorithm, so checking the scan against it is an
 independent check.
 
-Results hold only what was computed: the hits and failures of a scan, the
-sorted eigenvalues of a minor, the distance statistics of a comparison.
-Their JSON, CSV and text layouts belong to cli.
+Results hold only what was computed: the hits, failures and screen edge
+of a scan, the sorted eigenvalues of a minor, the distance statistics of
+a comparison.  Their JSON, CSV and text layouts belong to cli.
 
 numpy is imported on the first numeric step, not with this module: np
 comes from _numpy, and nothing here reads it at import time.
@@ -36,6 +44,10 @@ from .shapes import MinorSpec
 from .toeplitz import BandedSymbol, build_minor_numeric
 
 MAX_SWEEPS = 200
+# A point the Pellet screen skips has a gap above tol + PELLET_MARGIN; the
+# margin sits above the 3e-7 worst scan error near a double root, so the
+# scan would not have called it a hit either.
+PELLET_MARGIN = 1e-6
 UNIT_PHASES_CACHE_SIZE = 64  # one entry per polynomial degree
 
 
@@ -125,6 +137,9 @@ class GridSpec:
             raise ValueError(f"grid needs nx, ny >= 1, got {self.nx}, {self.ny}")
         if self.re_max < self.re_min or self.im_max < self.im_min:
             raise ValueError("grid ranges must satisfy max >= min")
+        spans = (self.re_max - self.re_min, self.im_max - self.im_min)
+        if not all(math.isfinite(v) for v in spans):
+            raise ValueError("grid spans must be finite")
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":
@@ -156,10 +171,83 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class LimitSetReport:
-    """Scan outcome: hit points in row-major grid order, plus failures."""
+    """Scan outcome: hit points in row-major grid order, plus failures.
+
+    screen_edge is the (re, im) of the point the Pellet screen skipped
+    nearest its threshold, or None when it skipped none.
+    """
 
     hits: tuple[tuple[float, float, float], ...]  # (re, im, gap)
     failures: tuple[tuple[float, float, str], ...]  # (re, im, message)
+    screen_edge: tuple[float, float] | None = None
+
+
+def _pellet_threshold(coeffs, c: int, tol: float) -> float:
+    """T such that |s_c - v| > T proves a gap above tol + PELLET_MARGIN at v.
+
+    With S(R) = sum over i != c of |s_i| R^(i - c), |s_c - v| > S(R) puts
+    exactly c roots in |z| < R (Pellet's theorem, from Rouche's).  If it
+    holds at R1 = q R2 and at R2, with q = 1 - tol - PELLET_MARGIN, no root
+    lies between the circles, so the gap exceeds 1 - q.  T is the larger
+    of S(R1) and S(R2) at the float radii, raised by a few ulps for
+    rounding.  log S is convex in log R, so that maximum is least where
+    S(R1) = S(R2), which bisection in log R2 finds.  Returns inf, which
+    screens no point, when tol + PELLET_MARGIN >= 1 or T overflows.
+    coeffs are a symbol's s_0..s_n, with s_0 = 1 and s_n != 0.
+    """
+    if tol + PELLET_MARGIN >= 1.0:
+        return math.inf
+    q = 1.0 - tol - PELLET_MARGIN
+    log_q = math.log(q)
+    terms = [(abs(s), i - c) for i, s in enumerate(coeffs) if i != c and s != 0]
+    logs = [(math.log(w), p) for w, p in terms]
+
+    def log_s(u):  # log S(e^u), without overflow
+        e = [lw + p * u for lw, p in logs]
+        top = max(e)
+        return top + math.log(sum([math.exp(x - top) for x in e]))
+
+    # The derivative of log S(e^u) is negative more than 2 log n below
+    # every point where a falling term meets a rising one, and positive
+    # as far above all of them; the balance point lies at most -log q
+    # above the minimum.
+    meets = [(lw - lv) / (p - r) for lw, r in logs if r < 0 for lv, p in logs if p > 0]
+    pad = 2.0 * math.log(len(coeffs)) + 1.0
+    lo, hi = min(meets) - pad, max(meets) + pad - log_q
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        if log_s(mid) < log_s(mid + log_q):
+            lo = mid
+        else:
+            hi = mid
+    try:
+        r2 = math.exp(hi)
+        radii = (q * r2, r2)
+        s_max = max(sum([w * r ** p for w, p in terms]) for r in radii)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+    return s_max * (1.0 + 4 * len(coeffs) * _kernels.EPS)
+
+
+def _floor_finite_at_cauchy_bound(base, c: int, shift) -> np.ndarray:
+    """Whether the kernel's rounding floor is finite at each point's root bound.
+
+    The floor is evaluated as _kernels.scan_moduli does, at the Cauchy
+    bound 1 + max over i < n of |a_i| / |a_n|, which no root exceeds;
+    shift holds |a_c| = |s_c - v| per point.
+    """
+    deg = len(base) - 1
+    abs_base = np.abs(base)
+    rest = max(abs_base[i] for i in range(deg) if i != c)
+    floor_coeffs = list(_kernels._floor_coeffs(abs_base, deg))
+    floor_coeffs[c] = _kernels._floor_coeffs(shift, deg)
+    with np.errstate(all="ignore"):
+        bound = 1.0 + np.maximum(shift, rest) / abs_base[deg]
+        floor = floor_coeffs[deg] * bound + floor_coeffs[deg - 1]
+        for m in range(deg - 2, -1, -1):
+            floor *= bound
+            floor += floor_coeffs[m]
+    return np.isfinite(floor)
 
 
 def limit_set_scan(
@@ -169,8 +257,13 @@ def limit_set_scan(
 
     The gap at v is (rho_{c+1} - rho_c) / rho_{c+1} with rho the ascending
     root moduli of sum s_i z^i - v z^c.  Points are scanned in row-major
-    order (imaginary rows, real within a row), all in one batched kernel
-    call.  Root-finder failures are reported per point, never raised.
+    order (imaginary rows, real within a row).  A point with |s_c - v|
+    above the Pellet threshold of _pellet_threshold has a gap above
+    tol + PELLET_MARGIN and is skipped, unless the kernel's rounding floor
+    is not finite at its Cauchy root bound; every other point is solved
+    in one batched kernel call.  A point's iterates depend only on its
+    own polynomial, so the report is the one a scan of every point gives.
+    Root-finder failures are reported per point, never raised.
 
     Near a double root the moduli, and so the gap, are only good to about
     sqrt(eps), 1e-8 relative, and to about 3e-7 at worst: on 1 + z^2 with
@@ -182,10 +275,17 @@ def limit_set_scan(
         raise ValueError(f"tol must be >= 0, got {tol}")
     base = np.asarray(sym.coeffs, dtype=np.complex128)
     z0 = _initial_circle(base)
-    re = grid.re_values()
-    im = grid.im_values()
-    vre = np.tile(re, grid.ny)
-    vim = np.repeat(im, grid.nx)
+    vre = np.tile(grid.re_values(), grid.ny)
+    vim = np.repeat(grid.im_values(), grid.nx)
+    shift = np.abs(base[c] - (vre + 1j * vim))
+    screened = shift > _pellet_threshold(sym.coeffs, c, tol)
+    screened &= _floor_finite_at_cauchy_bound(base, c, shift)
+    edge = None
+    if screened.any():
+        nearest = np.where(screened, shift, np.inf).argmin()
+        edge = (float(vre[nearest]), float(vim[nearest]))
+    solve = ~screened
+    vre, vim = vre[solve], vim[solve]
     moduli, ok = _kernels.scan_moduli(base, c, vre, vim, z0, MAX_SWEEPS)
 
     gaps = (moduli[:, c] - moduli[:, c - 1]) / moduli[:, c]
@@ -197,7 +297,7 @@ def limit_set_scan(
     )
     hit = ok & (gaps <= tol)
     hits = tuple(zip(vre[hit].tolist(), vim[hit].tolist(), gaps[hit].tolist()))
-    return LimitSetReport(hits=hits, failures=failures)
+    return LimitSetReport(hits=hits, failures=failures, screen_edge=edge)
 
 
 def finite_section_spectrum(

@@ -553,6 +553,21 @@ class TestLimitsetCommand:
         assert err.startswith("error: scan gap ")
         assert "disagrees with direct profile" in err
 
+    def test_unsound_screen_fails_the_crosscheck(self, capsys, monkeypatch):
+        # a threshold below every shift skips v = 0, where the roots +-i
+        # have one modulus; the companion roots there catch it
+        monkeypatch.setattr(spectra, "_pellet_threshold", lambda *args: -1.0)
+        code, out, err = run(capsys, self.ARGS)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: screened point v = 0+0i has direct profile gap ")
+        assert err.endswith(", not above tol 0.01\n")
+
+    def test_tol_one_reports_every_gap(self, capsys):
+        # tol + PELLET_MARGIN >= 1 leaves no room for the screen
+        code, out, err = run(capsys, self.ARGS[:-1] + ["1"])
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + 25 * 5
+
     def test_large_roots_converge(self, capsys):
         # roots near 1e6 leave residuals above tol * max|c_m| that are only
         # rounding; the stop test accepts residuals at that floor
@@ -672,6 +687,20 @@ class TestCompareCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: scan gap ")
         assert "disagrees with direct profile" in err
+
+    def test_unsound_screen_fails_the_crosscheck(self, capsys, monkeypatch):
+        # compare spot-checks the screen as limitset does: a threshold
+        # below every shift skips v = 0, where the roots +-i have one modulus
+        monkeypatch.setattr(spectra, "_pellet_threshold", lambda *args: -1.0)
+        code, out, err = run(
+            capsys,
+            [
+                "compare", "--symbol", "1,0,1", "--c", "1", "--k", "10",
+                "--grid=-3,3,-1,1,121,41",
+            ],
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: screened point v = 0+0i has direct profile gap ")
 
     def test_large_roots_converge(self, capsys):
         # The 61-point rows hit v = 1e6, where the limit set crosses the
@@ -1547,6 +1576,13 @@ USAGE_ERRORS = {
         (
             "error: --grid: bad grid '1,0,0,1,3,3': grid ranges must "
             "satisfy max >= min\n"
+        ),
+    ),
+    "limitset-grid-span": (
+        "limitset --symbol 1,0,1 --c 1 --grid=-1e308,1e308,-1,1,5,1 --format json",
+        (
+            "error: --grid: bad grid '-1e308,1e308,-1,1,5,1': grid spans must "
+            "be finite\n"
         ),
     ),
     "limitset-tol-negative": (

@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bandschur import _kernels
 from bandschur.shapes import MinorSpec
 from bandschur.spectra import (
     MAX_SWEEPS,
+    PELLET_MARGIN,
     ComparisonResult,
     GridSpec,
     _initial_circle,
+    _pellet_threshold,
     _unit_phases,
     finite_section_spectrum,
     limit_set_scan,
@@ -349,6 +351,18 @@ def _reference(sym, c, v):
     return moduli, SCAN_RTOL + 2 * floor_ulps * kappa
 
 
+FAILURE_FIXTURES = [
+    # large roots: residuals at the rounding floor pass the stop test
+    ((1, 1e6, 1), "-3e6,3e6,-1,1,41,11", 0),
+    # a root near -1e200, where the rounding floor overflows, so
+    # no iterate can pass the stop test there
+    ((1, 1e200, 1), "-1,1,-1,1,3,3", 9),
+    # a root beyond double range: the iterate overflows to inf, where
+    # the rounding floor is inf too, and a non-finite floor must fail
+    ((1, 1e-300, 1e-300), "-1e300,1e300,-1e300,1e300,5,5", 24),
+]
+
+
 class TestScanAgainstPolyRoots:
     """The batched scan kernel against the companion-matrix eigensolver."""
 
@@ -413,19 +427,7 @@ class TestScanAgainstPolyRoots:
         if rtol[0] != DOUBLE_ROOT_FLOOR:
             assert np.all(np.abs(moduli[0] - profile) <= rtol * profile)
 
-    @pytest.mark.parametrize(
-        "coeffs, grid_text, n_failed",
-        [
-            # large roots: residuals at the rounding floor pass the stop test
-            ((1, 1e6, 1), "-3e6,3e6,-1,1,41,11", 0),
-            # a root near -1e200, where the rounding floor overflows, so
-            # no iterate can pass the stop test there
-            ((1, 1e200, 1), "-1,1,-1,1,3,3", 9),
-            # a root beyond double range: the iterate overflows to inf, where
-            # the rounding floor is inf too, and a non-finite floor must fail
-            ((1, 1e-300, 1e-300), "-1e300,1e300,-1e300,1e300,5,5", 24),
-        ],
-    )
+    @pytest.mark.parametrize("coeffs, grid_text, n_failed", FAILURE_FIXTURES)
     def test_failures_are_the_points_poly_roots_rejects(
         self, coeffs, grid_text, n_failed
     ):
@@ -521,3 +523,151 @@ class TestScanGuards:
         self.assert_matches_profile(z0, grid.re_values())
         report = limit_set_scan(TRIDIAG, 1, grid, tol=1e-6)
         assert (len(report.hits), len(report.failures)) == (41, 0)
+
+
+def _unscreened_scan(sym, c, grid, tol):
+    """Hits and failures from one scan_moduli call over every grid point."""
+    points = np.array(_grid_points(grid))
+    base = np.asarray(sym.coeffs, dtype=np.complex128)
+    moduli, ok = _kernels.scan_moduli(
+        base, c, points.real, points.imag, _initial_circle(base), MAX_SWEEPS,
+    )
+    gaps = (moduli[:, c] - moduli[:, c - 1]) / moduli[:, c]
+    message = f"no convergence after {MAX_SWEEPS} sweeps"
+    hits = tuple(
+        (v.real, v.imag, gap)
+        for v, gap, good in zip(points.tolist(), gaps.tolist(), ok)
+        if good and gap <= tol
+    )
+    failures = tuple(
+        (v.real, v.imag, message) for v, good in zip(points.tolist(), ok) if not good
+    )
+    return hits, failures
+
+
+def _assert_screened_equals_unscreened(sym, c, grid, tol):
+    report = limit_set_scan(sym, c, grid, tol)
+    # repr tells -0.0 from 0.0 and prints each float round-trip exact
+    assert repr((report.hits, report.failures)) == repr(
+        _unscreened_scan(sym, c, grid, tol)
+    )
+    return report
+
+
+def _random_symbol(data, band, complex_symbol):
+    part = st.floats(-2.0, 2.0)
+    re = data.draw(st.lists(part, min_size=band, max_size=band))
+    im = data.draw(st.lists(part, min_size=band, max_size=band))
+    coeffs = [1] + [complex(a, b if complex_symbol else 0.0) for a, b in zip(re, im)]
+    assume(abs(coeffs[-1]) >= 1e-3)
+    return BandedSymbol(tuple(coeffs))
+
+
+SCREEN_TOLS = [0.0, 1e-6, 1e-2, 0.05, 0.5, 1.0]
+
+
+class TestPelletScreen:
+    """The scan skips only points Pellet's test proves are no hits."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        band=st.integers(2, 6),
+        data=st.data(),
+        complex_symbol=st.booleans(),
+        tol=st.sampled_from(SCREEN_TOLS),
+    )
+    def test_screened_equals_unscreened(self, band, data, complex_symbol, tol):
+        sym = _random_symbol(data, band, complex_symbol)
+        c = data.draw(st.integers(1, band - 1))
+        reach = sum(abs(v) for v in sym.coeffs) + 1.0
+        corner = st.floats(-reach, reach)
+        re_lo, re_hi = sorted(data.draw(st.tuples(corner, corner)))
+        im_lo, im_hi = sorted(data.draw(st.tuples(corner, corner)))
+        size = st.integers(1, 12)
+        grid = GridSpec(re_lo, re_hi, im_lo, im_hi, data.draw(size), data.draw(size))
+        _assert_screened_equals_unscreened(sym, c, grid, tol)
+
+    @pytest.mark.parametrize("coeffs, grid_text, n_failed", FAILURE_FIXTURES)
+    def test_failure_fixtures(self, coeffs, grid_text, n_failed):
+        report = _assert_screened_equals_unscreened(
+            BandedSymbol(coeffs), 1, GridSpec.parse(grid_text), 1e-2
+        )
+        assert len(report.failures) == n_failed
+
+    @pytest.mark.parametrize(
+        "grid_text, tol",
+        [("-3,3,-1,1,241,81", 2e-2), ("-3,3,-1,1,121,41", 1e-2)],
+    )
+    def test_readme_scans(self, grid_text, tol):
+        report = _assert_screened_equals_unscreened(
+            TRIDIAG, 1, GridSpec.parse(grid_text), tol
+        )
+        assert report.screen_edge is not None
+
+    def test_skips_only_points_beyond_the_threshold(self, monkeypatch):
+        solved = []
+        scan_moduli = _kernels.scan_moduli
+
+        def recording(base, c_index, vre, vim, *args):
+            solved.extend(vre + 1j * vim)
+            return scan_moduli(base, c_index, vre, vim, *args)
+
+        monkeypatch.setattr(_kernels, "scan_moduli", recording)
+        sym = BandedSymbol((1, -0.4, 0.5, 0.6, -0.8))
+        grid = GridSpec.parse("-3,3,-3,3,24,24")
+        report = limit_set_scan(sym, 2, grid, 1e-2)
+        threshold = _pellet_threshold(sym.coeffs, 2, 1e-2)
+        skipped = set(_grid_points(grid)) - set(solved)
+        assert len(solved) + len(skipped) == grid.nx * grid.ny
+        assert skipped and solved
+        shifts = {v: abs(sym.coeffs[2] - v) for v in skipped}
+        assert min(shifts.values()) > threshold
+        # the first in row-major order of the skipped points nearest s_c
+        in_order = [v for v in _grid_points(grid) if v in skipped]
+        assert complex(*report.screen_edge) == min(in_order, key=shifts.get)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        band=st.integers(2, 6),
+        data=st.data(),
+        complex_symbol=st.booleans(),
+        tol=st.sampled_from(SCREEN_TOLS[:-1]),
+    )
+    def test_sound_at_its_edge(self, band, data, complex_symbol, tol):
+        # just outside the disc |v - s_c| = T the gap is above tol, with
+        # the margin left over beyond the worst scan error
+        sym = _random_symbol(data, band, complex_symbol)
+        c = data.draw(st.integers(1, band - 1))
+        threshold = _pellet_threshold(sym.coeffs, c, tol)
+        assert math.isfinite(threshold)
+        for theta in np.linspace(0.0, 2 * np.pi, 64, endpoint=False):
+            v = sym.coeffs[c] + threshold * (1 + 1e-9) * complex(
+                math.cos(theta), math.sin(theta)
+            )
+            prof = root_modulus_profile(sym, c, v)
+            gap = (prof[c] - prof[c - 1]) / prof[c]
+            assert gap > tol + PELLET_MARGIN - DOUBLE_ROOT_FLOOR
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(band=st.integers(2, 6), data=st.data(), tol=st.sampled_from(SCREEN_TOLS[:-1]))
+    def test_threshold_is_near_the_least(self, band, data, tol):
+        # T is within 1e-2 of the least max(S(q R), S(R)) on a fine grid of R
+        sym = _random_symbol(data, band, True)
+        c = data.draw(st.integers(1, band - 1))
+        q = 1 - tol - PELLET_MARGIN
+        weights = np.abs(np.array(sym.coeffs))
+        powers = np.arange(band + 1) - c
+        weights[c] = 0.0
+        radii = np.exp(np.linspace(-20.0, 20.0, 40001))
+        sums = (weights[:, None] * radii[None, :] ** powers[:, None]).sum(axis=0)
+        inner = (weights[:, None] * (q * radii[None, :]) ** powers[:, None]).sum(axis=0)
+        best = np.maximum(sums, inner).min()
+        assert abs(_pellet_threshold(sym.coeffs, c, tol) / best - 1) <= 1e-2
+
+    @pytest.mark.parametrize("tol", [1.0, 1 - PELLET_MARGIN, 2.0])
+    def test_no_screen_without_room_for_the_margin(self, tol):
+        assert _pellet_threshold(TRIDIAG.coeffs, 1, tol) == math.inf
+        grid = GridSpec.parse("-5,5,-5,5,11,11")
+        report = limit_set_scan(TRIDIAG, 1, grid, tol)
+        assert report.screen_edge is None
+        assert len(report.hits) == grid.nx * grid.ny
