@@ -1,30 +1,32 @@
 """Semistandard skew tableaux: enumeration and row-wise sequence insertion.
 
 The engine works on rows held as flat tuples of ints and has one
-validator, `_validate`.  What the validator needs from a shape (row
-lengths and the column ranges a row shares with the row above) is computed
-once per shape and kept in a bounded cache of `_Plan`s.
+validator, `_validate`, made of a row test and a column test.  What the
+validator needs from a shape (row lengths and the column ranges a row
+shares with the row above) is computed once per shape and kept in a
+bounded cache of `_Plan`s.
 
 Enumeration (`_ssyt_rows`) builds whole rows: the row above fixes a lower
 bound for each cell of the next row, and the weakly increasing rows that
-meet a bound vector come from a bounded memo keyed on that vector.  Every
-enumerated filling passes `_validate` once.  Insertion (`_insert_rows`)
-puts value i of a strictly increasing sequence into row i: a positive
-value joins the row's content, a negative value adds one skew box to the
-row, and a row beyond the last one is created.  The resulting shape
-depends only on the source shape and the sequence, so it is built once per
-pair.
+meet a bound vector come from a bounded memo keyed on that vector.  Each
+row is checked as it joins its prefix, by the row and column tests of
+`_validate`, so a prefix shared by many fillings is checked once.
+Insertion (`_insert_rows`) puts value i of a strictly increasing sequence
+into row i: a positive value joins the row's content, a negative value
+adds one skew box to the row, and a row beyond the last one is created.
+The resulting shape depends only on the source shape and the sequence, so
+it is built once per pair.
 
 What validates: the public `Tableau(...)` constructor and
 `insert_sequence` validate the tableau they return, and `enumerate_ssyt`
-and `schur_by_tableaux` read the validated fillings of `_ssyt_rows`.
+and `schur_by_tableaux` read the checked fillings of `_ssyt_rows`.
 `insertion_step` accepts an image without a second validation only by
 membership: when the sequence targets the next shape and the image's rows
 are the rows of one of that shape's enumerated fillings.  Two fillings of
 one shape are equal exactly when their rows are, so such an image is that
-filling, which has passed `_validate`; validating it again could only
-repeat the verdict.  Every other image is validated against its own
-target shape.
+filling, which has passed the tests of `_validate`; validating it again
+could only repeat the verdict.  Every other image is validated against
+its own target shape.
 """
 
 from __future__ import annotations
@@ -49,9 +51,10 @@ class _Plan:
     """Per-shape facts for validation and enumeration.
 
     lengths holds the number of content cells of each row.  links holds,
-    per row, None or (a0, a1, b0, b1): cells a0..a1-1 of the row above
-    share their columns with cells b0..b1-1 of this row.  checks lists the
-    links that exist as (row, a0, a1, b0, b1, first shared column).
+    per row, None or (a0, a1, b0, b1, first): cells a0..a1-1 of the row
+    above share their columns with cells b0..b1-1 of this row, the first
+    of those columns being column `first` (0-based).  checks lists the
+    links that exist as (row, a0, a1, b0, b1, first).
     """
 
     __slots__ = ("lengths", "links", "checks")
@@ -65,7 +68,7 @@ class _Plan:
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(shape: SkewShape) -> _Plan:
     spans = shape.row_spans()
-    links: list[tuple[int, int, int, int] | None] = []
+    links: list[tuple[int, int, int, int, int] | None] = []
     checks = []
     for i, (lo, hi) in enumerate(spans):
         link = None
@@ -73,12 +76,53 @@ def _plan(shape: SkewShape) -> _Plan:
             plo, phi = spans[i - 1]
             start, stop = max(lo, plo), min(hi, phi)
             if start < stop:
-                link = (start - plo, stop - plo, start - lo, stop - lo)
-                checks.append((i, *link, start))
+                link = (start - plo, stop - plo, start - lo, stop - lo, start)
+                checks.append((i, *link))
         links.append(link)
     return _Plan(
         tuple(hi - lo for lo, hi in spans), tuple(links), tuple(checks)
     )
+
+
+def _check_nmax(nmax: int) -> None:
+    if nmax < 1:
+        raise ValueError(f"nmax must be >= 1, got {nmax}")
+
+
+def _check_rows(i: int, want: int, rows, nmax: int) -> None:
+    """Raise ValueError unless each of rows is a valid row i (1-based).
+
+    A valid row has `want` entries, all in 1..nmax, weakly increasing.
+    Per row the errors are its length, an entry out of range, a decrease.
+    """
+    for row in rows:
+        if len(row) != want:
+            raise ValueError(f"row {i} has {len(row)} entries, shape wants {want}")
+        if row and not (
+            1 <= row[0] and row[-1] <= nmax and list(row) == sorted(row)
+        ):
+            # with every entry in range, the fault is a decrease
+            for v in row:
+                if not 1 <= v <= nmax:
+                    raise ValueError(f"entry {v} outside 1..{nmax}")
+            raise ValueError(f"row {i} not weakly increasing: {row}")
+
+
+def _check_columns(above, rows, b0: int, b1: int, first: int) -> None:
+    """Raise ValueError unless each of rows strictly increases down from above.
+
+    Cells b0..b1-1 of a row sit below the cells of `above`, in the columns
+    from `first` (0-based) on.
+    """
+    for row in rows:
+        here = row[b0:b1]
+        if not all(map(lt, above, here)):
+            for j, (top, v) in enumerate(zip(above, here), start=first):
+                if top >= v:
+                    raise ValueError(
+                        f"column {j + 1} not strictly increasing: "
+                        f"{top} above {v}"
+                    )
 
 
 def _validate(plan: _Plan, rows: tuple[tuple[int, ...], ...], nmax: int):
@@ -94,29 +138,11 @@ def _validate(plan: _Plan, rows: tuple[tuple[int, ...], ...], nmax: int):
         raise ValueError(
             f"{len(rows)} rows for a shape with {len(lengths)} rows"
         )
-    if nmax < 1:
-        raise ValueError(f"nmax must be >= 1, got {nmax}")
+    _check_nmax(nmax)
     for i, want, row in zip(count(1), lengths, rows):
-        if len(row) != want:
-            raise ValueError(f"row {i} has {len(row)} entries, shape wants {want}")
-        if row and not (
-            1 <= row[0] and row[-1] <= nmax and list(row) == sorted(row)
-        ):
-            # with every entry in range, the fault is a decrease
-            for v in row:
-                if not 1 <= v <= nmax:
-                    raise ValueError(f"entry {v} outside 1..{nmax}")
-            raise ValueError(f"row {i} not weakly increasing: {row}")
+        _check_rows(i, want, (row,), nmax)
     for i, a0, a1, b0, b1, first in plan.checks:
-        if not all(map(lt, rows[i - 1][a0:a1], rows[i][b0:b1])):
-            for j, (above, here) in enumerate(
-                zip(rows[i - 1][a0:a1], rows[i][b0:b1]), start=first
-            ):
-                if above >= here:
-                    raise ValueError(
-                        f"column {j + 1} not strictly increasing: "
-                        f"{above} above {here}"
-                    )
+        _check_columns(rows[i - 1][a0:a1], (rows[i],), b0, b1, first)
 
 
 class Tableau:
@@ -174,7 +200,7 @@ def _content(rows, nmax: int) -> tuple[int, ...]:
 
 
 def _unchecked(shape: SkewShape, rows, nmax: int) -> Tableau:
-    """A Tableau from rows of ints that have passed _validate for shape."""
+    """A Tableau from rows of ints that pass the tests of _validate for shape."""
     tab = object.__new__(Tableau)
     _fill(tab, shape, rows, nmax)
     return tab
@@ -205,27 +231,32 @@ def _ssyt_rows(shape: SkewShape, nmax: int) -> list[tuple[tuple[int, ...], ...]]
     """Rows of every semistandard filling of `shape` with entries 1..nmax.
 
     Deterministic row-major lexicographic order (cells filled left to
-    right, top to bottom, values ascending).  Each filling passes
-    _validate once.  The empty shape yields one empty filling.
+    right, top to bottom, values ascending).  Each row is checked as it
+    joins its prefix (a row with no shared column once per level), so
+    every filling passes the tests of _validate.  The empty shape yields
+    one empty filling; nmax < 1 raises ValueError for every shape.
     """
+    _check_nmax(nmax)
     plan = _plan(shape)
     partial: list[tuple[tuple[int, ...], ...]] = [()]
-    for length, link in zip(plan.lengths, plan.links):
+    for i, length, link in zip(count(1), plan.lengths, plan.links):
         if link is None:
             rows = _rows(nmax, (1,) * length)
+            _check_rows(i, length, rows, nmax)
             partial = [done + (row,) for done in partial for row in rows]
         else:
             # the outer shape is a partition, so the shared columns run to
             # the end of this row and only the first b0 cells are free
-            a0, a1, b0, _ = link
+            a0, a1, b0, b1, first = link
             free = (1,) * b0
-            partial = [
-                done + (row,)
-                for done in partial
-                for row in _rows(nmax, free + tuple(map(_succ, done[-1][a0:a1])))
-            ]
-    for rows in partial:
-        _validate(plan, rows, nmax)
+            grown = []
+            for done in partial:
+                above = done[-1][a0:a1]
+                rows = _rows(nmax, free + tuple(map(_succ, above)))
+                _check_rows(i, length, rows, nmax)
+                _check_columns(above, rows, b0, b1, first)
+                grown += [done + (row,) for row in rows]
+            partial = grown
     return partial
 
 

@@ -287,6 +287,25 @@ class TestCheckIdentityCommand:
             "insertion-step: FAILED (built 24 tableaux, next shape has 18)"
         )
 
+    def test_enumerated_fillings_are_not_validated_again(self, capsys, monkeypatch):
+        # every image of this step is an enumerated filling of the next
+        # shape, and enumeration checks rows as it builds them, so no
+        # finished filling goes through the validator
+        calls = []
+        real = tableaux._validate
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(tableaux, "_validate", counted)
+        argv = ["check-identity", "--alpha", "1", "--beta", "1,2",
+                "--nvars", "3", "--k", "3"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].startswith("insertion-step: ok (")
+        assert calls == []
+
 
 class TestRecurrenceCommand:
     def test_golden_boundary(self, capsys):

@@ -458,6 +458,94 @@ class TestValidationMessages:
         assert str(err.value) == message
 
 
+class TestNmaxBelowOne:
+    """nmax < 1 is refused for every shape, the empty one included."""
+
+    @pytest.mark.parametrize("nmax", [0, -1])
+    @pytest.mark.parametrize("shape", [_shape(()), _shape((1,)), _shape((2, 1), (1,))], ids=str)
+    def test_enumeration_raises(self, shape, nmax):
+        message = f"nmax must be >= 1, got {nmax}"
+        for enumerate_ in (tableaux._ssyt_rows, enumerate_ssyt, schur_by_tableaux):
+            with pytest.raises(ValueError) as err:
+                enumerate_(shape, nmax)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("nmax", [0, -1])
+    @pytest.mark.parametrize(
+        "shape, shape_next",
+        [(_shape(()), _shape((1,))), (_shape((2, 1), (1,)), _shape((3, 2), (1,)))],
+        ids=str,
+    )
+    def test_insertion_step_raises(self, shape, shape_next, nmax):
+        # with nmax < 1 there are no positive tails, so no sequence either
+        seqs = extension_sequences(0, 1, nmax)
+        assert seqs == []
+        with pytest.raises(ValueError) as err:
+            insertion_step(shape, shape_next, seqs, nmax)
+        assert str(err.value) == f"nmax must be >= 1, got {nmax}"
+
+
+def _bad_rows(bad):
+    """A stand-in for tableaux._rows: the real rows, except `bad(floor)`."""
+    real = tableaux._rows
+
+    def rows(nmax, floor):
+        out = bad(floor)
+        return real(nmax, floor) if out is None else out
+
+    return rows
+
+
+class TestEnumeratorChecksRows:
+    """Rows that break a rule are caught as they join, whatever _rows says.
+
+    Each case makes the row memo hand back one bad row; the enumeration
+    must raise the error the validator gives for that filling.
+    """
+
+    @pytest.mark.parametrize(
+        "outer, inner, nmax, bad, filling, message",
+        [
+            # order
+            ((2,), (), 3, lambda floor: ((2, 1),), [(2, 1)],
+             "row 1 not weakly increasing: (2, 1)"),
+            ((2, 2), (), 3,
+             lambda floor: None if floor == (1, 1) else ((3, 2),),
+             [(1, 1), (3, 2)], "row 2 not weakly increasing: (3, 2)"),
+            # range
+            ((1,), (), 3, lambda floor: ((4,),), [(4,)], "entry 4 outside 1..3"),
+            ((2,), (), 3, lambda floor: ((0, 1),), [(0, 1)],
+             "entry 0 outside 1..3"),
+            # length
+            ((2,), (), 3, lambda floor: ((1, 1, 1),), [(1, 1, 1)],
+             "row 1 has 3 entries, shape wants 2"),
+            ((2, 1), (), 3,
+             lambda floor: None if len(floor) == 2 else ((),),
+             [(1, 1), ()], "row 2 has 0 entries, shape wants 1"),
+            # a shared column
+            ((1, 1), (), 3, lambda floor: ((1,),), [(1,), (1,)],
+             "column 1 not strictly increasing: 1 above 1"),
+            ((2, 2), (1,), 2,
+             lambda floor: ((1,),) if len(floor) == 1 else ((1, 1),),
+             [(1,), (1, 1)], "column 2 not strictly increasing: 1 above 1"),
+        ],
+    )
+    def test_bad_row_raises_the_validator_error(
+        self, monkeypatch, outer, inner, nmax, bad, filling, message
+    ):
+        shape = _shape(outer, inner)
+        with pytest.raises(ValueError) as direct:
+            Tableau(shape, filling, nmax)
+        assert str(direct.value) == message
+        monkeypatch.setattr(tableaux, "_rows", _bad_rows(bad))
+        with pytest.raises(ValueError) as err:
+            enumerate_ssyt(shape, nmax)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            insertion_step(shape, shape, [], nmax)
+        assert str(err.value) == message
+
+
 class TestBoundedCaches:
     def test_plan_and_row_caches_stay_within_maxsize(self):
         plans, rows = tableaux._plan.cache_info, tableaux._rows.cache_info
