@@ -40,8 +40,23 @@ def _floor_coeffs(abs_coeffs, deg):
     return (FLOOR_ULPS * deg * EPS) * abs_coeffs
 
 
+def _floor_at(floor_coeffs, r):
+    """The rounding floor at the array r, by Horner's rule.
+
+    floor_coeffs are ascending (degree >= 1); an entry may be an array
+    that broadcasts against r.  After the first step the running value is
+    updated in place.
+    """
+    deg = len(floor_coeffs) - 1
+    floor = floor_coeffs[deg] * r + floor_coeffs[deg - 1]
+    for m in range(deg - 2, -1, -1):
+        floor *= r
+        floor += floor_coeffs[m]
+    return floor
+
+
 def _horner_with_floor(coeffs, floor_coeffs, z, r):
-    """p(z), p'(z) and the rounding floor at r = |z|, in one Horner pass.
+    """p(z) and p'(z) by Horner's rule, and the rounding floor at r = |z|.
 
     coeffs and floor_coeffs are ascending (degree >= 1); an entry may be a
     row with one value per column of z.  After the first step the running
@@ -50,15 +65,12 @@ def _horner_with_floor(coeffs, floor_coeffs, z, r):
     deg = len(coeffs) - 1
     pv = coeffs[deg] * z + coeffs[deg - 1]
     dv = np.full(z.shape, coeffs[deg], np.complex128)
-    floor = floor_coeffs[deg] * r + floor_coeffs[deg - 1]
     for m in range(deg - 2, -1, -1):
         dv *= z
         dv += pv
         pv *= z
         pv += coeffs[m]
-        floor *= r
-        floor += floor_coeffs[m]
-    return pv, dv, floor
+    return pv, dv, _floor_at(floor_coeffs, r)
 
 
 def _aberth_update(z, pv, dv):

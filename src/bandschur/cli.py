@@ -433,11 +433,10 @@ def _run_widom(args) -> tuple[str, int, str | None]:
     _at_least("--k", args.k, 0)
 
     t_roots = poly_roots(list(sym.coeffs))
-    check_separated(t_roots, "symbol roots")
+    # widom_original checks the symbol roots apart before it sums
+    w_orig = widom_original(t_roots, sym.coeffs[-1], args.c, args.k)
     chi_points = tuple(-1.0 / t for t in t_roots)
     check_separated(chi_points, "reciprocal points")
-
-    w_orig = widom_original(t_roots, sym.coeffs[-1], args.c, args.k)
     w_mod = widom_modified(chi_points, args.c, args.k)
     w_hall = hall_schur_eval((args.k,) * args.c, chi_points)
     spec = MinorSpec.contiguous(args.c, sym.band)
@@ -597,7 +596,7 @@ def _run_compare(args) -> tuple[str, int, str | None]:
     if args.format == "json":
         obj = {
             "k": args.k,
-            "hit_count": result.hit_count,
+            "hit_count": len(report.hits),
             "median_distance": result.median_distance,
             "max_distance": result.max_distance,
         }
@@ -606,12 +605,12 @@ def _run_compare(args) -> tuple[str, int, str | None]:
         out = "\n".join(
             [
                 f"k: {args.k}",
-                f"hits: {result.hit_count}",
+                f"hits: {len(report.hits)}",
                 f"median-distance: {result.median_distance:.12g}",
                 f"max-distance: {result.max_distance:.12g}",
             ]
         )
-    return out, *_scan_failure_status(result.failure_count)
+    return out, *_scan_failure_status(len(report.failures))
 
 
 @functools.cache

@@ -33,7 +33,6 @@ Monomial = tuple[int, ...]
 
 FACTOR_CACHE_SIZE = 1024  # (variable, exponent) pairs whose text __str__ keeps
 PIERI_CACHE_SIZE = 4096  # (partition, d, n) steps whose products are kept
-ELEMENTARY_CACHE_SIZE = 128  # (d, n) with 0 <= d <= n: every degree to n = 14
 BASIS_CACHE_SIZE = 32  # variable counts whose elementary basis is kept
 
 
@@ -117,8 +116,6 @@ class MultiPoly:
         return iter(self.terms())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self == MultiPoly.constant(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.nvars == other.nvars and self._terms == other._terms
@@ -289,19 +286,13 @@ def _raw(nvars: int, terms: dict[Monomial, int]) -> MultiPoly:
 def elementary_symmetric(degree: int, nvars: int) -> MultiPoly:
     """e_degree(x1..xn): sum of all squarefree monomials of the given degree.
 
-    e_0 = 1; e_d = 0 for d < 0 or d > nvars.  Every degree off 0..nvars
-    gets the one shared zero of elementary_variable and adds no cache entry.
+    e_0 = 1; e_d = 0 for d < 0 or d > nvars.  Built on each call: the one
+    caller that repeats a degree, _pieri_step, is memoised itself.
     """
-    if 0 <= degree <= nvars:
-        return _squarefree_sum(degree, nvars)
-    return _elementary_basis(nvars)[-1]
-
-
-@lru_cache(maxsize=ELEMENTARY_CACHE_SIZE)
-def _squarefree_sum(degree: int, nvars: int) -> MultiPoly:
-    """e_degree(x1..xn) for 0 <= degree <= nvars."""
     if degree == 0:
         return MultiPoly.one(nvars)
+    if not 0 < degree <= nvars:
+        return MultiPoly.zero(nvars)
     terms: dict[Monomial, int] = {}
     for combo in combinations(range(nvars), degree):
         exps = [0] * nvars

@@ -16,10 +16,12 @@ class Partition:
 
     Trailing zeros are dropped at construction, so a partition holds no
     zero parts: Partition((2, 1, 0)) has parts (2, 1) and equals
-    Partition((2, 1)).  The hash is computed once, at construction.
+    Partition((2, 1)).  A tuple or list equals a partition only when it
+    holds exactly its parts, so (2, 1) does and (2, 1, 0) does not; equal
+    values then hash alike.
     """
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ("parts",)
 
     def __init__(self, parts=()):
         parts = tuple(int(p) for p in parts)
@@ -31,23 +33,19 @@ class Partition:
         # weakly decreasing and non-negative: the zeros are the tail
         parts = parts[: len(parts) - parts.count(0)]
         object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_hash", hash(parts))
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
     def __eq__(self, other):
         if isinstance(other, (tuple, list)):
-            try:
-                other = Partition(other)
-            except (TypeError, ValueError):  # not a partition, so not equal
-                return False
+            return self.parts == tuple(other)
         if not isinstance(other, Partition):
             return NotImplemented
         return self.parts == other.parts
 
     def __hash__(self):
-        return self._hash
+        return hash(self.parts)
 
     def __len__(self):
         return len(self.parts)

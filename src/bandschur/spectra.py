@@ -25,8 +25,8 @@ poly_roots solves single polynomials as companion-matrix eigenvalues
 independent check.
 
 Results hold only what was computed: the hits, failures and screen edge
-of a scan, the sorted eigenvalues of a minor, the distance statistics of
-a comparison.  Their JSON, CSV and text layouts belong to cli.
+of a scan, the sorted eigenvalues of a minor, the two distances of a
+comparison.  Their JSON, CSV and text layouts belong to cli.
 
 numpy is imported on the first numeric step, not with this module: np
 comes from _numpy, and nothing here reads it at import time.
@@ -232,9 +232,9 @@ def _pellet_threshold(coeffs, c: int, tol: float) -> float:
 def _floor_finite_at_cauchy_bound(base, c: int, shift) -> np.ndarray:
     """Whether the kernel's rounding floor is finite at each point's root bound.
 
-    The floor is evaluated as _kernels.scan_moduli does, at the Cauchy
-    bound 1 + max over i < n of |a_i| / |a_n|, which no root exceeds;
-    shift holds |a_c| = |s_c - v| per point.
+    The floor is _kernels._floor_at, the one scan_moduli's stop test
+    reads, at the Cauchy bound 1 + max over i < n of |a_i| / |a_n|, which
+    no root exceeds; shift holds |a_c| = |s_c - v| per point.
     """
     deg = len(base) - 1
     abs_base = np.abs(base)
@@ -243,11 +243,7 @@ def _floor_finite_at_cauchy_bound(base, c: int, shift) -> np.ndarray:
     floor_coeffs[c] = _kernels._floor_coeffs(shift, deg)
     with np.errstate(all="ignore"):
         bound = 1.0 + np.maximum(shift, rest) / abs_base[deg]
-        floor = floor_coeffs[deg] * bound + floor_coeffs[deg - 1]
-        for m in range(deg - 2, -1, -1):
-            floor *= bound
-            floor += floor_coeffs[m]
-    return np.isfinite(floor)
+        return np.isfinite(_kernels._floor_at(floor_coeffs, bound))
 
 
 def limit_set_scan(
@@ -325,14 +321,11 @@ def finite_section_spectrum(
 class ComparisonResult:
     """Distances from finite-section eigenvalues to the scanned hit set.
 
-    failure_count is the number of grid points whose root solve did not
-    converge; those points are neither hits nor misses.
+    The hit and failure counts are those of the LimitSetReport compared.
     """
 
-    hit_count: int
     median_distance: float
     max_distance: float
-    failure_count: int
 
 
 def spectrum_vs_limitset(
@@ -353,8 +346,6 @@ def spectrum_vs_limitset(
     hit_pts = hits[:, 0] + 1j * hits[:, 1]
     dists = np.abs(eigs[:, None] - hit_pts[None, :]).min(axis=1)
     return ComparisonResult(
-        hit_count=len(report.hits),
         median_distance=float(np.median(dists)),
         max_distance=float(dists.max()),
-        failure_count=len(report.failures),
     )

@@ -14,8 +14,8 @@ row is checked as it joins its prefix, by the row and column tests of
 Insertion (`_insert_rows`) puts value i of a strictly increasing sequence
 into row i: a positive value joins the row's content, a negative value
 adds one skew box to the row, and a row beyond the last one is created.
-The resulting shape depends only on the source shape and the sequence, so
-it is built once per pair.
+The resulting shape depends only on the source shape and the sequence; it
+is built on each call and its plan read from the plan cache.
 
 What validates: the public `Tableau(...)` constructor and
 `insert_sequence` validate the tableau they return, and `enumerate_ssyt`
@@ -40,9 +40,9 @@ from operator import lt, sub
 from .polyring import MultiPoly
 from .shapes import Partition, SkewShape
 
-# Bounds on the per-shape caches.  One check-identity command uses two
-# shapes and one insertion target per sequence; one enumeration reads at
-# most one bound vector per distinct row above.
+# Bounds on the per-shape caches.  One check-identity command plans its two
+# shapes and the target of each sequence; one enumeration reads at most one
+# bound vector per distinct row above.
 PLAN_CACHE_SIZE = 64
 ROW_CACHE_SIZE = 1024
 
@@ -53,23 +53,20 @@ class _Plan:
     lengths holds the number of content cells of each row.  links holds,
     per row, None or (a0, a1, b0, b1, first): cells a0..a1-1 of the row
     above share their columns with cells b0..b1-1 of this row, the first
-    of those columns being column `first` (0-based).  checks lists the
-    links that exist as (row, a0, a1, b0, b1, first).
+    of those columns being column `first` (0-based).
     """
 
-    __slots__ = ("lengths", "links", "checks")
+    __slots__ = ("lengths", "links")
 
-    def __init__(self, lengths, links, checks):
+    def __init__(self, lengths, links):
         self.lengths = lengths
         self.links = links
-        self.checks = checks
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(shape: SkewShape) -> _Plan:
     spans = shape.row_spans()
     links: list[tuple[int, int, int, int, int] | None] = []
-    checks = []
     for i, (lo, hi) in enumerate(spans):
         link = None
         if i:
@@ -77,11 +74,8 @@ def _plan(shape: SkewShape) -> _Plan:
             start, stop = max(lo, plo), min(hi, phi)
             if start < stop:
                 link = (start - plo, stop - plo, start - lo, stop - lo, start)
-                checks.append((i, *link))
         links.append(link)
-    return _Plan(
-        tuple(hi - lo for lo, hi in spans), tuple(links), tuple(checks)
-    )
+    return _Plan(tuple(hi - lo for lo, hi in spans), tuple(links))
 
 
 def _check_nmax(nmax: int) -> None:
@@ -141,8 +135,10 @@ def _validate(plan: _Plan, rows: tuple[tuple[int, ...], ...], nmax: int):
     _check_nmax(nmax)
     for i, want, row in zip(count(1), lengths, rows):
         _check_rows(i, want, (row,), nmax)
-    for i, a0, a1, b0, b1, first in plan.checks:
-        _check_columns(rows[i - 1][a0:a1], (rows[i],), b0, b1, first)
+    for i, link in enumerate(plan.links):
+        if link is not None:
+            a0, a1, b0, b1, first = link
+            _check_columns(rows[i - 1][a0:a1], (rows[i],), b0, b1, first)
 
 
 class Tableau:
@@ -153,7 +149,7 @@ class Tableau:
     columns strictly increasing.
     """
 
-    __slots__ = ("shape", "rows", "nmax", "_hash")
+    __slots__ = ("shape", "rows", "nmax")
 
     def __init__(self, shape: SkewShape, rows, nmax: int):
         rows = tuple(tuple(int(v) for v in row) for row in rows)
@@ -169,11 +165,7 @@ class Tableau:
         return self.rows == other.rows and self.shape == other.shape
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.shape, self.rows))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.shape, self.rows))
 
     def __repr__(self):
         return f"Tableau({self.shape}, {list(map(list, self.rows))})"
@@ -187,7 +179,6 @@ def _fill(tab: Tableau, shape: SkewShape, rows, nmax: int) -> None:
     object.__setattr__(tab, "shape", shape)
     object.__setattr__(tab, "rows", rows)
     object.__setattr__(tab, "nmax", nmax)
-    object.__setattr__(tab, "_hash", None)
 
 
 def _content(rows, nmax: int) -> tuple[int, ...]:
@@ -295,11 +286,10 @@ class InsertionSequence:
             raise ValueError(f"sequence not strictly increasing: {self.values}")
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _insertion_target(
     shape: SkewShape, values: tuple[int, ...]
 ) -> tuple[SkewShape, _Plan]:
-    """Shape (and its plan) of every insertion of `values` into `shape`.
+    """Shape (and its cached plan) of every insertion of `values` into `shape`.
 
     Rows 1..len(values) gain a box, new single-box rows included; the
     rows that receive a negative value gain it as a skew box.

@@ -25,7 +25,7 @@ from functools import lru_cache
 from ._numpy import np
 from .polyring import MultiPoly, elementary_variable
 from .schur import PolyMatrix, jacobi_trudi_matrix, symbolic_det
-from .shapes import MinorSpec, min_k, shape_from_minor, surviving
+from .shapes import MinorSpec, shape_from_minor, surviving
 
 MINOR_CACHE_SIZE = 36  # verify_minor_schur's minors; recurrences sweep their own
 
@@ -154,10 +154,8 @@ def verify_minor_schur(spec: MinorSpec, k: int) -> tuple[bool, MultiPoly]:
     elementary basis, where they agree exactly when they agree in x.
     Returns (identity holds, residual in e_1..e_band).
     """
-    lo = min_k(spec)
-    if k < lo:
-        raise ValueError(f"k = {k} below min_k = {lo} for {spec}")
+    shape = shape_from_minor(spec, k)  # raises below min_k
     det = minor_det_symbolic(spec, k)
-    schur = symbolic_det(jacobi_trudi_matrix(shape_from_minor(spec, k), spec.band))
+    schur = symbolic_det(jacobi_trudi_matrix(shape, spec.band))
     residual = det - schur
     return residual.is_zero, residual

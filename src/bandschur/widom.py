@@ -2,8 +2,9 @@
 
 Three independent routes to the contiguous minor (first c columns
 deleted): widom_original, the classical subset sum over the symbol roots
-psi; widom_modified, Hall's subset sum over the reversed-symbol roots chi;
-and hall_schur_eval, any Schur polynomial at distinct points as Jacobi's
+psi; widom_modified, Hall's subset sum over the points chi = -1/psi, whose
+elementary symmetric polynomials are the band coefficients; and
+hall_schur_eval, any Schur polynomial at distinct points as Jacobi's
 bialternant by LU, here on the rectangle (k^c).  All three are rational
 expressions in the roots, so distinctness is a hard hypothesis:
 near-coincident root sets are rejected, not regularized (the exact
@@ -74,10 +75,11 @@ def widom_original(psi_roots, s_n: complex, c: int, k: int) -> complex:
 
 
 def widom_modified(chi_roots, c: int, k: int) -> complex:
-    """Root-product form: sum over c-subsets of the reversed-symbol roots.
+    """Root-product form: sum over c-subsets of the points x_i = -1/psi_i.
 
-    chi_roots are the roots x_i of the reversed symbol polynomial
-    t^n + s_1 t^(n-1) + ... + s_n (so s_d = e_d(x)); each c-subset tau
+    chi_roots are the x_i, the roots of t^n - s_1 t^(n-1) + ... +
+    (-1)^n s_n (so s_d = e_d(x); the reversed symbol polynomial
+    t^n + s_1 t^(n-1) + ... + s_n has the roots -x_i); each c-subset tau
     contributes prod_{i in tau} x_i^k * prod_{i in tau, j not in tau}
     x_i / (x_i - x_j).  The sum is the rectangular Schur value
     s_{(k^c)}(x); at k = 0 it is exactly 1.

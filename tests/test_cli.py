@@ -420,6 +420,16 @@ class TestWidomCommand:
         assert out.splitlines()[0] == "psi-roots: -1e-200, -1e+100"
         assert err == "error: numeric determinant is not finite: inf+nani\n"
 
+    def test_coinciding_reciprocal_points_fail(self, capsys):
+        # roots 1e-3, 1 and 1 + 1e-7 are apart relative to 1, but their
+        # reciprocals -1 and -1 + 1e-7 are not relative to 1000
+        symbol = "1,-1001.9999998999998,2000.9998999000097,-999.9999000000099"
+        code, out, err = run(
+            capsys, ["widom", "--symbol", symbol, "--c", "1", "--k", "2"]
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: reciprocal points 1 and 2 coincide within 1e-09 relative\n"
+
     @pytest.mark.parametrize(
         "symbol, c, k",
         [

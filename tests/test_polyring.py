@@ -96,11 +96,6 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             _var(2, 1) * _var(3, 1)
 
-    def test_equality_with_plain_integers(self):
-        assert MultiPoly(2, {(0, 0): 5}) == 5
-        assert MultiPoly.zero(3) == 0
-        assert MultiPoly(2, {(1, 0): 1}) != 1
-
 
 class TestElementarySymmetric:
     def test_degree_zero_is_one(self):
@@ -119,15 +114,12 @@ class TestElementarySymmetric:
             3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
         )
 
-    def test_cached(self):
-        assert elementary_symmetric(2, 3) is elementary_symmetric(2, 3)
-
     def test_off_range_degrees_add_no_cache_entry(self):
         caches = [f for f in vars(polyring).values() if hasattr(f, "cache_info")]
-        zero = elementary_symmetric(-1, 3)
+        elementary_symmetric(-1, 3)
         sizes = [f.cache_info().currsize for f in caches]
         for d in (*range(-1000, 0), *range(4, 1010)):
-            assert elementary_symmetric(d, 3) is zero
+            assert elementary_symmetric(d, 3).is_zero
         assert [f.cache_info().currsize for f in caches] == sizes
 
     def test_generating_product(self):

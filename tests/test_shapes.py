@@ -1,8 +1,11 @@
 """Tests for partitions, skew shapes, and minor specifications."""
 
+from collections.abc import Hashable
+
 import pytest
 from hypothesis import given, strategies as st
 
+from bandschur.polyring import MultiPoly
 from bandschur.shapes import (
     MinorSpec,
     Partition,
@@ -70,7 +73,9 @@ class TestPartition:
         assert Partition((3, 1)) == (3, 1)
         assert Partition((3, 1)) == [3, 1]
         assert Partition(()) == ()
-        assert Partition((3, 1)) == (3, 1, 0)
+        # a zero-padded sequence is not the partition's parts, and equal
+        # values must hash alike
+        assert Partition((3, 1)) != (3, 1, 0)
 
     def test_equality_with_a_non_partition_sequence_is_false(self):
         assert not Partition((3, 1)) == (1, 3)
@@ -115,6 +120,41 @@ class TestPartition:
             assert q.size() == p.size()
             if p.parts:
                 assert len(q.parts) == p.part(1)
+
+
+@st.composite
+def related_values(draw):
+    """Two values built from one small seed, so they are often equal.
+
+    Each is a partition, a tuple or list of its parts with or without
+    trailing zeros, a constant MultiPoly or a plain int.
+    """
+    parts = tuple(sorted(draw(st.lists(st.integers(1, 3), max_size=3)), reverse=True))
+    value = draw(st.integers(-1, 3))
+    nvars = draw(st.integers(1, 2))
+
+    def view():
+        padded = parts + (0,) * draw(st.integers(0, 2))
+        kind = draw(st.sampled_from(["partition", "tuple", "list", "poly", "int"]))
+        if kind == "partition":
+            return Partition(padded)
+        if kind == "tuple":
+            return padded
+        if kind == "list":
+            return list(padded)
+        if kind == "poly":
+            return MultiPoly.constant(nvars, value)
+        return value
+
+    return view(), view()
+
+
+class TestHashContract:
+    @given(related_values())
+    def test_equal_hashable_values_hash_alike(self, pair):
+        a, b = pair
+        if a == b and isinstance(a, Hashable) and isinstance(b, Hashable):
+            assert hash(a) == hash(b)
 
 
 class TestParsePartition:

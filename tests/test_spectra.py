@@ -298,7 +298,7 @@ class TestSpectrumVsLimitSet:
         report = limit_set_scan(TRIDIAG, 1, grid, tol=1e-2)
         result = spectrum_vs_limitset(TRIDIAG, 1, 8, report)
         assert isinstance(result, ComparisonResult)
-        assert result.hit_count > 0
+        assert len(report.hits) > 0
         assert result.median_distance <= grid.pitch()
         assert result.max_distance <= grid.pitch()
 

@@ -562,11 +562,3 @@ class TestBoundedCaches:
             assert len(enumerate_ssyt(_shape((1, 1)), nmax)) == nmax * (nmax - 1) // 2
             assert rows().currsize <= ROW_CACHE_SIZE
         assert rows().misses - misses > ROW_CACHE_SIZE
-
-    def test_insertion_targets_stay_within_maxsize(self):
-        info = tableaux._insertion_target.cache_info
-        assert info().maxsize == PLAN_CACHE_SIZE
-        tab = Tableau(_shape((1,)), [(1,)], 2 * PLAN_CACHE_SIZE)
-        for v in range(1, 2 * PLAN_CACHE_SIZE):
-            insert_sequence(tab, InsertionSequence((v, v + 1)))
-            assert info().currsize <= PLAN_CACHE_SIZE

@@ -51,8 +51,10 @@ class TestCheckSeparated:
 
 class TestGoldenValues:
     def test_integer_case_block_two(self):
-        # Symbol 1 + 5t + 6t^2 factors as (1+2t)(1+3t): reversed-polynomial
-        # roots are (2, 3) and the k = 2 contiguous minor value is 19.
+        # Symbol 1 + 5t + 6t^2 factors as (1+2t)(1+3t): the chi points
+        # x_i = -1/t_i are (2, 3), the roots of t^2 - 5t + 6 (the reversed
+        # polynomial t^2 + 5t + 6 has roots -2, -3), and the k = 2
+        # contiguous minor value is 19.
         assert widom_modified((2.0, 3.0), 1, 2) == pytest.approx(19.0)
         t_roots = (-0.5, -1 / 3)
         assert widom_original(t_roots, 6.0, 1, 2) == pytest.approx(19.0)
