@@ -9,6 +9,7 @@ it corresponds to is produced by :func:`shape_from_minor`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 
 class Partition:
@@ -18,13 +19,14 @@ class Partition:
     zero parts: Partition((2, 1, 0)) has parts (2, 1) and equals
     Partition((2, 1)).  A tuple or list equals a partition only when it
     holds exactly its parts, so (2, 1) does and (2, 1, 0) does not; equal
-    values then hash alike.
+    values then hash alike.  Parts must be integers (`operator.index`), so
+    a float or a string raises TypeError rather than being truncated.
     """
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(index, parts))
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"not weakly decreasing: {parts}")

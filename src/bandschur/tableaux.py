@@ -1,48 +1,61 @@
 """Semistandard skew tableaux: enumeration and row-wise sequence insertion.
 
-The engine works on rows held as flat tuples of ints and has one
-validator, `_validate`, made of a row test and a column test.  What the
-validator needs from a shape (row lengths and the column ranges a row
-shares with the row above) is computed once per shape and kept in a
-bounded cache of `_Plan`s.
+A weakly increasing row is fixed by its multiset of entries, so the
+engine packs a filling into one int, its key: row i (0-based) holds its
+multiplicities of 1..nmax in nmax fields of `width` bits, starting at bit
+i * nmax * width.  A filling's content (its multiplicity of each value) is
+the sum of its row keys, each shifted down to bit 0.  Every multiplicity,
+of one value in one row or in a whole filling, is at most the box count,
+so `width` is the bit length of the largest box count a call packs
+(`_width`); a narrower width raises ValueError before any field could
+carry into the next.
 
-Enumeration (`_ssyt_rows`) builds whole rows: the row above fixes a lower
+Enumeration (`_fillings`) builds whole rows: the row above fixes a lower
 bound for each cell of the next row, and the weakly increasing rows that
 meet a bound vector come from a bounded memo keyed on that vector.  Each
-row is checked as it joins its prefix, by the row and column tests of
-`_validate`, so a prefix shared by many fillings is checked once.
-Insertion (`_insert_rows`) puts value i of a strictly increasing sequence
-into row i: a positive value joins the row's content, a negative value
-adds one skew box to the row, and a row beyond the last one is created.
-The resulting shape depends only on the source shape and the sequence; it
-is built on each call and its plan read from the plan cache.
+row is checked as it joins its prefix, by the row and column tests of the
+one validator `_validate`, once per distinct slice of the row above in a
+call, so a prefix shared by many fillings is checked once.  What the
+validator needs from a shape (row lengths and the column ranges a row
+shares with the row above) is computed once per shape and kept in a
+bounded cache of `_Plan`s.  `_ssyt_rows` and `enumerate_ssyt` unpack the
+keys to rows; `schur_by_tableaux` counts the contents.
+
+Insertion puts value i of a strictly increasing sequence into row i: a
+positive value joins the row's content, a negative value adds one skew box
+to the row, and a row beyond the last one is created.  The resulting shape
+depends only on the source shape, the sequence's length and its number of
+negative values.  `insert_sequence` does this on the rows of a Tableau
+(`_insert_rows`); `insertion_step` does it on keys, where inserting a
+sequence is adding one int, its `_delta`.
 
 What validates: the public `Tableau(...)` constructor and
 `insert_sequence` validate the tableau they return, and `enumerate_ssyt`
-and `schur_by_tableaux` read the checked fillings of `_ssyt_rows`.
+and `schur_by_tableaux` read the checked fillings of `_fillings`.
 `insertion_step` accepts an image without a second validation only by
-membership: when the sequence targets the next shape and the image's rows
-are the rows of one of that shape's enumerated fillings.  Two fillings of
-one shape are equal exactly when their rows are, so such an image is that
+membership: when the sequence targets the next shape and the image's key
+is the key of one of that shape's enumerated fillings.  Two fillings of
+one shape are equal exactly when their keys are, so such an image is that
 filling, which has passed the tests of `_validate`; validating it again
-could only repeat the verdict.  Every other image is validated against
-its own target shape.
+could only repeat the verdict.  Every other image is unpacked and
+validated against its own target shape.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, count
-from operator import lt, sub
+from itertools import chain, combinations, count, repeat
+from operator import index, lt
 
 from .polyring import MultiPoly
 from .shapes import Partition, SkewShape
 
 # Bounds on the per-shape caches.  One check-identity command plans its two
-# shapes and the target of each sequence; one enumeration reads at most one
-# bound vector per distinct row above.
+# shapes and one target per sequence length and negative count; one
+# enumeration reads at most one bound vector per distinct row above.
 PLAN_CACHE_SIZE = 64
 ROW_CACHE_SIZE = 1024
 
@@ -146,13 +159,14 @@ class Tableau:
 
     rows holds the content cells only (one tuple per row of the outer
     shape); skew cells are implicit.  Rows must be weakly increasing and
-    columns strictly increasing.
+    columns strictly increasing.  Entries must be integers
+    (`operator.index`): a float or a string raises TypeError.
     """
 
     __slots__ = ("shape", "rows", "nmax")
 
     def __init__(self, shape: SkewShape, rows, nmax: int):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(map(index, row)) for row in rows)
         _validate(_plan(shape), rows, nmax)
         _fill(self, shape, rows, nmax)
 
@@ -218,37 +232,108 @@ def _succ(v: int) -> int:
     return v + 1
 
 
-def _ssyt_rows(shape: SkewShape, nmax: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Rows of every semistandard filling of `shape` with entries 1..nmax.
+def _width(boxes: int) -> int:
+    """Bits per multiplicity field for fillings of at most `boxes` boxes.
 
-    Deterministic row-major lexicographic order (cells filled left to
-    right, top to bottom, values ascending).  Each row is checked as it
-    joins its prefix (a row with no shared column once per level), so
-    every filling passes the tests of _validate.  The empty shape yields
-    one empty filling; nmax < 1 raises ValueError for every shape.
+    No multiplicity, of one value in one row or in a whole filling, is
+    above the box count, so with boxes < 2**width no field carries into
+    the next.
+    """
+    return boxes.bit_length()
+
+
+def _check_width(boxes: int, width: int) -> None:
+    if boxes >> width:
+        raise ValueError(f"{boxes} boxes overflow {width}-bit fields")
+
+
+def _units(nmax: int, width: int) -> list[int]:
+    """unit[v] is the packed row (v,) for v in 1..nmax; unit[0] is 0."""
+    return [0] + [1 << j * width for j in range(nmax)]
+
+
+def _fields(packed: int, count: int, width: int) -> list[int]:
+    """The first `count` fields of `packed`, lowest first."""
+    mask = (1 << width) - 1
+    return [packed >> j * width & mask for j in range(count)]
+
+
+def _unpack(key: int, nmax: int, width: int, nrows: int):
+    """The first nrows rows of a packed filling, as weakly increasing tuples."""
+    counts = _fields(key, nrows * nmax, width)
+    values = range(1, nmax + 1)
+    return tuple(
+        tuple(chain.from_iterable(map(repeat, values, counts[at:at + nmax])))
+        for at in range(0, nrows * nmax, nmax)
+    )
+
+
+def _extensions(rows, unit: list[int], shift: int, shared: slice):
+    """(key step, row key, slice the next row sits below) per checked row."""
+    packed = [sum(map(unit.__getitem__, row)) for row in rows]
+    return [(local << shift, local, row[shared]) for row, local in zip(rows, packed)]
+
+
+def _fillings(shape: SkewShape, nmax: int, width: int) -> list[tuple[int, int]]:
+    """(key, content) of every semistandard filling of `shape`, 1..nmax.
+
+    Row i (0-based) of `key` holds the row's multiplicities of 1..nmax in
+    nmax fields of `width` bits from bit i * nmax * width; `content` is the
+    sum of the row keys, shifted down to bit 0.  Deterministic row-major
+    lexicographic order (cells filled left to right, top to bottom, values
+    ascending).  Rows are checked as they join a prefix: once per row with
+    no shared column, and once per distinct slice of the row above
+    otherwise, so every filling passes the tests of _validate.  The empty
+    shape yields one empty filling; nmax < 1 raises ValueError for every
+    shape, and so does a width below _width(box count).
     """
     _check_nmax(nmax)
+    _check_width(shape.box_count(), width)
     plan = _plan(shape)
-    partial: list[tuple[tuple[int, ...], ...]] = [()]
-    for i, length, link in zip(count(1), plan.lengths, plan.links):
+    links = plan.links
+    unit = _units(nmax, width)
+    # each prefix carries the slice of its last row that the next row's
+    # shared columns sit below
+    partial: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
+    for i, length, link in zip(count(1), plan.lengths, links):
+        below = links[i] if i < len(links) else None
+        shared = slice(*below[:2]) if below else slice(0)
+        shift = (i - 1) * nmax * width
         if link is None:
             rows = _rows(nmax, (1,) * length)
             _check_rows(i, length, rows, nmax)
-            partial = [done + (row,) for done in partial for row in rows]
+            ext = _extensions(rows, unit, shift, shared)
+            partial = [
+                (key + step, content + local, nxt)
+                for key, content, _ in partial
+                for step, local, nxt in ext
+            ]
         else:
             # the outer shape is a partition, so the shared columns run to
             # the end of this row and only the first b0 cells are free
             a0, a1, b0, b1, first = link
             free = (1,) * b0
-            grown = []
-            for done in partial:
-                above = done[-1][a0:a1]
-                rows = _rows(nmax, free + tuple(map(_succ, above)))
-                _check_rows(i, length, rows, nmax)
-                _check_columns(above, rows, b0, b1, first)
-                grown += [done + (row,) for row in rows]
-            partial = grown
-    return partial
+            exts: dict[tuple[int, ...], list] = {}
+            for _, _, above in partial:
+                if above not in exts:
+                    rows = _rows(nmax, free + tuple(map(_succ, above)))
+                    _check_rows(i, length, rows, nmax)
+                    _check_columns(above, rows, b0, b1, first)
+                    exts[above] = _extensions(rows, unit, shift, shared)
+            partial = [
+                (key + step, content + local, nxt)
+                for key, content, above in partial
+                for step, local, nxt in exts[above]
+            ]
+    return [(key, content) for key, content, _ in partial]
+
+
+def _ssyt_rows(shape: SkewShape, nmax: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Rows of every semistandard filling of `shape`, in _fillings order."""
+    width = _width(shape.box_count())
+    nrows = len(shape.outer)
+    fillings = _fillings(shape, nmax, width)
+    return [_unpack(key, nmax, width, nrows) for key, _ in fillings]
 
 
 def enumerate_ssyt(shape: SkewShape, nmax: int) -> list[Tableau]:
@@ -261,11 +346,12 @@ def enumerate_ssyt(shape: SkewShape, nmax: int) -> list[Tableau]:
 
 def schur_by_tableaux(shape: SkewShape, nvars: int) -> MultiPoly:
     """Skew Schur polynomial as the content generating function of SSYT."""
-    terms: dict[tuple[int, ...], int] = {}
-    for rows in _ssyt_rows(shape, nvars):
-        key = _content(rows, nvars)
-        terms[key] = terms.get(key, 0) + 1
-    return MultiPoly(nvars, terms)
+    width = _width(shape.box_count())
+    counts = Counter(content for _, content in _fillings(shape, nvars, width))
+    return MultiPoly(
+        nvars,
+        {tuple(_fields(content, nvars, width)): n for content, n in counts.items()},
+    )
 
 
 @dataclass(frozen=True)
@@ -287,23 +373,27 @@ class InsertionSequence:
 
 
 def _insertion_target(
-    shape: SkewShape, values: tuple[int, ...]
+    shape: SkewShape, length: int, negatives: int
 ) -> tuple[SkewShape, _Plan]:
-    """Shape (and its cached plan) of every insertion of `values` into `shape`.
+    """Shape (and its cached plan) of every insertion of a sequence into `shape`.
 
-    Rows 1..len(values) gain a box, new single-box rows included; the
-    rows that receive a negative value gain it as a skew box.
+    The sequence has `length` values, the first `negatives` of them
+    negative.  Rows 1..length gain a box, new single-box rows included;
+    the rows that receive a negative value gain it as a skew box.
     """
     spans = shape.row_spans()
     outer, inner = [hi for _, hi in spans], [lo for lo, _ in spans]
-    for i, v in enumerate(values):
-        if i == len(outer):
-            outer.append(0)
-            inner.append(0)
+    outer += [0] * (length - len(outer))
+    inner += [0] * (len(outer) - len(inner))
+    for i in range(length):
         outer[i] += 1
-        inner[i] += v < 0
+        inner[i] += i < negatives
     target = SkewShape(Partition(outer), Partition(inner))
     return target, _plan(target)
+
+
+def _negatives(values: tuple[int, ...]) -> int:
+    return sum(v < 0 for v in values)
 
 
 def _check_bound(values: tuple[int, ...], nmax: int) -> None:
@@ -340,7 +430,7 @@ def insert_sequence(tab: Tableau, seq: InsertionSequence) -> Tableau:
     """
     values = seq.values
     _check_bound(values, tab.nmax)
-    shape, plan = _insertion_target(tab.shape, values)
+    shape, plan = _insertion_target(tab.shape, len(values), _negatives(values))
     rows = _insert_rows(tab.rows, values)
     _validate(plan, rows, tab.nmax)
     return _unchecked(shape, rows, tab.nmax)
@@ -370,53 +460,75 @@ class InsertionStep:
         return self.injective and self.covered and self.weighted
 
 
+def _delta(values: tuple[int, ...], nmax: int, width: int) -> int:
+    """What inserting `values` adds to a packed filling's key.
+
+    Value v_i > 0 adds one to the field of v_i in row i; a negative value
+    adds a skew box, which the key does not hold.
+    """
+    return sum(
+        1 << ((i * nmax + v - 1) * width) for i, v in enumerate(values) if v > 0
+    )
+
+
 def insertion_step(
     shape: SkewShape, shape_next: SkewShape, seqs, nmax: int
 ) -> InsertionStep:
-    """Insert each sequence into each filling of `shape`, on row tuples.
+    """Insert each sequence into each filling of `shape`, on packed keys.
 
-    The fillings of `shape_next` are enumerated (and so validated) once
-    and held as a dict from rows to content.  An image whose sequence
-    targets `shape_next` and whose rows are a key of that dict is one of
-    those fillings, so it needs no validation of its own.  Every other
-    image is validated against its target shape, which raises the
+    Both shapes are enumerated once by _fillings, with one field width
+    that holds the multiplicities of every image.  Inserting a sequence
+    adds its _delta to a key.  An image whose sequence targets
+    `shape_next` and whose key is a key of that shape's fillings is one of
+    those fillings, so it needs no validation of its own; its content must
+    be its source's plus the sequence's weight.  Every other image is
+    unpacked and validated against its target shape, which raises the
     ValueError that insert_sequence would, in the same order; a valid one
-    is kept as (target, rows), so it never counts toward covering.
+    is kept as (target, key), so it never counts toward covering.
     """
-    rows_k = _ssyt_rows(shape, nmax)
-    contents_k = [_content(rows, nmax) for rows in rows_k]
-    next_contents = {
-        rows: _content(rows, nmax) for rows in _ssyt_rows(shape_next, nmax)
-    }
+    grow = max((len(s.values) - _negatives(s.values) for s in seqs), default=0)
+    width = _width(max(shape_next.box_count(), shape.box_count() + grow))
+    source = _fillings(shape, nmax, width)
+    keys = [key for key, _ in source]
+    contents = [content for _, content in source]
+    next_contents = dict(_fillings(shape_next, nmax, width))
+    targets: dict[tuple[int, int], tuple[SkewShape, _Plan]] = {}
     built: set = set()
     injective = weighted = True
     # with no filling to insert into, no sequence is applied or checked
-    for seq in seqs if rows_k else ():
+    for seq in seqs if source else ():
         values = seq.values
         _check_bound(values, nmax)
-        target, plan = _insertion_target(shape, values)
+        group = (len(values), _negatives(values))
+        if group not in targets:
+            targets[group] = _insertion_target(shape, *group)
+        target, plan = targets[group]
         known = next_contents if target == shape_next else {}
-        # the x_S weight: an image's content is its source's plus the
-        # sequence's positive values
-        weight = [0] * nmax
-        for v in values:
-            if v > 0:
-                weight[v - 1] += 1
-        images = set()
-        for rows, before in zip(rows_k, contents_k):
-            image = _insert_rows(rows, values)
-            after = known.get(image)
-            if after is None:
-                _validate(plan, image, nmax)
-                image = (target, image)
-            elif list(map(sub, after, before)) != weight:
-                weighted = False
-            images.add(image)
-        if len(images) != len(rows_k):
+        delta = _delta(values, nmax, width)
+        # the x_S weight, from the values and not from delta
+        weight = sum(1 << (v - 1) * width for v in values if v > 0)
+        images = [key + delta for key in keys]
+        afters = list(map(known.get, images))
+        weighed = [before + weight for before in contents]
+        if None in afters:
+            # an image that is no filling of the next shape is validated
+            # on its own and kept apart from those fillings; only the
+            # fillings' contents are compared with the weight
+            for at, after in enumerate(afters):
+                if after is None:
+                    image = images[at]
+                    rows = _unpack(image, nmax, width, len(plan.lengths))
+                    _validate(plan, rows, nmax)
+                    images[at] = (target, image)
+                    afters[at] = weighed[at]
+        if afters != weighed:
+            weighted = False
+        distinct = set(images)
+        if len(distinct) != len(keys):
             injective = False
-        built |= images
+        built |= distinct
     return InsertionStep(
-        tableaux=len(rows_k),
+        tableaux=len(source),
         sequences=len(seqs),
         next_tableaux=len(next_contents),
         built=len(built),

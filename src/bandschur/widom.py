@@ -14,6 +14,7 @@ comes back inf or nan, as in MultiPoly.evaluate, instead of raising."""
 from __future__ import annotations
 
 from itertools import combinations
+from operator import index
 
 from .toeplitz import det_numeric
 
@@ -109,14 +110,15 @@ def hall_schur_eval(parts, points) -> complex:
     """Schur polynomial value at distinct points by Jacobi's bialternant.
 
     det[x_i^(lambda_j + n - j)] / prod_{i<j} (x_i - x_j), the partition
-    padded with zeros to the n points and the determinant taken by LU.  The
+    padded with zeros to the n points and the determinant taken by LU.
+    Parts must be integers: a float or a string raises TypeError.  The
     name stays from the Hall sum this replaced: it is public API, the
     perfbench layer trace (layers.TARGETS) wraps it, and perfbench's checks
     read the `hall-schur` line that widom prints from it.
     """
     x = check_separated(points, "evaluation points")
     n = len(x)
-    parts = tuple(int(p) for p in parts)
+    parts = tuple(map(index, parts))
     if any(a < b for a, b in zip(parts, parts[1:])) or (parts and parts[-1] < 0):
         raise ValueError(f"not a partition: {parts}")
     if len(parts) > n:

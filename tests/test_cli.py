@@ -226,16 +226,16 @@ class TestCheckIdentityCommand:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_swapped_images_fail_the_weight_check(self, capsys, monkeypatch, fmt):
-        # Two sequences trade their images: every sequence stays injective
-        # and the union still covers the next shape, so only the content
-        # (x_S weight) check can see it.
-        real = tableaux._insert_rows
+        # Two sequences trade their key shifts: every sequence stays
+        # injective and the union still covers the next shape, so only the
+        # content (x_S weight) check, made from the values, can see it.
+        real = tableaux._delta
         swap = {(-1, 1): (-1, 2), (-1, 2): (-1, 1)}
 
-        def swapped(rows, values):
-            return real(rows, swap.get(values, values))
+        def swapped(values, nmax, width):
+            return real(swap.get(values, values), nmax, width)
 
-        monkeypatch.setattr(tableaux, "_insert_rows", swapped)
+        monkeypatch.setattr(tableaux, "_delta", swapped)
         argv = ["check-identity", "--alpha", "2", "--beta", "1,3",
                 "--nvars", "3", "--k", "2", "--format", fmt]
         code, out, err = run(capsys, argv)
@@ -254,14 +254,16 @@ class TestCheckIdentityCommand:
     def test_image_with_a_column_violation_is_an_error(
         self, capsys, monkeypatch, fmt
     ):
-        # An image that is no filling of the next shape is validated on its
-        # own, and the validator's message is the command's error.
-        real = tableaux._insert_rows
+        # An image that is no filling of the next shape is unpacked and
+        # validated on its own, and the validator's message is the
+        # command's error.  Here every inserted value is a 1, so the first
+        # image, of rows (1,1),(2,2), has rows (1,1,1),(1,2,2).
+        real = tableaux._delta
 
-        def all_ones(rows, values):
-            return tuple((1,) * len(row) for row in real(rows, values))
+        def all_ones(values, nmax, width):
+            return real((1,) * len(values), nmax, width)
 
-        monkeypatch.setattr(tableaux, "_insert_rows", all_ones)
+        monkeypatch.setattr(tableaux, "_delta", all_ones)
         argv = ["check-identity", "--beta", "1,2", "--nvars", "3", "--k", "2",
                 "--format", fmt]
         code, out, err = run(capsys, argv)
@@ -269,14 +271,16 @@ class TestCheckIdentityCommand:
         assert err == "error: column 1 not strictly increasing: 1 above 1\n"
 
     def test_image_of_another_shape_fails_the_cover_check(self, capsys, monkeypatch):
-        # One sequence's images land on a shape with the next shape's row
+        # The sequences' images land on a shape with the next shape's row
         # lengths and no shared column, so each of them is a valid filling,
-        # but not of the next shape: they must not count toward covering it.
+        # but not of the next shape: they must not count toward covering
+        # it, even though there are as many of them as the next shape has
+        # fillings.
         real = tableaux._insertion_target
         elsewhere = SkewShape(Partition((3, 1)), Partition((2,)))
 
-        def misplaced(shape, values):
-            return real(elsewhere if values == (-1, 1) else shape, values)
+        def misplaced(shape, length, negatives):
+            return real(elsewhere, length, negatives)
 
         monkeypatch.setattr(tableaux, "_insertion_target", misplaced)
         argv = ["check-identity", "--alpha", "2", "--beta", "1,3",
@@ -284,7 +288,7 @@ class TestCheckIdentityCommand:
         code, out, err = run(capsys, argv)
         assert (code, err) == (1, "error: identity check failed\n")
         assert out.splitlines()[-1] == (
-            "insertion-step: FAILED (built 24 tableaux, next shape has 18)"
+            "insertion-step: FAILED (built 18 tableaux, next shape has 18)"
         )
 
     def test_enumerated_fillings_are_not_validated_again(self, capsys, monkeypatch):

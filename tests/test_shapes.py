@@ -92,6 +92,18 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((2, -1))
 
+    @pytest.mark.parametrize("parts", [(2.7, 1.2), (2.0,), ("2", "1")], ids=str)
+    def test_rejects_non_integral_parts(self, parts):
+        # int() would truncate 2.7 to 2 and parse "2"; parts must be ints
+        with pytest.raises(TypeError):
+            Partition(parts)
+
+    def test_accepts_numpy_integers(self):
+        import numpy as np
+        parts = Partition(np.array([3, 1, 0]))
+        assert parts == Partition((3, 1))
+        assert all(type(p) is int for p in parts)
+
     def test_part_accessor_is_one_based_with_zero_padding(self):
         p = Partition((4, 2, 1))
         assert p.part(1) == 4

@@ -1,13 +1,16 @@
 """Tests for semistandard tableaux enumeration and sequence insertion."""
 
 import itertools
+import math
+import operator
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bandschur import tableaux
 from bandschur.polyring import MultiPoly
 from bandschur.shapes import MinorSpec, Partition, SkewShape, min_k, shape_from_minor
+from bandschur.toeplitz import minor_det_symbolic
 from bandschur.tableaux import (
     PLAN_CACHE_SIZE,
     ROW_CACHE_SIZE,
@@ -65,6 +68,20 @@ class TestTableauValidation:
     def test_content(self):
         tab = Tableau(_shape((2, 1)), [(1, 2), (2,)], 3)
         assert tab.content() == (1, 2, 0)
+
+    @pytest.mark.parametrize(
+        "rows", [[(1.9, 2.5)], [(1.0, 2.0)], [("1", "2")]], ids=str
+    )
+    def test_rejects_non_integral_entries(self, rows):
+        # int() would make [(1.9, 2.5)] the filling [[1, 2]]
+        with pytest.raises(TypeError):
+            Tableau(_shape((2,)), rows, 3)
+
+    def test_accepts_numpy_integers(self):
+        import numpy as np
+        tab = Tableau(_shape((2,)), [np.array([1, 2])], 3)
+        assert tab == Tableau(_shape((2,)), [(1, 2)], 3)
+        assert all(type(v) is int for v in tab.rows[0])
 
 
 class TestEnumeration:
@@ -345,10 +362,8 @@ def _reference_step(shape, shape_next, seqs, nmax):
     built = set()
     injective = weighted = True
     for seq in seqs:
-        weight = [0] * nmax
-        for v in seq.values:
-            if v > 0:
-                weight[v - 1] += 1
+        # a value past nmax counts for nothing here: insert_sequence raises
+        weight = [seq.values.count(v) for v in range(1, nmax + 1)]
         images = set()
         for tab in tabs:
             image = insert_sequence(tab, seq)
@@ -430,6 +445,141 @@ class TestInsertionStepOracle:
         step = insertion_step(shape, shape_next, seqs, nmax)
         assert step == _reference_step(shape, shape_next, seqs, nmax)
         assert step.tableaux and not step.covered
+
+
+def _partitions(rows, cols):
+    """Every partition with at most `rows` parts, each at most `cols`."""
+    if rows == 0:
+        return [()]
+    return [
+        (top,) + rest
+        for top in range(cols, -1, -1)
+        for rest in _partitions(rows - 1, top)
+    ]
+
+
+# every skew shape inside a 4 x 4 box
+BOX_SHAPES = [
+    _shape(outer, inner)
+    for outer in _partitions(4, 4)
+    for inner in _partitions(4, 4)
+    if all(a >= b for a, b in zip(outer, inner))
+]
+
+
+class TestPackedStep:
+    """The packed-key engine against the Tableau-object reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_step_matches_the_reference(self, data):
+        shape = data.draw(st.sampled_from(BOX_SHAPES), label="shape")
+        nmax = data.draw(st.integers(1, 4), label="nmax")
+        skew_rows = data.draw(st.integers(0, len(shape.outer) + 1))
+        extra = data.draw(st.integers(0, nmax))
+        # sequences that build the grown shape, and others of any length
+        # and sign pattern, values past nmax included, in any order
+        others = data.draw(
+            st.lists(
+                st.lists(
+                    st.integers(-3, nmax + 1).filter(bool),
+                    min_size=1, max_size=6, unique=True,
+                ).map(lambda v: InsertionSequence(tuple(sorted(v)))),
+                max_size=3,
+            )
+        )
+        seqs = data.draw(
+            st.permutations(extension_sequences(skew_rows, extra, nmax) + others)
+        )
+        grown = _grown(shape, skew_rows, extra)
+        shape_next = data.draw(st.sampled_from([grown, shape, _grown(shape, 0, 1)]))
+        args = (shape, shape_next, seqs, nmax)
+        assert _outcome(insertion_step, *args) == _outcome(_reference_step, *args)
+
+    def test_row_enumeration_order_matches_the_tableaux(self):
+        # row-major lexicographic order: the flattened fillings strictly
+        # increase, in the order enumerate_ssyt gives
+        for shape in BOX_SHAPES[::5]:
+            for nmax in (1, 2, 3):
+                rows = tableaux._ssyt_rows(shape, nmax)
+                assert rows == [t.rows for t in enumerate_ssyt(shape, nmax)]
+                flat = [sum(filling, ()) for filling in rows]
+                assert all(map(operator.lt, flat, flat[1:])), (shape, nmax)
+
+    @pytest.mark.parametrize(
+        "shape, nmax",
+        [
+            # one value fills a whole row: the multiplicity is the box count
+            (_shape((4,)), 1),
+            (_shape((4, 4), (1,)), 2),
+            (_shape((2, 1)), 3),
+            (_shape((8, 4, 3, 1), (3, 1)), 3),
+        ],
+        ids=str,
+    )
+    def test_width_bound(self, shape, nmax):
+        bound = tableaux._width(shape.box_count())
+        with pytest.raises(ValueError, match="overflow"):
+            tableaux._fillings(shape, nmax, bound - 1)
+        filled = tableaux._fillings(shape, nmax, bound)
+        tabs = enumerate_ssyt(shape, nmax)
+        nrows = len(shape.outer)
+        assert [tableaux._unpack(key, nmax, bound, nrows) for key, _ in filled] == [
+            t.rows for t in tabs
+        ]
+        assert [tuple(tableaux._fields(c, nmax, bound)) for _, c in filled] == [
+            t.content() for t in tabs
+        ]
+
+    def test_images_set_the_width(self):
+        # (3,) packs in 2 bits, its image (4,) under (1,) needs 3: the
+        # width must hold the images, whether or not they are the next
+        # shape's fillings
+        shape, grown, seqs = _shape((3,)), _shape((4,)), [InsertionSequence((1,))]
+        for shape_next in (grown, shape):
+            args = (shape, shape_next, seqs, 1)
+            assert insertion_step(*args) == _reference_step(*args)
+        assert insertion_step(shape, grown, seqs, 1).ok
+
+
+def _small_specs(band):
+    """Every minor spec of `band` whose deleted indices are at most c + 2."""
+    for c in range(band + 1):
+        indices = range(1, c + 3)
+        for cols in itertools.combinations(indices, c):
+            for r in range(c + 1):
+                for rows in itertools.combinations(indices, r):
+                    if all(a >= b for a, b in zip(rows, cols)):
+                        yield MinorSpec(rows, cols, band)
+
+
+class TestStepCountsAgainstMinors:
+    """insertion_step's counts against minor determinants, engine to engine.
+
+    The number of fillings of a shape with entries 1..n is its skew Schur
+    polynomial at x = (1, ..., 1), so the k x k minor at s_d = C(n, d);
+    minor_det_symbolic reaches it by expanding the banded determinant,
+    with no code shared with tableaux.
+    """
+
+    @pytest.mark.parametrize("band, specs", [(1, 10), (2, 56), (3, 236), (4, 839)])
+    def test_counts_equal_the_minors(self, band, specs):
+        point = [math.comb(band, d) for d in range(1, band + 1)]
+        checked = 0
+        for spec in _small_specs(band):
+            seqs = extension_sequences(spec.r, spec.c - spec.r, band)
+            for k in (min_k(spec), min_k(spec) + 1):
+                step = insertion_step(
+                    shape_from_minor(spec, k), shape_from_minor(spec, k + 1), seqs, band
+                )
+                counts = [
+                    minor_det_symbolic(spec, j).evaluate(point) for j in (k, k + 1)
+                ]
+                assert [step.tableaux, step.next_tableaux] == counts, (spec, k)
+                assert step.ok, (spec, k)
+            checked += 1
+        assert checked == specs
+
 
 class TestValidationMessages:
     """The one validator keeps the constructor's messages and their order."""

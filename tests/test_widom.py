@@ -68,6 +68,15 @@ class TestGoldenValues:
         assert hall_schur_eval((1,), (2.0, 3.0)) == pytest.approx(5.0)
         assert hall_schur_eval((), (2.0, 3.0)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("parts", [(2.7,), (2.0,), ("2",)], ids=str)
+    def test_hall_rejects_non_integral_parts(self, parts):
+        with pytest.raises(TypeError):
+            hall_schur_eval(parts, (2.0, 3.0))
+
+    def test_hall_accepts_numpy_integers(self):
+        parts = np.array([2, 0])
+        assert hall_schur_eval(parts, (2.0, 3.0)) == pytest.approx(19.0)
+
     def test_empty_partition_at_no_points(self):
         assert hall_schur_eval((), ()) == 1
         assert hall_schur_eval((0, 0), ()) == 1
