@@ -7,6 +7,14 @@ all from the iterates before the sweep, with a fixed number of numpy
 operations.  It is deterministic, so repeated runs give byte-identical
 results.
 
+On the small batches a scan leaves after its first sweeps, numpy's cost
+per call outweighs the arithmetic, so a sweep keeps its calls few: the
+stop test is built in place, the points that stop leave the batch
+through one index array and take(), and the update's pairwise
+differences reuse one buffer.  None of this changes the floating-point
+operations any element sees, so the moduli and ok flags are bit for bit
+those of a sweep that gathers with boolean masks and allocates freely.
+
 The stop test: a root z_i has converged when |p(z_i)| is at most the
 rounding floor of evaluating p there and that floor is finite.  The floor
 bounds the rounding error of Horner's rule at z_i, so a residual under it
@@ -86,16 +94,18 @@ def _aberth_update(z, pv, dv):
     d = z.shape[0]
     zz = np.concatenate((z, z))
     s = np.zeros_like(z)
+    diff = np.empty_like(z)
     for k in range(1, d):
-        diff = z - zz[k:k + d]
+        np.subtract(z, zz[k:k + d], out=diff)
         s += np.reciprocal(diff, out=diff)
     w = pv / dv
     s *= w
     np.subtract(1.0, s, out=s)
     np.divide(w, s, out=s)
     new = np.subtract(z, s, out=s)
-    if not np.isfinite(new).all():
-        bad = ~np.isfinite(new).all(axis=0)
+    finite = np.isfinite(new)
+    if not finite.all():
+        bad = ~finite.all(axis=0)
         new[:, bad] = _guarded_update(z[:, bad], pv[:, bad], dv[:, bad])
     return new
 
@@ -154,14 +164,18 @@ def scan_moduli(base, c_index, vre, vim, z0, max_iter):
         for sweep in range(max_iter + 1):
             r = np.abs(z)
             pv, dv, floor = _horner_with_floor(coeffs, floor_coeffs, z, r)
-            done = ((np.abs(pv) <= floor) & (floor < np.inf)).all(axis=0)
+            passed = np.abs(pv) <= floor
+            passed &= floor < np.inf
+            done = passed.all(axis=0)
             if done.any():
-                ok[idx[done]] = True
-                moduli[idx[done]] = r[:, done].T
-                keep = ~done
-                idx, z, pv, dv = idx[keep], z[:, keep], pv[:, keep], dv[:, keep]
-                coeffs[c_index] = coeffs[c_index][keep]
-                floor_coeffs[c_index] = floor_coeffs[c_index][keep]
+                finished = idx[done]
+                ok[finished] = True
+                moduli[finished] = r[:, done].T
+                keep = np.flatnonzero(~done)
+                idx = idx.take(keep)
+                z, pv, dv = (a.take(keep, axis=1) for a in (z, pv, dv))
+                coeffs[c_index] = coeffs[c_index].take(keep)
+                floor_coeffs[c_index] = floor_coeffs[c_index].take(keep)
             if sweep == max_iter or idx.size == 0:
                 break
             z = _aberth_update(z, pv, dv)

@@ -38,11 +38,12 @@ from .shapes import (
     shape_from_minor,
 )
 from .spectra import (
+    BEYOND_DOUBLE_RANGE,
     GridSpec,
     finite_section_spectrum,
     limit_set_scan,
     poly_roots,
-    root_modulus_profile,
+    root_modulus_profiles,
     spectrum_vs_limitset,
 )
 from .tableaux import extension_sequences, insertion_step, schur_by_tableaux
@@ -125,7 +126,7 @@ COMMAND_OPERATIONS = {
     ),
     "limitset": (
         "spectra.limit_set_scan",
-        "spectra.root_modulus_profile",
+        "spectra.root_modulus_profiles",
     ),
     "eigs": (
         "spectra.finite_section_spectrum",
@@ -133,7 +134,7 @@ COMMAND_OPERATIONS = {
     ),
     "compare": (
         "spectra.limit_set_scan",
-        "spectra.root_modulus_profile",
+        "spectra.root_modulus_profiles",
         "spectra.spectrum_vs_limitset",
         "spectra.finite_section_spectrum",
     ),
@@ -482,29 +483,35 @@ def _crosscheck_scan(sym: BandedSymbol, c: int, tol: float, report) -> None:
     """Recompute a few scan gaps from companion-matrix roots.
 
     A few hits must match their scanned gaps, and the point the Pellet
-    screen skipped nearest its threshold must have a gap above tol.
+    screen skipped nearest its threshold must have a gap above tol.  One
+    root_modulus_profiles call solves every point; the points are then
+    checked in that order, and the first bad one raises: ValueError where
+    poly_roots would, RuntimeError where a gap is wrong.
     """
-
-    def direct_gap(re_v, im_v):
-        prof = root_modulus_profile(sym, c, complex(re_v, im_v))
-        return (prof[c] - prof[c - 1]) / prof[c]
-
     hits = report.hits
-    for idx in sorted({0, len(hits) // 2, len(hits) - 1}) if hits else ():
-        re_v, im_v, gap = hits[idx]
-        direct = direct_gap(re_v, im_v)
-        if abs(direct - gap) > GAP_CROSSCHECK_TOL:
+    # (re, im, scanned gap) of each hit checked, then the screen edge's
+    # (re, im, None)
+    picks = sorted({0, len(hits) // 2, len(hits) - 1}) if hits else []
+    points = [hits[i] for i in picks]
+    if report.screen_edge is not None:
+        points.append((*report.screen_edge, None))
+    if not points:
+        return
+    shifts = [complex(re_v, im_v) for re_v, im_v, _ in points]
+    for (re_v, im_v, gap), prof in zip(points, root_modulus_profiles(sym, c, shifts)):
+        if math.isnan(prof[0]):  # the whole row, where poly_roots would raise
+            raise ValueError(BEYOND_DOUBLE_RANGE)
+        direct = (prof[c] - prof[c - 1]) / prof[c]
+        if gap is None:
+            if not direct > tol:
+                raise RuntimeError(
+                    f"screened point v = {re_v:.6g}+{im_v:.6g}i has direct profile "
+                    f"gap {direct:.6g}, not above tol {tol:.6g}"
+                )
+        elif abs(direct - gap) > GAP_CROSSCHECK_TOL:
             raise RuntimeError(
                 f"scan gap {gap:.6g} disagrees with direct profile "
                 f"{direct:.6g} at v = {re_v:.6g}+{im_v:.6g}i"
-            )
-    if report.screen_edge is not None:
-        re_v, im_v = report.screen_edge
-        direct = direct_gap(re_v, im_v)
-        if not direct > tol:
-            raise RuntimeError(
-                f"screened point v = {re_v:.6g}+{im_v:.6g}i has direct profile "
-                f"gap {direct:.6g}, not above tol {tol:.6g}"
             )
 
 
@@ -759,12 +766,40 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args(argv), with one argparse pass for a named command.
+
+    When argv[0] names a command, argv[1:] goes straight to that command's
+    subparser, as the top-level parser would hand it on; arguments left
+    over still end in the top-level "unrecognized arguments" error.  Any
+    other argv (empty, an unknown command, -h, --) goes to the top-level
+    parser.  Output, stderr and exit codes are those of parse_args.
+    """
+    # argparse names a parser's subparsers only through its actions
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    subparser = commands.get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    args, extras = subparser.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
+    """Run one command; returns its exit code (see the module docstring).
+
+    argv defaults to sys.argv[1:].  A first token that names a command is
+    parsed by that command's subparser alone; any other argv, and the
+    arguments a command leaves over, go to the top-level parser.
+    """
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_merge_dash_values(list(argv)))
+        args = _parse(parser, _merge_dash_values(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

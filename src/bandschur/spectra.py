@@ -22,7 +22,8 @@ tolerance to set.  Each point's iterates depend only on its own
 polynomial, so skipping points changes no other point's result.
 poly_roots solves single polynomials as companion-matrix eigenvalues
 (LAPACK), a different algorithm, so checking the scan against it is an
-independent check.
+independent check; root_modulus_profiles solves the few polynomials of
+such a check in one stacked call.
 
 Results hold only what was computed: the hits, failures and screen edge
 of a scan, the sorted eigenvalues of a minor, the two distances of a
@@ -68,10 +69,16 @@ def _initial_circle(coeffs: np.ndarray) -> np.ndarray:
     unit-radius fallback.  Returns a new array.
     """
     d = len(coeffs) - 1
-    radius = (abs(coeffs[0]) / abs(coeffs[-1])) ** (1.0 / d) * 1.1
+    # a ratio beyond double range gives an infinite radius, where every
+    # point of a scan fails, as poly_roots does on such a polynomial
+    with np.errstate(over="ignore"):
+        radius = (abs(coeffs[0]) / abs(coeffs[-1])) ** (1.0 / d) * 1.1
     if radius == 0.0:
         radius = 1.1
     return radius * _unit_phases(d)
+
+
+BEYOND_DOUBLE_RANGE = "root or companion entry beyond double range"
 
 
 def poly_roots(coeffs) -> np.ndarray:
@@ -97,7 +104,7 @@ def poly_roots(coeffs) -> np.ndarray:
         z = np.linalg.eigvals(companion)
         if np.isfinite(z).all():
             return z[np.lexsort((np.angle(z), np.abs(z)))]
-    raise ValueError("root or companion entry beyond double range")
+    raise ValueError(BEYOND_DOUBLE_RANGE)
 
 
 def _check_shift(sym: BandedSymbol, c: int) -> None:
@@ -109,13 +116,40 @@ def _check_shift(sym: BandedSymbol, c: int) -> None:
         raise ValueError("top band coefficient is zero: degree drops")
 
 
-def root_modulus_profile(sym: BandedSymbol, c: int, v: complex) -> np.ndarray:
-    """Ascending root moduli of sum s_i z^i - v z^c at one shift v."""
+def root_modulus_profiles(sym: BandedSymbol, c: int, vs) -> np.ndarray:
+    """Ascending root moduli of sum s_i z^i - v z^c, one row per shift v in vs.
+
+    Each shift's companion matrix is the one poly_roots builds, and one
+    stacked eigvals call solves them all, so each row is the moduli of
+    poly_roots at its v, bit for bit.  The row of a shift whose companion
+    entry or root lies beyond double range, where poly_roots raises, is
+    all NaN.
+    """
     _check_shift(sym, c)
-    coeffs = list(sym.coeffs)
-    coeffs[c] -= complex(v)
-    roots = poly_roots(coeffs)
-    return np.abs(roots)
+    coeffs = np.tile(np.asarray(sym.coeffs, dtype=np.complex128), (len(vs), 1))
+    coeffs[:, c] -= np.asarray([complex(v) for v in vs], dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        top_rows = -coeffs[:, -2::-1] / coeffs[:, -1:]
+    good = np.isfinite(top_rows).all(axis=1)
+    companion = np.repeat(np.eye(sym.band, k=-1, dtype=np.complex128)[None], len(vs), 0)
+    # a row beyond double range gets a zero top row, so LAPACK never sees it
+    companion[:, 0] = np.where(good[:, None], top_rows, 0)
+    z = np.linalg.eigvals(companion)
+    moduli = np.abs(z)
+    moduli[~(good & np.isfinite(z).all(axis=1))] = np.nan
+    return np.sort(moduli, axis=1)
+
+
+def root_modulus_profile(sym: BandedSymbol, c: int, v: complex) -> np.ndarray:
+    """Ascending root moduli of sum s_i z^i - v z^c at one shift v.
+
+    The one-row case of root_modulus_profiles; raises ValueError where
+    poly_roots does.
+    """
+    (profile,) = root_modulus_profiles(sym, c, [v])
+    if np.isnan(profile).any():
+        raise ValueError(BEYOND_DOUBLE_RANGE)
+    return profile
 
 
 @dataclass(frozen=True)
@@ -259,7 +293,9 @@ def limit_set_scan(
     is not finite at its Cauchy root bound; every other point is solved
     in one batched kernel call.  A point's iterates depend only on its
     own polynomial, so the report is the one a scan of every point gives.
-    Root-finder failures are reported per point, never raised.
+    Root-finder failures are reported per point, never raised; a symbol
+    whose |s_0 / s_n| overflows the starting radius fails at every point
+    it solves, without a sweep.
 
     Near a double root the moduli, and so the gap, are only good to about
     sqrt(eps), 1e-8 relative, and to about 3e-7 at worst: on 1 + z^2 with
@@ -282,7 +318,14 @@ def limit_set_scan(
         edge = (float(vre[nearest]), float(vim[nearest]))
     solve = ~screened
     vre, vim = vre[solve], vim[solve]
-    moduli, ok = _kernels.scan_moduli(base, c, vre, vim, z0, MAX_SWEEPS)
+    if np.isfinite(z0).all():
+        moduli, ok = _kernels.scan_moduli(base, c, vre, vim, z0, MAX_SWEEPS)
+    else:
+        # |s_0 / s_n| overflows: poly_roots rejects every shift, and no
+        # iterate that starts at inf can pass the stop test, while the
+        # kernel would refuse the coincident infinite starts
+        moduli = np.full((vre.size, sym.band), np.nan)
+        ok = np.zeros(vre.size, np.bool_)
 
     gaps = (moduli[:, c] - moduli[:, c - 1]) / moduli[:, c]
     message = f"no convergence after {MAX_SWEEPS} sweeps"

@@ -19,6 +19,8 @@ import bandschur
 from bandschur import cli, recurrence, spectra, tableaux
 from bandschur.cli import COMMAND_OPERATIONS, build_parser, main
 from bandschur.shapes import Partition, SkewShape
+from bandschur.spectra import LimitSetReport
+from bandschur.toeplitz import BandedSymbol
 
 
 def run(capsys, argv):
@@ -615,6 +617,36 @@ class TestLimitsetCommand:
         assert out.splitlines()[:2] == ["hits: 0", "failures: 0"]
 
 
+class TestCrosscheckOrder:
+    """The scan spot-check raises at its first bad point: hits, then the edge."""
+
+    # at v = -1e300 the companion matrix has an entry beyond double range;
+    # at v = 0 the two roots have one modulus, so the gap is 0
+    SYMBOL = BandedSymbol((1, 1e-300, 1e-300))
+    UNSOLVABLE = (-1e300, 0.0, 0.0)
+    WRONG_GAP = (0.0, 0.0, 0.5)
+
+    def check(self, hits, screen_edge=None):
+        report = LimitSetReport(hits=hits, failures=(), screen_edge=screen_edge)
+        cli._crosscheck_scan(self.SYMBOL, 1, 1e-2, report)
+
+    def test_unsolvable_hit_before_a_wrong_gap(self):
+        with pytest.raises(ValueError, match="beyond double range"):
+            self.check((self.UNSOLVABLE, self.WRONG_GAP))
+
+    def test_wrong_gap_before_an_unsolvable_hit(self):
+        with pytest.raises(RuntimeError, match="scan gap 0.5 disagrees"):
+            self.check((self.WRONG_GAP, self.UNSOLVABLE))
+
+    def test_screen_edge_after_the_hits(self):
+        with pytest.raises(RuntimeError, match="scan gap 0.5 disagrees"):
+            self.check((self.WRONG_GAP,), screen_edge=self.UNSOLVABLE[:2])
+        with pytest.raises(ValueError, match="beyond double range"):
+            self.check((), screen_edge=self.UNSOLVABLE[:2])
+        with pytest.raises(RuntimeError, match="screened point v = 0"):
+            self.check((), screen_edge=(0.0, 0.0))
+
+
 class TestEigsCommand:
     def test_contiguous_by_c(self, capsys):
         code, out, err = run(
@@ -1178,6 +1210,25 @@ class TestHarness:
             ["minor-det", "--symbol", "1,1e100", "--beta", "1", "--k", "4"],
             "numeric determinant is not finite: inf+nani",
         ),
+        # |s_0 / s_n| overflows where the scan picks its starting circle
+        (
+            ["limitset", "--symbol", "1,0,1e-320", "--c", "1", "--grid=-1,1,-1,1,3,3"],
+            "9 grid points did not converge",
+        ),
+        (
+            [
+                "limitset", "--symbol", "1,0,0,0,0,1e-320", "--c", "1",
+                "--grid=-1,1,-1,1,3,3",
+            ],
+            "9 grid points did not converge",
+        ),
+        (
+            [
+                "compare", "--symbol", "1,0,1e-320", "--c", "1", "--k", "5",
+                "--grid=-1,1,-1,1,3,3",
+            ],
+            "empty hit set: enlarge the grid or tolerance",
+        ),
     ])
     def test_overflow_prints_only_the_error_line(self, argv, message):
         # run as a process, so any numpy warning would reach stderr
@@ -1297,7 +1348,7 @@ class TestHarness:
             "widom.widom_modified",
             "widom.hall_schur_eval",
             "spectra.poly_roots",
-            "spectra.root_modulus_profile",
+            "spectra.root_modulus_profiles",
             "spectra.limit_set_scan",
             "spectra.finite_section_spectrum",
             "spectra.spectrum_vs_limitset",
@@ -1413,10 +1464,58 @@ class TestSharedParser:
         assert max(map(len, wide[1].splitlines())) > 60
 
 
+class TestArgvRouting:
+    """A named command is parsed once, by its own subparser."""
+
+    def test_one_parse_per_command(self, capsys, monkeypatch):
+        parsed = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counting(self, *args, **kwargs):
+            parsed.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+        argv = ["minor-det", "--symbol", "1,3,2", "--beta", "1", "--k", "3"]
+        assert run(capsys, argv) == (0, "det: 15\n", "")
+        assert parsed == ["bandschur minor-det"]
+
+    def test_short_help_goes_to_the_top_level(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, ["-h"]) == (0, HELP_GOLDENS["bandschur"], "")
+
+
+TOP_LEVEL_USAGE = "usage: bandschur [-h] command ...\n"
+COMMAND_REQUIRED = (
+    TOP_LEVEL_USAGE
+    + "bandschur: error: the following arguments are required: command\n"
+)
+
 # (argv, stderr) of inputs that break exactly one usage rule, for every
 # rule of every command; each exits 2 and prints nothing on stdout.
 # argparse wraps its usage lines to COLUMNS, which the test sets to 80.
 USAGE_ERRORS = {
+    # argv that the top-level parser reads: no command, an unknown one, and
+    # the arguments a command leaves over
+    "no-command": ("", COMMAND_REQUIRED),
+    "double-dash": ("--", COMMAND_REQUIRED),
+    "unknown-command": (
+        "eig --symbol 1,2 --k 2",
+        (
+            TOP_LEVEL_USAGE
+            + "bandschur: error: argument command: invalid choice: 'eig' "
+            "(choose from 'schur', 'minor-det', 'check-identity', "
+            "'recurrence', 'widom', 'limitset', 'eigs', 'compare')\n"
+        ),
+    ),
+    "command-unknown-flag": (
+        "eigs --symbol 1,2 --k 2 --bogus",
+        TOP_LEVEL_USAGE + "bandschur: error: unrecognized arguments: --bogus\n",
+    ),
+    "command-stray-positional": (
+        "eigs --symbol 1,2 --k 2 extra",
+        TOP_LEVEL_USAGE + "bandschur: error: unrecognized arguments: extra\n",
+    ),
     "schur-nvars": (
         "schur --outer 2 --nvars 0",
         "error: --nvars must be >= 1, got 0\n",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kernel_reference
 from bandschur import _kernels
 from bandschur.shapes import MinorSpec
 from bandschur.spectra import (
@@ -21,6 +22,7 @@ from bandschur.spectra import (
     limit_set_scan,
     poly_roots,
     root_modulus_profile,
+    root_modulus_profiles,
     spectrum_vs_limitset,
 )
 from bandschur.toeplitz import BandedSymbol
@@ -360,6 +362,9 @@ FAILURE_FIXTURES = [
     # a root beyond double range: the iterate overflows to inf, where
     # the rounding floor is inf too, and a non-finite floor must fail
     ((1, 1e-300, 1e-300), "-1e300,1e300,-1e300,1e300,5,5", 24),
+    # |s_0 / s_n| overflows: the iterates start at inf, where no floor is
+    # finite, and every companion matrix has an entry beyond double range
+    ((1, 0, 1e-320), "-1,1,-1,1,3,3", 9),
 ]
 
 
@@ -455,20 +460,47 @@ class TestScanAgainstPolyRoots:
         assert failed == rejected
 
 
+def _assert_kernel_matches_reference(coeffs, c, shifts, z0, max_iter=MAX_SWEEPS):
+    """scan_moduli's (moduli, ok), once checked equal to the reference's bits."""
+    base = np.asarray(coeffs, dtype=np.complex128)
+    shifts = np.asarray(shifts, dtype=np.complex128)
+    args = (base, c, shifts.real.copy(), shifts.imag.copy(), z0, max_iter)
+    moduli, ok = _kernels.scan_moduli(*args)
+    ref_moduli, ref_ok = kernel_reference.scan_moduli(*args)
+    assert moduli.tobytes() == ref_moduli.tobytes()
+    assert ok.tolist() == ref_ok.tolist()
+    return moduli, ok
+
+
+@pytest.mark.parametrize("band", [2, 3, 4, 5, 6])
+def test_start_radius_beyond_double_range_fails_every_point(band):
+    # |s_0 / s_n| = 1e320 overflows: the starting circle's radius is inf, and
+    # poly_roots rejects every shift, since 0 < c < n leaves s_0 and s_n
+    coeffs = (1,) + (0,) * (band - 1) + (1e-320,)
+    grid = GridSpec.parse("-1,1,-1,1,3,3")
+    report = limit_set_scan(BandedSymbol(coeffs), 1, grid, tol=1e-2)
+    assert report.hits == ()
+    failed = [complex(re_v, im_v) for re_v, im_v, _ in report.failures]
+    assert failed == _grid_points(grid)
+    for v in failed:
+        shifted = np.array(coeffs, dtype=complex)
+        shifted[1] -= v
+        with pytest.raises(ValueError, match="beyond double range"):
+            poly_roots(shifted)
+
+
 class TestScanGuards:
     """Starting iterates that drive the scan kernel into each guard.
 
     The plain simultaneous update is inf or NaN at the first sweep of every
     case here but the iterate on a simple root and the real-axis grid; the
-    guards must then give the moduli of the companion-matrix eigensolver.
+    guards must then give the moduli of the companion-matrix eigensolver,
+    and the sweep the reference sweep's bits.
     """
 
     def scan(self, base, z0, values):
-        values = np.asarray(values, dtype=np.complex128)
-        moduli, ok = _kernels.scan_moduli(
-            np.asarray(base, dtype=np.complex128), 1, values.real, values.imag,
-            np.asarray(z0, dtype=np.complex128), MAX_SWEEPS,
-        )
+        z0 = np.asarray(z0, dtype=np.complex128)
+        moduli, ok = _assert_kernel_matches_reference(base, 1, values, z0)
         assert ok.all()
         return moduli
 
@@ -523,6 +555,89 @@ class TestScanGuards:
         self.assert_matches_profile(z0, grid.re_values())
         report = limit_set_scan(TRIDIAG, 1, grid, tol=1e-6)
         assert (len(report.hits), len(report.failures)) == (41, 0)
+
+
+class TestKernelAgainstReference:
+    """The sweep gives the reference sweep's moduli and ok flags, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        deg=st.integers(1, 6),
+        data=st.data(),
+        complex_symbol=st.booleans(),
+        max_iter=st.sampled_from([0, 1, 3, 8, MAX_SWEEPS]),
+    )
+    def test_random_polynomials(self, deg, data, complex_symbol, max_iter):
+        part = st.floats(-2.0, 2.0)
+        scale = st.sampled_from([1.0, 1.0, 1.0, 1e-8, 1e8, 1e-200, 1e200])
+        coeffs = [
+            complex(data.draw(part), data.draw(part) if complex_symbol else 0.0)
+            * data.draw(scale)
+            for _ in range(deg + 1)
+        ]
+        assume(coeffs[-1] != 0)
+        c = data.draw(st.integers(0, deg - 1))
+        shifts = data.draw(st.lists(
+            st.complex_numbers(
+                max_magnitude=4.0, allow_nan=False, allow_infinity=False
+            ),
+            min_size=1, max_size=24,
+        ))
+        z0 = _initial_circle(np.asarray(coeffs, dtype=np.complex128))
+        # both kernels refuse coincident infinite starts, which limit_set_scan
+        # never passes on
+        assume(np.unique(z0).size == z0.size)
+        _assert_kernel_matches_reference(coeffs, c, shifts, z0, max_iter)
+
+    @pytest.mark.parametrize("coeffs, grid_text, n_failed", FAILURE_FIXTURES)
+    def test_failure_fixtures(self, coeffs, grid_text, n_failed):
+        shifts = _grid_points(GridSpec.parse(grid_text))
+        z0 = _initial_circle(np.asarray(coeffs, dtype=np.complex128))
+        _, ok = _assert_kernel_matches_reference(coeffs, 1, shifts, z0)
+        assert np.count_nonzero(~ok) == n_failed
+
+
+class TestRootModulusProfiles:
+    """One stacked companion solve, each row as poly_roots gives it."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(band=st.integers(2, 6), data=st.data(), complex_symbol=st.booleans())
+    def test_rows_are_the_one_point_profiles(self, band, data, complex_symbol):
+        sym = _random_symbol(data, band, complex_symbol)
+        c = data.draw(st.integers(1, band - 1))
+        shifts = data.draw(st.lists(
+            st.complex_numbers(
+                max_magnitude=5.0, allow_nan=False, allow_infinity=False
+            ),
+            min_size=1, max_size=4,
+        ))
+        rows = root_modulus_profiles(sym, c, shifts)
+        assert rows.shape == (len(shifts), band)
+        for v, row in zip(shifts, rows):
+            assert row.tobytes() == _reference(sym, c, v)[0].tobytes()
+            assert row.tobytes() == root_modulus_profile(sym, c, v).tobytes()
+            # numpy.roots builds the same companion matrix
+            shifted = np.array(sym.coeffs, dtype=complex)
+            shifted[c] -= v
+            assert row.tobytes() == np.sort(np.abs(np.roots(shifted[::-1]))).tobytes()
+
+    def test_row_beyond_double_range_is_nan(self):
+        # at v = -1e300 the companion top row holds about 1e600
+        sym = BandedSymbol((1, 1e-300, 1e-300))
+        rows = root_modulus_profiles(sym, 1, [0, -1e300, 1])
+        assert np.isnan(rows[1]).all()
+        assert np.isfinite(rows[[0, 2]]).all()
+        with pytest.raises(ValueError, match="beyond double range"):
+            poly_roots([1, 1e-300 + 1e300, 1e-300])
+        with pytest.raises(ValueError, match="beyond double range"):
+            root_modulus_profile(sym, 1, -1e300)
+
+    def test_no_shifts(self):
+        assert root_modulus_profiles(TRIDIAG, 1, []).shape == (0, 2)
+
+    def test_c_bounds(self):
+        with pytest.raises(ValueError, match="need 0 < c"):
+            root_modulus_profiles(TRIDIAG, 2, [0])
 
 
 def _unscreened_scan(sym, c, grid, tol):
