@@ -7,8 +7,9 @@ Exit codes: 0 on success, 2 on a validation error (malformed flag values,
 inconsistent dimensions), 1 on a computation failure (an identity that does
 not hold, a root beyond double range, unconverged scan points, a scan spot
 check that fails, an empty scan hit set, a numeric determinant that
-overflows, a matrix too large to allocate) and 1, silently, when stdout is
-a pipe whose reader has closed it (as in `bandschur limitset ... | head -2`).
+overflows, a matrix too large to allocate, a polynomial degree past the
+exponent fields of polyring) and 1, silently, when stdout is a pipe
+whose reader has closed it (as in `bandschur limitset ... | head -2`).
 The cross-checks of `widom` and of `minor-det`'s dual route hold to one
 fixed tolerance, DUAL_ROUTE_TOL = 1e-8, on the difference scaled by
 max(1, |det|) (see _rel_diff).
@@ -82,7 +83,6 @@ GAP_CROSSCHECK_TOL = 1e-4
 # the command's README example enters each one.
 COMMAND_OPERATIONS = {
     "schur": (
-        "polyring.elementary_symmetric",
         "shapes.Partition.conjugate",
         "tableaux.schur_by_tableaux",
         "schur.jacobi_trudi_matrix",
@@ -751,18 +751,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_dash_values(argv: list[str]) -> list[str]:
-    """Join --grid/--symbol with their values so leading '-' survives argparse."""
+def _join_dash_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with each value that begins with '-' joined to its option by '='.
+
+    argparse reads a token that begins with '-' and is not a plain number
+    as an option, so `--grid -3,3,-1,1,5,5`, `--symbol -1,2` and `--tol
+    -1e-2` would lose their values.  A token that begins with a single '-'
+    and follows an option of parser that takes a value, named in full or
+    by a prefix that argparse reads as that option alone, is that
+    option's value.  A token that begins with '--' stays an option, so
+    `--tol --format text` keeps argparse's missing-value error.
+    """
+    options = parser._option_string_actions
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in ("--grid", "--symbol") and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if tok.startswith("--") and value[:1] == "-" and value[:2] != "--":
+            named = [options[tok]] if tok in options else [
+                action for name, action in options.items() if name.startswith(tok)
+            ]
+            if len(named) == 1 and named[0].nargs is None:
+                out.append(f"{tok}={value}")
+                i += 2
+                continue
+        out.append(tok)
+        i += 1
     return out
 
 
@@ -781,7 +796,7 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     if subparser is None:
         return parser.parse_args(argv)
     args, extras = subparser.parse_known_args(
-        argv[1:], argparse.Namespace(command=argv[0])
+        _join_dash_values(subparser, argv[1:]), argparse.Namespace(command=argv[0])
     )
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
@@ -799,7 +814,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _parse(parser, _merge_dash_values(list(argv)))
+        args = _parse(parser, list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

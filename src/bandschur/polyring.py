@@ -1,11 +1,27 @@
 """Exact multivariate polynomials over the integers.
 
-Sparse representation: a mapping from exponent tuples to nonzero integer
+Sparse representation: a dict from packed monomial keys to nonzero integer
 coefficients.  Coefficients are Python ints, so no overflow and no rounding
 ever happens inside the ring; floating point only enters through
 :meth:`MultiPoly.evaluate`.  Instances are immutable and the term order is
 canonical (graded lexicographic, highest total degree first), which makes
 printed and serialized forms deterministic.
+
+A monomial x1^e1 ... xn^en of total degree D is keyed by the one int
+
+    D << n*B | e1 << (n-1)*B | ... | en,    B = EXPONENT_BITS = 32,
+
+with x1 in the most significant exponent field and the total degree above
+all of them.  A monomial product is then one int add, and descending key
+order is the canonical order, so terms(), __str__, to_json_obj and
+evaluate sort plain ints.  No field carries into the next while the total
+degree is at most MAX_DEGREE = 2**B - 1, since no exponent exceeds it.
+Every MultiPoly keeps that bound: the constructor raises OverflowError on
+a monomial above it, and products check the degrees of their factors
+before any term is multiplied (per product pair in __mul__ and
+sum_of_products, once per sweep in schur.leading_minors, once per call in
+expand_elementary).  Exponent tuples appear only at the boundary: the
+constructor takes them and terms() and to_json_obj give them.
 
 All monomial products go through one multiply-accumulate, _addmul, which
 adds a product into a term dict; MultiPoly.__mul__, sum_of_products (a sum
@@ -17,22 +33,31 @@ basis, where variable d stands for y_d = e_d(x_1..x_n).  The e_d are
 algebraically independent, so a polynomial in y is zero exactly when its
 expansion in x is.  expand_elementary maps the y-form to x (for printing),
 multiplying by e_d with the Pieri rule on monomial symmetric functions
-(Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., I.6) read
-from a bounded memo.  The printed text of each factor x_i^e is cached too,
-also bounded.
+(Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., I.6).
+
+Caches, each bounded by a named constant: _pieri_step holds Pieri steps
+(PIERI_CACHE_SIZE), _orbit the packed keys of a partition's distinct
+permutations (ORBIT_CACHE_SIZE), _MONOMIAL_TEXT the text __str__ prints
+for a packed monomial (MONOMIAL_TEXT_CACHE_SIZE) and _elementary_basis
+the basis variables of a variable count (BASIS_CACHE_SIZE).
 """
 
 from __future__ import annotations
 
 import operator
+import struct
 from functools import lru_cache
-from itertools import combinations, permutations
-from typing import Iterable, Iterator, Mapping
+from itertools import combinations, islice, permutations
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 
-FACTOR_CACHE_SIZE = 1024  # (variable, exponent) pairs whose text __str__ keeps
+EXPONENT_BITS = 32  # bits per exponent field of a packed monomial key
+_FIELD = "I"  # struct code of one field: unsigned, EXPONENT_BITS // 8 bytes
+MAX_DEGREE = (1 << EXPONENT_BITS) - 1  # highest total degree a key can hold
+MONOMIAL_TEXT_CACHE_SIZE = 4096  # packed monomials whose text __str__ keeps
 PIERI_CACHE_SIZE = 4096  # (partition, d, n) steps whose products are kept
+ORBIT_CACHE_SIZE = 4096  # partitions whose packed permutations are kept
 BASIS_CACHE_SIZE = 32  # variable counts whose elementary basis is kept
 
 
@@ -44,7 +69,7 @@ class MultiPoly:
     def __init__(self, nvars: int, terms: Mapping[Monomial, int] | None = None):
         if nvars < 1:
             raise ValueError(f"nvars must be >= 1, got {nvars}")
-        clean: dict[Monomial, int] = {}
+        clean: dict[int, int] = {}
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
@@ -57,9 +82,11 @@ class MultiPoly:
                 if not isinstance(coeff, int):
                     raise TypeError(f"coefficient {coeff!r} is not an int")
                 if coeff != 0:
-                    clean[exps] = clean.get(exps, 0) + coeff
-                    if clean[exps] == 0:
-                        del clean[exps]
+                    _check_degree(sum(exps))
+                    key = _key(exps)
+                    clean[key] = clean.get(key, 0) + coeff
+                    if clean[key] == 0:
+                        del clean[key]
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "_terms", clean)
 
@@ -96,18 +123,9 @@ class MultiPoly:
 
     def terms(self) -> list[tuple[Monomial, int]]:
         """Terms in canonical order: total degree descending, then lex descending."""
-        return [(exps, coeff) for _, exps, coeff in self._ranked()]
-
-    def _ranked(self) -> list[tuple[int, Monomial, int]]:
-        """(total degree, exps, coeff) per term, in canonical order.
-
-        Decorated tuples sort without a key call per term, and two terms
-        never share a monomial, so coefficients are never compared.
-        """
-        return sorted(
-            [(sum(exps), exps, coeff) for exps, coeff in self._terms.items()],
-            reverse=True,
-        )
+        keys = sorted(self._terms, reverse=True)
+        coeffs = map(self._terms.__getitem__, keys)
+        return list(zip(_exponents(keys, self.nvars), coeffs))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -138,18 +156,18 @@ class MultiPoly:
             return NotImplemented
         self._check_compatible(other)
         merged = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            s = merged.get(exps, 0) + coeff
+        for key, coeff in other._terms.items():
+            s = merged.get(key, 0) + coeff
             if s:
-                merged[exps] = s
+                merged[key] = s
             else:
-                merged.pop(exps, None)
+                merged.pop(key, None)
         return _raw(self.nvars, merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return _raw(self.nvars, {e: -c for e, c in self._terms.items()})
+        return _raw(self.nvars, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         if isinstance(other, int):
@@ -165,12 +183,13 @@ class MultiPoly:
         if isinstance(other, int):
             if other == 0:
                 return MultiPoly.zero(self.nvars)
-            return _raw(self.nvars, {e: c * other for e, c in self._terms.items()})
+            return _raw(self.nvars, {k: c * other for k, c in self._terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_compatible(other)
+        _check_degree(_degree(self) + _degree(other))
         small, big = (self, other) if len(self) <= len(other) else (other, self)
-        out: dict[Monomial, int] = {}
+        out: dict[int, int] = {}
         _addmul(out, small, big._terms, 1)
         return _raw(self.nvars, out)
 
@@ -188,7 +207,7 @@ class MultiPoly:
         if len(pt) != self.nvars:
             raise ValueError(f"point has {len(pt)} coordinates, expected {self.nvars}")
         total = 0j
-        for _, exps, coeff in self._ranked():
+        for exps, coeff in self.terms():
             mono = complex(coeff)
             for base, e in zip(pt, exps):
                 for _ in range(e):
@@ -197,22 +216,22 @@ class MultiPoly:
         return total
 
     def __str__(self) -> str:
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
+        keys = sorted(terms, reverse=True)
         pieces: list[str] = []
-        for _, exps, coeff in self._ranked():
-            body = "*".join([_factor(i, e) for i, e in enumerate(exps) if e])
+        for key, body in zip(keys, _monomial_texts(keys, self.nvars)):
+            coeff = terms[key]
             mag = abs(coeff)
             if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
+                body = str(mag)
+            elif mag != 1:
+                body = f"{mag}*{body}"
             if not pieces:
-                pieces.append(("-" if coeff < 0 else "") + text)
+                pieces.append(("-" if coeff < 0 else "") + body)
             else:
-                pieces.append(("- " if coeff < 0 else "+ ") + text)
+                pieces.append(("- " if coeff < 0 else "+ ") + body)
         return " ".join(pieces)
 
     def __repr__(self) -> str:
@@ -221,28 +240,67 @@ class MultiPoly:
     def to_json_obj(self) -> list[dict]:
         """JSON-ready list of terms, canonical order, coefficients as strings."""
         return [
-            {"coeff": str(coeff), "exps": list(exps)}
-            for _, exps, coeff in self._ranked()
+            {"coeff": str(coeff), "exps": list(exps)} for exps, coeff in self.terms()
         ]
 
 
+def _key(exps: Sequence[int]) -> int:
+    """Packed key of a monomial whose total degree is at most MAX_DEGREE."""
+    return int.from_bytes(
+        struct.pack(f">{len(exps) + 1}{_FIELD}", sum(exps), *exps), "big"
+    )
+
+
+def _exponents(keys: list[int], nvars: int) -> list[Monomial]:
+    """The exponent tuples (e1, ..., en) of packed keys, in the order given.
+
+    Every key's fields below its degree are read in one struct call.
+    """
+    size = nvars * EXPONENT_BITS // 8
+    low = (1 << nvars * EXPONENT_BITS) - 1
+    fields = struct.unpack(
+        f">{len(keys) * nvars}{_FIELD}",
+        b"".join([(key & low).to_bytes(size, "big") for key in keys]),
+    )
+    return list(zip(*[iter(fields)] * nvars))
+
+
+def _degree(*polys: MultiPoly) -> int:
+    """The largest total degree among polys, all in one variable count.
+
+    It is read off their top keys; zero polynomials count as degree 0.
+    """
+    if not polys:
+        return 0
+    top = max([max(p._terms, default=0) for p in polys])
+    return top >> polys[0].nvars * EXPONENT_BITS
+
+
+def _check_degree(degree: int) -> None:
+    """Raise OverflowError unless a monomial of this total degree has a key."""
+    if degree > MAX_DEGREE:
+        raise OverflowError(
+            f"total degree {degree} overflows the {EXPONENT_BITS}-bit exponent "
+            f"fields of a monomial key (at most {MAX_DEGREE})"
+        )
+
+
 def _addmul(
-    out: dict[Monomial, int], a: MultiPoly, b: Mapping[Monomial, int], scale: int
+    out: dict[int, int], a: MultiPoly, b: Mapping[int, int], scale: int
 ) -> None:
     """Add scale * a * b into the term dict out; cancelled terms are dropped.
 
-    The only place two polynomials' monomials are multiplied (the Pieri
-    memo _pieri_step, which adds e_d's exponent vectors to a partition, is
-    the one other place exponents are added).  a's terms form the outer
+    The only place two polynomials' monomials are multiplied: a product of
+    two monomials is the sum of their keys.  The caller has checked that
+    the product's degree fits (_check_degree).  a's terms form the outer
     loop, so a should be the factor with fewer terms; b is a term dict of
     the same variable count, and scale must be nonzero.
     """
-    add = operator.add
     get = out.get
-    for ea, ca in a._terms.items():
+    for ka, ca in a._terms.items():
         step = scale * ca
-        for eb, cb in b.items():
-            key = tuple(map(add, ea, eb))
+        for kb, cb in b.items():
+            key = ka + kb
             s = get(key, 0) + step * cb
             if s:
                 out[key] = s
@@ -260,22 +318,52 @@ def sum_of_products(
     no partial sum is copied.  That dict keeps the slots of cancelled
     terms, so the result holds a compact copy of it.
     """
-    acc: dict[Monomial, int] = {}
+    acc: dict[int, int] = {}
     for a, b in pairs:
         if a.nvars != nvars or b.nvars != nvars:
             raise ValueError(f"variable count mismatch: expected {nvars}")
+        _check_degree(_degree(a) + _degree(b))
         small, big = (a, b) if len(a) <= len(b) else (b, a)
         _addmul(acc, small, big._terms, 1)
     return _raw(nvars, dict(acc))
 
 
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _factor(i: int, e: int) -> str:
-    """x_{i+1}^e as __str__ prints it; one entry per (variable, exponent)."""
-    return f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+# packed key -> its text in __str__, read and filled by _monomial_texts; a
+# text depends on its key alone, so sharing one memo changes no output
+_MONOMIAL_TEXT: dict[int, str] = {}
 
 
-def _raw(nvars: int, terms: dict[Monomial, int]) -> MultiPoly:
+def _monomial_texts(keys: list[int], nvars: int) -> list[str]:
+    """The text of each packed monomial as __str__ prints it, e.g. x1*x3^2.
+
+    The constant monomial prints as "".  Texts come from the memo
+    _MONOMIAL_TEXT, keyed by the key alone: a nonconstant monomial in n
+    variables has its top bit in the degree field, bits n*B..(n+1)*B - 1,
+    and the constant monomial is 0 whatever n is, so no two variable
+    counts share a key with different texts.  The keys the memo lacks are
+    unpacked together and formatted; when they would take the memo past
+    MONOMIAL_TEXT_CACHE_SIZE, it is emptied first, and it keeps at most
+    that many of them.
+    """
+    memo = _MONOMIAL_TEXT
+    missing = [key for key in keys if key not in memo]
+    if not missing:
+        return list(map(memo.__getitem__, keys))
+    names = [f"x{i}" for i in range(1, nvars + 1)]
+    new = {
+        key: "*".join(
+            [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+        )
+        for key, exps in zip(missing, _exponents(missing, nvars))
+    }
+    texts = [memo[key] if key in memo else new[key] for key in keys]
+    if len(memo) + len(new) > MONOMIAL_TEXT_CACHE_SIZE:
+        memo.clear()
+    memo.update(islice(new.items(), MONOMIAL_TEXT_CACHE_SIZE))
+    return texts
+
+
+def _raw(nvars: int, terms: dict[int, int]) -> MultiPoly:
     """Internal constructor skipping validation; terms must already be clean."""
     p = object.__new__(MultiPoly)
     object.__setattr__(p, "nvars", nvars)
@@ -286,20 +374,22 @@ def _raw(nvars: int, terms: dict[Monomial, int]) -> MultiPoly:
 def elementary_symmetric(degree: int, nvars: int) -> MultiPoly:
     """e_degree(x1..xn): sum of all squarefree monomials of the given degree.
 
-    e_0 = 1; e_d = 0 for d < 0 or d > nvars.  Built on each call: the one
-    caller that repeats a degree, _pieri_step, is memoised itself.
+    e_0 = 1; e_d = 0 for d < 0 or d > nvars.  Built on each call.
     """
     if degree == 0:
         return MultiPoly.one(nvars)
     if not 0 < degree <= nvars:
         return MultiPoly.zero(nvars)
-    terms: dict[Monomial, int] = {}
-    for combo in combinations(range(nvars), degree):
+    return _raw(nvars, dict.fromkeys(map(_key, _unit_vectors(degree, nvars)), 1))
+
+
+def _unit_vectors(degree: int, nvars: int) -> Iterator[Monomial]:
+    """The 0/1 exponent tuples with degree ones: the monomials of e_degree."""
+    for ones in combinations(range(nvars), degree):
         exps = [0] * nvars
-        for i in combo:
+        for i in ones:
             exps[i] = 1
-        terms[tuple(exps)] = 1
-    return _raw(nvars, terms)
+        yield tuple(exps)
 
 
 def elementary_variable(degree: int, nvars: int) -> MultiPoly:
@@ -324,16 +414,25 @@ def expand_elementary(p: MultiPoly) -> MultiPoly:
 
     Every partial result is symmetric, so each is held as one weight per
     partition (see _times_elementary) and each partition is spread over its
-    distinct permutations only at the end.  Products are shared by Horner's
-    rule in y_n, and inside each of its coefficients in y_{n-1}, and so on
-    down to y_1.  Each multiplication by e_d reads the memoised Pieri step
-    of every partition it meets, so a partition that recurs across Horner
-    steps or across calls is walked once.
+    distinct permutations only at the end, from the memoised packed keys
+    of its orbit.  Products are shared by Horner's rule in y_n, and inside
+    each of its coefficients in y_{n-1}, and so on down to y_1; p's terms
+    are grouped by the exponent fields of their keys, never unpacked.
+    The x-degree of y^a is sum_d d * a_d, at most n times the y-degree, and
+    it is checked once, before any product.  Each multiplication by e_d
+    reads the Pieri step of every partition it meets from a dict local to
+    this call, which asks the memoised _pieri_step once per distinct step,
+    so a call computes each of its steps at most once however many it has.
     """
     n = p.nvars
-    out: dict[Monomial, int] = {}
-    for lam, weight in _horner_elementary(p._terms, n, n).items():
-        orbit = set(permutations(lam))
+    if n * _degree(p) > MAX_DEGREE:
+        _check_degree(
+            max(sum(d * a for d, a in enumerate(exps, 1)) for exps, _ in p)
+        )
+    steps: dict[int, dict[Monomial, tuple[tuple[Monomial, int], ...]]] = {}
+    out: dict[int, int] = {}
+    for lam, weight in _horner_elementary(p._terms, n, n, steps).items():
+        orbit = _orbit(lam)
         coeff = weight // len(orbit)
         if coeff:
             out.update(dict.fromkeys(orbit, coeff))
@@ -341,27 +440,34 @@ def expand_elementary(p: MultiPoly) -> MultiPoly:
 
 
 def _horner_elementary(
-    terms: Mapping[Monomial, int], d: int, n: int
+    terms: Mapping[int, int], d: int, n: int, steps: dict
 ) -> dict[Monomial, int]:
-    """Partition weights of terms, whose y_{d+1}..y_n exponents are all 0."""
+    """Partition weights of terms, whose y_{d+1}..y_n exponents are equal.
+
+    terms maps packed keys to coefficients.  At d = 0 it holds at most one
+    term, a constant in y_1..y_n once the fields above are set aside.
+    """
     if d == 0:
-        return dict(terms)
-    groups: dict[int, dict[Monomial, int]] = {}
-    for exps, coeff in terms.items():
-        groups.setdefault(exps[d - 1], {})[
-            exps[: d - 1] + (0,) * (n - d + 1)
-        ] = coeff
+        return {(0,) * n: coeff for coeff in terms.values()}
+    shift = (n - d) * EXPONENT_BITS
+    groups: dict[int, dict[int, int]] = {}
+    for key, coeff in terms.items():
+        groups.setdefault(key >> shift & MAX_DEGREE, {})[key] = coeff
     top = max(groups, default=0)
-    acc = _horner_elementary(groups.get(top, {}), d - 1, n)
+    acc = _horner_elementary(groups.get(top, {}), d - 1, n, steps)
+    memo = steps.setdefault(d, {})
     for power in range(top - 1, -1, -1):
-        acc = _times_elementary(acc, d, n)
+        acc = _times_elementary(acc, d, n, memo)
         if power in groups:
-            for lam, weight in _horner_elementary(groups[power], d - 1, n).items():
+            lower = _horner_elementary(groups[power], d - 1, n, steps)
+            for lam, weight in lower.items():
                 acc[lam] = acc.get(lam, 0) + weight
     return acc
 
 
-def _times_elementary(f: dict[Monomial, int], d: int, n: int) -> dict[Monomial, int]:
+def _times_elementary(
+    f: dict[Monomial, int], d: int, n: int, memo: dict
+) -> dict[Monomial, int]:
     """f * e_d for a symmetric f held as partition weights.
 
     The weight of a partition lam is its coefficient times the number of
@@ -369,15 +475,19 @@ def _times_elementary(f: dict[Monomial, int], d: int, n: int) -> dict[Monomial, 
     every monomial sorting to lam.  A monomial x^a times a monomial x^v of
     e_d sorts to sort(a + v), so by symmetry the product's weights are
     sum over mu of f[mu] times the number of v with sort(mu + v) = nu: the
-    Pieri rule for e_d on monomial symmetric functions, read from the
-    memoised _pieri_step, and no monomial outside the partitions is ever
-    formed.  Weights may be zero; expand_elementary drops those.
+    Pieri rule for e_d on monomial symmetric functions, read from memo
+    (mu -> _pieri_step(mu, d, n), local to one expand_elementary call), and
+    no monomial outside the partitions is ever formed.  Weights may be
+    zero; expand_elementary drops those.
     """
     out: dict[Monomial, int] = {}
     get = out.get
     for mu, weight in f.items():
         if weight:
-            for nu, count in _pieri_step(mu, d, n):
+            pairs = memo.get(mu)
+            if pairs is None:
+                pairs = memo[mu] = _pieri_step(mu, d, n)
+            for nu, count in pairs:
                 out[nu] = get(nu, 0) + weight * count
     return out
 
@@ -388,12 +498,21 @@ def _pieri_step(mu: Monomial, d: int, n: int) -> tuple[tuple[Monomial, int], ...
 
     mu is a partition padded to n parts.  A partition that recurs across
     Horner steps and across polynomials costs one walk over these few
-    pairs instead of C(n, d) sorts; the one other place exponents are added
-    besides _addmul.
+    pairs instead of C(n, d) sorts.
     """
     add = operator.add
     counts: dict[Monomial, int] = {}
-    for v in elementary_symmetric(d, n)._terms:
+    for v in _unit_vectors(d, n):
         nu = tuple(sorted(map(add, mu, v), reverse=True))
         counts[nu] = counts.get(nu, 0) + 1
     return tuple(counts.items())
+
+
+@lru_cache(maxsize=ORBIT_CACHE_SIZE)
+def _orbit(lam: Monomial) -> tuple[int, ...]:
+    """Packed keys of the distinct permutations of the partition lam."""
+    pack = struct.Struct(f">{len(lam) + 1}{_FIELD}").pack
+    degree = sum(lam)
+    return tuple(
+        [int.from_bytes(pack(degree, *exps), "big") for exps in set(permutations(lam))]
+    )

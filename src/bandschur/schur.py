@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from .polyring import (
     MultiPoly,
-    Monomial,
     _addmul,
+    _check_degree,
+    _degree,
     _raw,
     elementary_variable,
     expand_elementary,
@@ -124,18 +125,30 @@ def leading_minors(matrix: PolyMatrix) -> list[MultiPoly]:
     used rows are exactly 0..j holds the leading (j+1) x (j+1)
     determinant.  Signs count the used rows below each chosen row.
     Division-free: only (partial sum) x (entry) products occur.
+
+    A state is a term dict keyed by packed monomials (see polyring: the
+    total degree in the top field, then x1..xn in EXPONENT_BITS-bit fields,
+    x1 most significant), so each term product is one int add; the sweep
+    starts from {0: 1}, the constant 1.  Every state after column j is a
+    sum of products of one entry from each column up to j, so the sum over
+    columns of their largest entry degree bounds every degree the sweep
+    reaches.  It is checked once, before the first product, and a bound
+    above polyring.MAX_DEGREE raises OverflowError, so no field can carry.
     """
     m, nvars, entries = matrix.size, matrix.nvars, matrix.entries
     nz = [[i for i in range(m) if not entries[i][j].is_zero] for j in range(m)]
+    _check_degree(
+        sum(_degree(*[entries[i][j] for i in rows]) for j, rows in enumerate(nz))
+    )
     reach = [m] * (m + 1)  # reach[j]: smallest nonzero row in columns j..m-1
     for j in range(m - 1, -1, -1):
         reach[j] = min([reach[j + 1], *nz[j]])
-    states: dict[int, dict[Monomial, int]] = {0: {(0,) * nvars: 1}}
+    states: dict[int, dict[int, int]] = {0: {0: 1}}
     dets = [_raw(nvars, states[0])]
     for j in range(m):
         need = (1 << reach[j + 1]) - 1  # rows no later column reaches
         block = (1 << (j + 1)) - 1
-        new_states: dict[int, dict[Monomial, int]] = {}
+        new_states: dict[int, dict[int, int]] = {}
         for used, acc in states.items():
             for i in nz[j]:
                 grown = used | (1 << i)

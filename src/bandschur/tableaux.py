@@ -50,7 +50,7 @@ from functools import lru_cache
 from itertools import chain, combinations, count, repeat
 from operator import index, lt
 
-from .polyring import MultiPoly
+from .polyring import MultiPoly, _check_degree, _key, _raw
 from .shapes import Partition, SkewShape
 
 # Bounds on the per-shape caches.  One check-identity command plans its two
@@ -345,12 +345,18 @@ def enumerate_ssyt(shape: SkewShape, nmax: int) -> list[Tableau]:
 
 
 def schur_by_tableaux(shape: SkewShape, nvars: int) -> MultiPoly:
-    """Skew Schur polynomial as the content generating function of SSYT."""
-    width = _width(shape.box_count())
+    """Skew Schur polynomial as the content generating function of SSYT.
+
+    Each distinct content is repacked once, from its `width`-bit fields to
+    a monomial key of polyring; every filling has the box count as degree.
+    """
+    boxes = shape.box_count()
+    _check_degree(boxes)
+    width = _width(boxes)
     counts = Counter(content for _, content in _fillings(shape, nvars, width))
-    return MultiPoly(
+    return _raw(
         nvars,
-        {tuple(_fields(content, nvars, width)): n for content, n in counts.items()},
+        {_key(_fields(content, nvars, width)): n for content, n in counts.items()},
     )
 
 

@@ -88,6 +88,23 @@ class TestSchurCommand:
         assert code == 0
         assert out == "tableaux: x1^2 + x1*x2 + x2^2\n"
 
+    def test_high_degree_monomial_prints(self, capsys):
+        # a 1100 x 1100 Jacobi-Trudi matrix whose determinant is y1^1100
+        code, out, err = run(
+            capsys,
+            ["schur", "--outer", "1100", "--nvars", "1", "--method", "jacobi-trudi"],
+        )
+        assert (code, out, err) == (0, "jacobi-trudi: x1^1100\n", "")
+
+    def test_degree_past_the_exponent_fields_fails(self, capsys):
+        # refused before any filling is enumerated
+        code, out, err = run(
+            capsys,
+            ["schur", "--outer", str(2**32), "--nvars", "1", "--method", "tableaux"],
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: total degree 4294967296 overflows")
+
     def test_json_format(self, capsys):
         code, out, _ = run(
             capsys, ["schur", "--outer", "2", "--nvars", "2", "--format", "json"]
@@ -529,9 +546,20 @@ class TestLimitsetCommand:
         assert all(h["gap"] <= 1e-2 for h in obj["hits"])
 
     def test_negative_grid_value_after_space(self, capsys):
-        # argparse would treat "-2,..." as a flag without the merge step.
+        # argparse would read "-2,..." as an option if it were not joined to --grid
         code, out, _ = run(capsys, list(self.ARGS))
         assert code == 0
+
+    def test_abbreviated_options_take_dash_values(self, capsys):
+        # a prefix argparse accepts for --grid or --symbol takes a value
+        # that begins with '-' as the full name does
+        full = run(capsys, list(self.ARGS))
+        abbreviated = ["--gri" if a == "--grid" else a for a in self.ARGS]
+        assert run(capsys, abbreviated) == full
+        widom = ["--symbol", "-1,2", "--c", "1", "--k", "2"]
+        expected = run(capsys, ["widom", *widom])
+        assert expected[0] == 0
+        assert run(capsys, ["widom", "--sym", *widom[1:]]) == expected
 
     def test_bad_grid_is_usage_error(self, capsys):
         code, _, err = run(
@@ -1643,6 +1671,10 @@ USAGE_ERRORS = {
         "widom --symbol 1,x --c 1 --k 2",
         "error: --symbol: bad complex token 'x'\n",
     ),
+    "widom-symbol-abbreviated": (
+        "widom --sym -1,2 --c 3 --k 2",
+        "error: --c must be in 0..2, got 3\n",
+    ),
     "widom-c-high": (
         "widom --symbol 1,3,2 --c 3 --k 2",
         "error: --c must be in 0..2, got 3\n",
@@ -1720,6 +1752,24 @@ USAGE_ERRORS = {
     "limitset-tol-negative": (
         "limitset --symbol 1,0,1 --c 1 --grid=-1,1,-1,1,3,3 --tol -1",
         "error: --tol must be >= 0, got -1.0\n",
+    ),
+    "limitset-tol-negative-exponent": (
+        "limitset --symbol 1,0,1 --c 1 --grid=-1,1,-1,1,3,3 --tol -1e-2",
+        "error: --tol must be >= 0, got -0.01\n",
+    ),
+    "limitset-tol-missing": (
+        "limitset --symbol 1,0,1 --c 1 --grid=-1,1,-1,1,3,3 --tol --format text",
+        (
+            "usage: bandschur limitset [-h] --symbol SYMBOL --c C "
+            "--grid GRID [--tol TOL]\n"
+            "                          [--format {csv,json,text}]\n"
+            "bandschur limitset: error: argument --tol: expected one "
+            "argument\n"
+        ),
+    ),
+    "limitset-grid-abbreviated": (
+        "limitset --symbol 1,0,1 --c 2 --gri -3,3,-1,1,5,5",
+        "error: --c must be in 1..1, got 2\n",
     ),
     "limitset-tol-nan": (
         "limitset --symbol 1,0,1 --c 1 --grid=-1,1,-1,1,3,3 --tol nan",

@@ -1,20 +1,24 @@
 """Tests for the integer multivariate polynomial ring."""
 
 import json
+import struct
 from collections import Counter
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+import polyring_reference
 from bandschur import polyring
 from bandschur.polyring import (
+    MAX_DEGREE,
     MultiPoly,
     elementary_symmetric,
     elementary_variable,
     expand_elementary,
 )
 from bandschur.recurrence import char_coeffs
+from bandschur.schur import PolyMatrix, leading_minors
 from bandschur.shapes import MinorSpec
 from bandschur.toeplitz import build_minor_symbolic
 
@@ -207,10 +211,10 @@ class TestPieriStep:
             expected = expected + term
         assert expand_elementary(y) == expected
 
-    def test_pieri_and_factor_caches_are_bounded(self):
+    def test_pieri_and_orbit_caches_are_bounded(self):
         for cache, size in (
             (polyring._pieri_step, polyring.PIERI_CACHE_SIZE),
-            (polyring._factor, polyring.FACTOR_CACHE_SIZE),
+            (polyring._orbit, polyring.ORBIT_CACHE_SIZE),
         ):
             assert isinstance(size, int) and cache.cache_info().maxsize == size
 
@@ -299,3 +303,116 @@ class TestRingProperties:
     def test_terms_rebuild_identity(self, batch):
         (a,) = batch
         assert MultiPoly(a.nvars, dict(a.terms())) == a
+
+
+@st.composite
+def term_dicts(draw, count=2):
+    """`count` term dicts in one variable count, exponents up to the field bound.
+
+    Each exponent is small or anywhere up to a cap that keeps every total
+    degree at most MAX_DEGREE // 2, so the product of any two fits too.
+    """
+    nvars = draw(st.integers(1, 4))
+    cap = MAX_DEGREE // (2 * nvars)
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, cap), st.just(cap))
+    exps = st.tuples(*([exponent] * nvars))
+    coeffs = st.one_of(st.integers(-6, 6), st.integers(-(2**70), 2**70))
+    return nvars, [
+        draw(st.dictionaries(exps, coeffs, max_size=6)) for _ in range(count)
+    ]
+
+
+def _same(packed, reference):
+    """Equal terms, text and JSON of a packed and a reference polynomial."""
+    assert packed.terms() == reference.terms()
+    assert str(packed) == str(reference)
+    assert json.dumps(packed.to_json_obj()) == json.dumps(reference.to_json_obj())
+
+
+class TestPackedKeys:
+    """The packed term dict against the tuple-keyed reference it replaced."""
+
+    @given(term_dicts(count=3))
+    def test_ring_operations_match_the_reference(self, case):
+        nvars, dicts = case
+        a, b, c = (MultiPoly(nvars, t) for t in dicts)
+        ra, rb, rc = (polyring_reference.MultiPoly(nvars, t) for t in dicts)
+        _same(a, ra)
+        _same(a + b, ra + rb)
+        _same(a - b, ra - rb)
+        _same(-a, -ra)
+        _same(a * b, ra * rb)
+        _same(3 - a * 2, 3 - ra * 2)
+        _same(polyring.sum_of_products([(a, b), (c, b)], nvars), ra * rb + rc * rb)
+
+    @given(st.integers(1, 4), st.data())
+    def test_degrees_up_to_the_bound_print_as_the_reference(self, nvars, data):
+        # one exponent may take the whole bound, or the bound may be split
+        first = data.draw(st.integers(0, MAX_DEGREE))
+        rest = data.draw(st.lists(
+            st.integers(0, MAX_DEGREE - first), min_size=nvars - 1, max_size=nvars - 1
+        ))
+        top = (first, *rest)
+        if sum(top) > MAX_DEGREE:
+            top = (MAX_DEGREE,) + (0,) * (nvars - 1)
+        terms = {top: -5, (0,) * nvars: 2, (1,) + (0,) * (nvars - 1): 1}
+        _same(MultiPoly(nvars, terms), polyring_reference.MultiPoly(nvars, terms))
+
+    def test_key_layout(self):
+        # degree on top, then x1..xn, each in one EXPONENT_BITS field
+        bits = polyring.EXPONENT_BITS
+        assert struct.calcsize(">" + polyring._FIELD) * 8 == bits
+        assert MAX_DEGREE == 2**bits - 1
+        (key,) = MultiPoly(3, {(2, 0, 5): 1})._terms
+        assert key == 7 << 3 * bits | 2 << 2 * bits | 5
+        assert polyring._exponents([key], 3) == [(2, 0, 5)]
+
+    def test_constructor_overflow(self):
+        assert str(MultiPoly(1, {(MAX_DEGREE,): 1})) == f"x1^{MAX_DEGREE}"
+        with pytest.raises(OverflowError, match="32-bit exponent fields"):
+            MultiPoly(1, {(MAX_DEGREE + 1,): 1})
+        # each exponent fits, their sum does not
+        with pytest.raises(OverflowError):
+            MultiPoly(2, {(MAX_DEGREE, 1): 1})
+
+    def test_product_overflow(self):
+        half = MultiPoly(2, {(2**31, 0): 1, (0, 0): 1})
+        assert str(half * MultiPoly(2, {(0, 2**31 - 1): 1})) == (
+            f"x1^{2**31}*x2^{2**31 - 1} + x2^{2**31 - 1}"
+        )
+        with pytest.raises(OverflowError):
+            half * half
+        with pytest.raises(OverflowError):
+            polyring.sum_of_products([(half, MultiPoly.one(2)), (half, half)], 2)
+        with pytest.raises(OverflowError):
+            leading_minors(PolyMatrix([[half, half], [half, half]]))
+        # y2^(2^31) expands to (x1 x2)^(2^31), of degree 2^32 in x
+        with pytest.raises(OverflowError):
+            expand_elementary(MultiPoly(2, {(0, 2**31): 1}))
+
+    def test_text_memo_is_bounded(self):
+        size = polyring.MONOMIAL_TEXT_CACHE_SIZE
+        big = MultiPoly(2, {(i, 2 * size - i): i + 1 for i in range(2 * size)})
+        reference = polyring_reference.MultiPoly(2, dict(big.terms()))
+        assert str(big) == str(reference)
+        assert len(polyring._MONOMIAL_TEXT) <= size
+        assert str(big) == str(reference)
+        assert len(polyring._MONOMIAL_TEXT) <= size
+
+
+class TestPieriMemo:
+    def test_one_expansion_computes_each_step_once(self, monkeypatch):
+        # with the bounded memo taken away, each step the expansion of a
+        # band-4 minor needs is still computed once, from the dict local
+        # to the call
+        calls = Counter()
+        step = polyring._pieri_step.__wrapped__
+
+        def counted(mu, d, n):
+            calls[mu, d, n] += 1
+            return step(mu, d, n)
+
+        monkeypatch.setattr(polyring, "_pieri_step", counted)
+        det = leading_minors(build_minor_symbolic(MinorSpec((), (1,), 4), 14))[-1]
+        expand_elementary(det)
+        assert len(calls) > 100 and set(calls.values()) == {1}
