@@ -265,15 +265,22 @@ def _exponents(keys: list[int], nvars: int) -> list[Monomial]:
     return list(zip(*[iter(fields)] * nvars))
 
 
-def _degree(*polys: MultiPoly) -> int:
-    """The largest total degree among polys, all in one variable count.
+def _degree(p: MultiPoly) -> int:
+    """Total degree of p (0 for the zero polynomial), read off its top key."""
+    return max(p._terms, default=0) >> p.nvars * EXPONENT_BITS
 
-    It is read off their top keys; zero polynomials count as degree 0.
+
+def _degree_bound(columns: Iterable[Iterable[MultiPoly]], nvars: int) -> int:
+    """Sum over columns of the largest total degree of their entries.
+
+    It bounds the degree of every sum of products that takes at most one
+    entry from each column, such as a determinant and its partial sums.
     """
-    if not polys:
-        return 0
-    top = max([max(p._terms, default=0) for p in polys])
-    return top >> polys[0].nvars * EXPONENT_BITS
+    shift = nvars * EXPONENT_BITS
+    return sum(
+        max([max(p._terms, default=0) for p in column], default=0) >> shift
+        for column in columns
+    )
 
 
 def _check_degree(degree: int) -> None:

@@ -20,7 +20,7 @@ from .polyring import (
     MultiPoly,
     _addmul,
     _check_degree,
-    _degree,
+    _degree_bound,
     _raw,
     elementary_variable,
     expand_elementary,
@@ -137,9 +137,8 @@ def leading_minors(matrix: PolyMatrix) -> list[MultiPoly]:
     """
     m, nvars, entries = matrix.size, matrix.nvars, matrix.entries
     nz = [[i for i in range(m) if not entries[i][j].is_zero] for j in range(m)]
-    _check_degree(
-        sum(_degree(*[entries[i][j] for i in rows]) for j, rows in enumerate(nz))
-    )
+    columns = ([entries[i][j] for i in rows] for j, rows in enumerate(nz))
+    _check_degree(_degree_bound(columns, nvars))
     reach = [m] * (m + 1)  # reach[j]: smallest nonzero row in columns j..m-1
     for j in range(m - 1, -1, -1):
         reach[j] = min([reach[j + 1], *nz[j]])
