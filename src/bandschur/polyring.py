@@ -252,17 +252,11 @@ def _key(exps: Sequence[int]) -> int:
 
 
 def _exponents(keys: list[int], nvars: int) -> list[Monomial]:
-    """The exponent tuples (e1, ..., en) of packed keys, in the order given.
-
-    Every key's fields below its degree are read in one struct call.
-    """
-    size = nvars * EXPONENT_BITS // 8
-    low = (1 << nvars * EXPONENT_BITS) - 1
-    fields = struct.unpack(
-        f">{len(keys) * nvars}{_FIELD}",
-        b"".join([(key & low).to_bytes(size, "big") for key in keys]),
-    )
-    return list(zip(*[iter(fields)] * nvars))
+    """The exponent tuples (e1, ..., en) of packed keys, in the order given."""
+    size = (nvars + 1) * EXPONENT_BITS // 8
+    # each key's bytes, with the pad code x skipping its degree field
+    unpack = struct.Struct(f">{EXPONENT_BITS // 8}x{nvars}{_FIELD}").unpack
+    return [unpack(key.to_bytes(size, "big")) for key in keys]
 
 
 def _degree(p: MultiPoly) -> int:
