@@ -297,6 +297,9 @@ def _run_minor_det(args) -> tuple[str, int, str | None]:
     if sym is not None:
         det_num = det_numeric(build_minor_numeric(sym, spec, args.k))
 
+    # only the layout --format asks for is built: a large x-form's text
+    # and its JSON term list each cost a sizeable share of the command
+    as_json = args.format == "json"
     code, err = 0, None
     obj = {**_spec_json(spec), "k": args.k}
     lines = []
@@ -306,26 +309,30 @@ def _run_minor_det(args) -> tuple[str, int, str | None]:
         value = det_sym.evaluate(sym.coeffs[1:])
         rel = _rel_diff(value, det_num)
         x_form = expand_elementary(det_sym)
-        lines.append(f"det-symbolic: {x_form}")
-        lines.append(f"det-numeric: {format_complex(det_num)}")
-        lines.append(f"det-evaluated: {format_complex(value)}")
-        lines.append(f"rel-diff: {rel:.12g}")
-        obj["det_symbolic"] = x_form.to_json_obj()
-        obj["det_numeric"] = format_complex(det_num)
-        obj["det_evaluated"] = format_complex(value)
-        obj["rel_diff"] = rel
+        if as_json:
+            obj["det_symbolic"] = x_form.to_json_obj()
+            obj["det_numeric"] = format_complex(det_num)
+            obj["det_evaluated"] = format_complex(value)
+            obj["rel_diff"] = rel
+        else:
+            lines.append(f"det-symbolic: {x_form}")
+            lines.append(f"det-numeric: {format_complex(det_num)}")
+            lines.append(f"det-evaluated: {format_complex(value)}")
+            lines.append(f"rel-diff: {rel:.12g}")
         code, err = _det_status(det_num)
         if code == 0 and not rel <= DUAL_ROUTE_TOL:
             code, err = 1, f"symbolic and numeric routes disagree: {rel:.3e}"
     elif det_sym is not None:
         x_form = expand_elementary(det_sym)
-        lines.append(f"det: {x_form}")
-        obj["det"] = x_form.to_json_obj()
+        if as_json:
+            obj["det"] = x_form.to_json_obj()
+        else:
+            lines.append(f"det: {x_form}")
     else:
         lines.append(f"det: {format_complex(det_num)}")
         obj["det"] = format_complex(det_num)
         code, err = _det_status(det_num)
-    out = _dump_json(obj) if args.format == "json" else "\n".join(lines)
+    out = _dump_json(obj) if as_json else "\n".join(lines)
     return out, code, err
 
 

@@ -36,10 +36,14 @@ multiplying by e_d with the Pieri rule on monomial symmetric functions
 (Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., I.6).
 
 Caches, each bounded by a named constant: _pieri_step holds Pieri steps
-(PIERI_CACHE_SIZE), _orbit the packed keys of a partition's distinct
-permutations (ORBIT_CACHE_SIZE), _MONOMIAL_TEXT the text __str__ prints
-for a packed monomial (MONOMIAL_TEXT_CACHE_SIZE) and _elementary_basis
-the basis variables of a variable count (BASIS_CACHE_SIZE).
+(PIERI_CACHE_SIZE), _run_choices the Pieri choices of a pattern of equal
+parts (RUN_CHOICES_CACHE_SIZE), _MONOMIAL_WEIGHTS the partition weights
+of one e-monomial, which expand_elementary reads for a one-term group
+(MONOMIAL_WEIGHTS_CACHE_SIZE), _orbit the packed keys of a partition's
+distinct permutations (ORBIT_CACHE_SIZE), _MONOMIAL_TEXT the text
+__str__ prints for a packed monomial (MONOMIAL_TEXT_CACHE_SIZE) and
+_elementary_basis the basis variables of a variable count
+(BASIS_CACHE_SIZE).
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import operator
 import struct
 from functools import lru_cache
 from itertools import combinations, islice, permutations
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -57,8 +62,10 @@ _FIELD = "I"  # struct code of one field: unsigned, EXPONENT_BITS // 8 bytes
 MAX_DEGREE = (1 << EXPONENT_BITS) - 1  # highest total degree a key can hold
 MONOMIAL_TEXT_CACHE_SIZE = 4096  # packed monomials whose text __str__ keeps
 PIERI_CACHE_SIZE = 4096  # (partition, d, n) steps whose products are kept
+RUN_CHOICES_CACHE_SIZE = 1024  # (equal-parts pattern, d) Pieri choices kept
 ORBIT_CACHE_SIZE = 4096  # partitions whose packed permutations are kept
 BASIS_CACHE_SIZE = 32  # variable counts whose elementary basis is kept
+MONOMIAL_WEIGHTS_CACHE_SIZE = 1024  # e-monomials whose weights are kept
 
 
 class MultiPoly:
@@ -319,11 +326,27 @@ def sum_of_products(
     no partial sum is copied.  That dict keeps the slots of cancelled
     terms, so the result holds a compact copy of it.
     """
+
+    def checked():
+        for a, b in pairs:
+            if a.nvars != nvars or b.nvars != nvars:
+                raise ValueError(f"variable count mismatch: expected {nvars}")
+            yield a, b, _degree(a) + _degree(b)
+
+    return _sum_of_products(checked(), nvars)
+
+
+def _sum_of_products(
+    triples: Iterable[tuple[MultiPoly, MultiPoly, int]], nvars: int
+) -> MultiPoly:
+    """sum_of_products over (a, b, degree of a plus degree of b) triples.
+
+    For callers that know their factors' degrees: each product's degree is
+    checked as given, and a and b must be in nvars variables.
+    """
     acc: dict[int, int] = {}
-    for a, b in pairs:
-        if a.nvars != nvars or b.nvars != nvars:
-            raise ValueError(f"variable count mismatch: expected {nvars}")
-        _check_degree(_degree(a) + _degree(b))
+    for a, b, degree in triples:
+        _check_degree(degree)
         small, big = (a, b) if len(a) <= len(b) else (b, a)
         _addmul(acc, small, big._terms, 1)
     return _raw(nvars, dict(acc))
@@ -424,15 +447,19 @@ def expand_elementary(p: MultiPoly) -> MultiPoly:
     reads the Pieri step of every partition it meets from a dict local to
     this call, which asks the memoised _pieri_step once per distinct step,
     so a call computes each of its steps at most once however many it has.
+    A group of one term, such as every group of a polynomial homogeneous
+    in x once Horner reaches y_1, is read from the cross-call memo of
+    e-monomial weights (_monomial_weights).
     """
     n = p.nvars
     if n * _degree(p) > MAX_DEGREE:
         _check_degree(
             max(sum(d * a for d, a in enumerate(exps, 1)) for exps, _ in p)
         )
-    steps: dict[int, dict[Monomial, tuple[tuple[Monomial, int], ...]]] = {}
+    # the steps dict is dropped before the output grows
+    weights = _horner_elementary(p._terms, n, n, {})
     out: dict[int, int] = {}
-    for lam, weight in _horner_elementary(p._terms, n, n, steps).items():
+    for lam, weight in weights.items():
         orbit = _orbit(lam)
         coeff = weight // len(orbit)
         if coeff:
@@ -446,11 +473,18 @@ def _horner_elementary(
     """Partition weights of terms, whose y_{d+1}..y_n exponents are equal.
 
     terms maps packed keys to coefficients.  At d = 0 it holds at most one
-    term, a constant in y_1..y_n once the fields above are set aside.
+    term, a constant in y_1..y_n once the fields above are set aside.  A
+    one-term group c * y_1^a_1 ... y_d^a_d is c times the memoised weights
+    of its e-monomial (_monomial_weights).
     """
     if d == 0:
         return {(0,) * n: coeff for coeff in terms.values()}
     shift = (n - d) * EXPONENT_BITS
+    if len(terms) == 1:
+        [(key, coeff)] = terms.items()
+        # keep the fields of y_1..y_d, drop the degree and y_{d+1}..y_n
+        fields = key & ((1 << d * EXPONENT_BITS) - 1) << shift
+        return {lam: coeff * w for lam, w in _monomial_weights(fields, n, steps)}
     groups: dict[int, dict[int, int]] = {}
     for key, coeff in terms.items():
         groups.setdefault(key >> shift & MAX_DEGREE, {})[key] = coeff
@@ -458,7 +492,7 @@ def _horner_elementary(
     acc = _horner_elementary(groups.get(top, {}), d - 1, n, steps)
     memo = steps.setdefault(d, {})
     for power in range(top - 1, -1, -1):
-        acc = _times_elementary(acc, d, n, memo)
+        acc = _times_elementary(acc.items(), d, n, memo)
         if power in groups:
             lower = _horner_elementary(groups[power], d - 1, n, steps)
             for lam, weight in lower.items():
@@ -466,10 +500,55 @@ def _horner_elementary(
     return acc
 
 
+# exponent fields of an e-monomial (a packed key without its degree field)
+# and its variable count -> its partition weights; read and filled by
+# _monomial_weights, and never changed once stored
+_MONOMIAL_WEIGHTS: dict[tuple[int, int], tuple[tuple[Monomial, int], ...]] = {}
+
+
+def _monomial_weights(
+    fields: int, n: int, steps: dict
+) -> tuple[tuple[Monomial, int], ...]:
+    """Partition weights of e_1^a_1 ... e_n^a_n, packed as exponent fields.
+
+    Read from the memo _MONOMIAL_WEIGHTS.  A monomial it lacks is its
+    predecessor, the monomial with one factor e_t fewer (t the largest
+    index with a_t > 0), times e_t: one Pieri step through the call's local
+    step dict (steps[t], as in _horner_elementary).  So the walk drops
+    factors until the memo holds what is left (or nothing is), then puts
+    them back one Pieri step at a time, storing every monomial it builds;
+    the memo is emptied first when it already holds
+    MONOMIAL_WEIGHTS_CACHE_SIZE of them.
+    """
+    memo = _MONOMIAL_WEIGHTS
+    known = fields
+    weights = memo.get((n, known))
+    while weights is None and known:
+        # drop one e_t: the lowest set bit lies in the field of y_t
+        low = ((known & -known).bit_length() - 1) // EXPONENT_BITS
+        known -= 1 << low * EXPONENT_BITS
+        weights = memo.get((n, known))
+    if weights is None:
+        weights = (((0,) * n, 1),)  # the constant 1
+    # each field of fields - known counts the factors dropped (no field
+    # borrows), and they go back lowest index first, as they came off
+    dropped = fields - known
+    for t in range(1, n + 1):
+        shift = (n - t) * EXPONENT_BITS
+        for _ in range(dropped >> shift & MAX_DEGREE):
+            known += 1 << shift
+            product = _times_elementary(weights, t, n, steps.setdefault(t, {}))
+            weights = tuple(product.items())
+            if len(memo) >= MONOMIAL_WEIGHTS_CACHE_SIZE:
+                memo.clear()
+            memo[n, known] = weights
+    return weights
+
+
 def _times_elementary(
-    f: dict[Monomial, int], d: int, n: int, memo: dict
+    f: Iterable[tuple[Monomial, int]], d: int, n: int, memo: dict
 ) -> dict[Monomial, int]:
-    """f * e_d for a symmetric f held as partition weights.
+    """f * e_d for a symmetric f held as (partition, weight) pairs.
 
     The weight of a partition lam is its coefficient times the number of
     distinct permutations of lam, which is the sum of the coefficients of
@@ -483,7 +562,7 @@ def _times_elementary(
     """
     out: dict[Monomial, int] = {}
     get = out.get
-    for mu, weight in f.items():
+    for mu, weight in f:
         if weight:
             pairs = memo.get(mu)
             if pairs is None:
@@ -497,16 +576,44 @@ def _times_elementary(
 def _pieri_step(mu: Monomial, d: int, n: int) -> tuple[tuple[Monomial, int], ...]:
     """The pairs (nu, number of v with sort(mu + v) = nu), v over e_d's monomials.
 
-    mu is a partition padded to n parts.  A partition that recurs across
-    Horner steps and across polynomials costs one walk over these few
-    pairs instead of C(n, d) sorts.
+    mu is a partition padded to n parts.  Its equal parts come in runs;
+    adding 1 to k parts of a run of m sorts to the same nu whichever k
+    are chosen, so each distinct nu is mu plus ones on a prefix of each
+    run, already sorted, and counted prod C(m, k) times (_run_choices).
+    A partition that recurs across Horner steps and across polynomials
+    costs one walk over these few pairs.
     """
     add = operator.add
-    counts: dict[Monomial, int] = {}
-    for v in _unit_vectors(d, n):
-        nu = tuple(sorted(map(add, mu, v), reverse=True))
-        counts[nu] = counts.get(nu, 0) + 1
-    return tuple(counts.items())
+    equal = tuple(map(operator.eq, mu, mu[1:]))  # which neighbours share a run
+    return tuple(
+        [(tuple(map(add, mu, ones)), count) for ones, count in _run_choices(equal, d)]
+    )
+
+
+@lru_cache(maxsize=RUN_CHOICES_CACHE_SIZE)
+def _run_choices(equal: tuple[bool, ...], d: int) -> tuple[tuple[Monomial, int], ...]:
+    """The 0/1 vectors with d ones on a prefix of each run, with their counts.
+
+    equal[i] says whether parts i and i + 1 lie in one run.  A vector
+    giving k ones to a run of m parts is counted C(m, k) times, a factor
+    per run; the vectors depend on the runs alone, not on the parts.
+    """
+    runs = [1]  # run lengths
+    for same in equal:
+        if same:
+            runs[-1] += 1
+        else:
+            runs.append(1)
+    room = len(equal) + 1  # parts in the runs not yet taken
+    partial = [((), 1, d)]  # (ones so far, count so far, ones left to place)
+    for m in runs:
+        room -= m
+        partial = [
+            (ones + (1,) * k + (0,) * (m - k), count * comb(m, k), left - k)
+            for ones, count, left in partial
+            for k in range(max(0, left - room), min(m, left) + 1)
+        ]
+    return tuple((ones, count) for ones, count, _ in partial)
 
 
 @lru_cache(maxsize=ORBIT_CACHE_SIZE)

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .polyring import MultiPoly, elementary_variable, sum_of_products
+from .polyring import MultiPoly, _degree, _sum_of_products, elementary_variable
 from .schur import PolyMatrix, leading_minors, symbolic_det
 from .shapes import MinorSpec, min_k
 from .toeplitz import build_minor_symbolic
@@ -93,13 +93,23 @@ def _residuals(spec: MinorSpec, lo: int, hi: int) -> tuple[MultiPoly, ...]:
 
     Each smaller minor is a leading block of that one, so leading_minors
     gives every determinant the window reads.  Each residual adds its
-    b + 1 products into one term dict (polyring.sum_of_products).
+    b + 1 products into one term dict (polyring.sum_of_products).  The
+    degree of each Q_m and each determinant is read once, and every
+    product's degree is checked from those.
     """
     q = char_coeffs(spec.band, spec.c - spec.r)
     b = len(q) - 1
     dets = leading_minors(build_minor_symbolic(spec, hi + b))
+    q_deg = [_degree(p) for p in q]
+    det_deg = [_degree(p) for p in dets]
     return tuple(
-        sum_of_products(((q[b - m], dets[m + j]) for m in range(b + 1)), spec.band)
+        _sum_of_products(
+            (
+                (q[b - m], dets[m + j], q_deg[b - m] + det_deg[m + j])
+                for m in range(b + 1)
+            ),
+            spec.band,
+        )
         for j in range(lo, hi + 1)
     )
 

@@ -7,7 +7,11 @@ every leading block (leading_minors).  The rows it must track stay in a
 window of the band width for every matrix this package builds (banded
 minors and dual Jacobi-Trudi matrices), so it is fast there.  A dense
 matrix makes the window the whole size and the work exponential in it
-(figures in the symbolic_det docstring).
+(figures in the symbolic_det docstring).  A PolyMatrix keeps its column
+pattern, the nonzero (row, entry) pairs of each column, and the sweep
+reads only that: its degree bound and row window cost O(nnz), the
+number of nonzero entries, which is O(size * band) for a banded minor
+(toeplitz.build_minor_symbolic fills the pattern from the band).
 
 Jacobi-Trudi matrices are built in the elementary basis: entry e_d is the
 variable y_d (see polyring), so their determinants are polynomials in
@@ -29,26 +33,35 @@ from .shapes import SkewShape
 
 
 class PolyMatrix:
-    """Immutable square matrix of MultiPoly entries over one variable set."""
+    """Immutable square matrix of MultiPoly entries over one variable set.
 
-    __slots__ = ("entries", "nvars", "size")
+    Besides its rows, a matrix keeps its column pattern: columns[j] holds
+    the (row, entry) pairs of column j's nonzero entries, rows ascending.
+    The determinant sweep reads only the pattern, so its set-up costs the
+    number of nonzero entries, not size**2.
+    """
+
+    __slots__ = ("entries", "columns", "nvars", "size")
 
     def __init__(self, entries, nvars: int | None = None):
         entries = tuple(tuple(row) for row in entries)
         m = len(entries)
-        for row in entries:
+        columns = [[] for _ in range(m)]
+        seen = set()
+        for i, row in enumerate(entries):
             if len(row) != m:
                 raise ValueError(f"matrix is not square: {m} rows, row of {len(row)}")
-        seen = {p.nvars for row in entries for p in row}
+            for column, p in zip(columns, row):
+                seen.add(p.nvars)
+                if not p.is_zero:
+                    column.append((i, p))
         if len(seen) > 1:
             raise ValueError(f"mixed variable counts {sorted(seen)}")
         if seen:
             nvars = seen.pop()
         elif nvars is None:
             raise ValueError("empty matrix needs an explicit nvars")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "size", m)
+        _fill(self, entries, columns, nvars)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -67,6 +80,26 @@ class PolyMatrix:
             ", ".join(str(p) for p in row) for row in self.entries
         )
         return f"PolyMatrix[{rows}]"
+
+
+def _fill(matrix: PolyMatrix, entries, columns, nvars: int) -> None:
+    """Set the slots of a new matrix; the columns become tuples."""
+    object.__setattr__(matrix, "entries", entries)
+    object.__setattr__(matrix, "columns", tuple(map(tuple, columns)))
+    object.__setattr__(matrix, "nvars", nvars)
+    object.__setattr__(matrix, "size", len(entries))
+
+
+def _raw_matrix(entries, columns, nvars: int) -> PolyMatrix:
+    """Internal constructor skipping validation, as polyring._raw does.
+
+    entries must be a square tuple of row tuples of MultiPoly in nvars
+    variables, and columns[j] the (row, entry) pairs of column j's nonzero
+    entries in ascending row order.
+    """
+    matrix = object.__new__(PolyMatrix)
+    _fill(matrix, entries, columns, nvars)
+    return matrix
 
 
 def jacobi_trudi_matrix(shape: SkewShape, nvars: int) -> PolyMatrix:
@@ -134,14 +167,20 @@ def leading_minors(matrix: PolyMatrix) -> list[MultiPoly]:
     columns of their largest entry degree bounds every degree the sweep
     reaches.  It is checked once, before the first product, and a bound
     above polyring.MAX_DEGREE raises OverflowError, so no field can carry.
+
+    Everything the sweep reads comes from the matrix's column pattern
+    (PolyMatrix.columns), never from the dense rows: the degree bound and
+    the reach of each column cost O(nnz), the number of nonzero entries,
+    so a banded k x k minor costs O(k * band) before its first product.
     """
-    m, nvars, entries = matrix.size, matrix.nvars, matrix.entries
-    nz = [[i for i in range(m) if not entries[i][j].is_zero] for j in range(m)]
-    columns = ([entries[i][j] for i in rows] for j, rows in enumerate(nz))
-    _check_degree(_degree_bound(columns, nvars))
+    m, nvars, columns = matrix.size, matrix.nvars, matrix.columns
+    _check_degree(
+        _degree_bound(([p for _, p in column] for column in columns), nvars)
+    )
     reach = [m] * (m + 1)  # reach[j]: smallest nonzero row in columns j..m-1
     for j in range(m - 1, -1, -1):
-        reach[j] = min([reach[j + 1], *nz[j]])
+        top = columns[j][0][0] if columns[j] else m  # pairs run rows ascending
+        reach[j] = min(reach[j + 1], top)
     states: dict[int, dict[int, int]] = {0: {0: 1}}
     dets = [_raw(nvars, states[0])]
     for j in range(m):
@@ -149,7 +188,7 @@ def leading_minors(matrix: PolyMatrix) -> list[MultiPoly]:
         block = (1 << (j + 1)) - 1
         new_states: dict[int, dict[int, int]] = {}
         for used, acc in states.items():
-            for i in nz[j]:
+            for i, entry in columns[j]:
                 grown = used | (1 << i)
                 if grown == used:
                     continue
@@ -158,7 +197,7 @@ def leading_minors(matrix: PolyMatrix) -> list[MultiPoly]:
                     continue
                 sign = -1 if (used >> i).bit_count() & 1 else 1
                 # the entry has few terms, so it goes on the outside
-                _addmul(new_states.setdefault(grown, {}), entries[i][j], acc, sign)
+                _addmul(new_states.setdefault(grown, {}), entry, acc, sign)
         states = new_states
         dets.append(_raw(nvars, states.get(block, {})))
     return dets

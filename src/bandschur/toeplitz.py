@@ -20,11 +20,12 @@ builders and verify_minor_schur run without it.
 from __future__ import annotations
 
 import cmath
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 from ._numpy import np
-from .polyring import MultiPoly, elementary_variable
-from .schur import PolyMatrix, jacobi_trudi_matrix, symbolic_det
+from .polyring import MultiPoly, _elementary_basis
+from .schur import PolyMatrix, _raw_matrix, jacobi_trudi_matrix, symbolic_det
 from .shapes import MinorSpec, shape_from_minor, surviving
 
 MINOR_CACHE_SIZE = 36  # verify_minor_schur's minors; recurrences sweep their own
@@ -115,17 +116,26 @@ def build_minor_symbolic(spec: MinorSpec, k: int) -> PolyMatrix:
     """Same minor with s_d = e_d as exact entries, in the elementary basis.
 
     Entry s_d is the variable y_d of MultiPoly(band): 1 at d = 0, 0 off the
-    band.
+    band.  Row i of the minor meets the band in the surviving columns
+    rows[i] .. rows[i] + band, a run found by bisection, so the column
+    pattern (PolyMatrix.columns) is filled in O(k * band) beside the rows.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n = spec.band
+    basis = _elementary_basis(n)  # (1, y_1, ..., y_n, 0)
+    zero = basis[-1]
     rows = surviving(spec.deleted_rows, k)
     cols = surviving(spec.deleted_cols, k)
-    entries = [
-        [elementary_variable(cj - ri, n) for cj in cols] for ri in rows
-    ]
-    return PolyMatrix(entries, n)
+    entries = []
+    columns = [[] for _ in range(k)]
+    for i, ri in enumerate(rows):
+        row = [zero] * k
+        for j in range(bisect_left(cols, ri), bisect_right(cols, ri + n)):
+            row[j] = basis[cols[j] - ri]
+            columns[j].append((i, row[j]))
+        entries.append(tuple(row))
+    return _raw_matrix(tuple(entries), columns, n)
 
 
 def det_numeric(matrix: np.ndarray) -> complex:

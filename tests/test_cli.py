@@ -18,6 +18,7 @@ import pytest
 import bandschur
 from bandschur import cli, recurrence, spectra, tableaux
 from bandschur.cli import COMMAND_OPERATIONS, build_parser, main
+from bandschur.polyring import MultiPoly
 from bandschur.shapes import Partition, SkewShape
 from bandschur.spectra import LimitSetReport
 from bandschur.toeplitz import BandedSymbol
@@ -153,6 +154,23 @@ class TestMinorDetCommand:
     def test_requires_nvars_or_symbol(self, capsys):
         code, _, err = run(capsys, ["minor-det", "--beta", "2", "--k", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize("symbol", [[], ["--symbol", "1,5,6"]])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_builds_only_the_requested_layout(self, capsys, monkeypatch, symbol, fmt):
+        # the x-form is printed as text or listed as JSON terms, never both
+        built = []
+        real_str, real_json = MultiPoly.__str__, MultiPoly.to_json_obj
+        monkeypatch.setattr(
+            MultiPoly, "__str__", lambda p: built.append("text") or real_str(p)
+        )
+        monkeypatch.setattr(
+            MultiPoly, "to_json_obj", lambda p: built.append("json") or real_json(p)
+        )
+        argv = ["minor-det", "--beta", "2", "--k", "3", "--nvars", "2", *symbol]
+        code, _, err = run(capsys, [*argv, "--format", fmt])
+        assert (code, err) == (0, "")
+        assert built == [fmt]
 
     def test_zero_top_coefficient_with_both_routes_runs_and_agrees(self, capsys):
         # the dual route evaluates at s itself, so it needs no roots of the

@@ -214,6 +214,7 @@ class TestPieriStep:
     def test_pieri_and_orbit_caches_are_bounded(self):
         for cache, size in (
             (polyring._pieri_step, polyring.PIERI_CACHE_SIZE),
+            (polyring._run_choices, polyring.RUN_CHOICES_CACHE_SIZE),
             (polyring._orbit, polyring.ORBIT_CACHE_SIZE),
         ):
             assert isinstance(size, int) and cache.cache_info().maxsize == size
@@ -398,6 +399,45 @@ class TestPackedKeys:
         assert len(polyring._MONOMIAL_TEXT) <= size
         assert str(big) == str(reference)
         assert len(polyring._MONOMIAL_TEXT) <= size
+
+
+class TestMonomialWeights:
+    @staticmethod
+    def _fields(exps):
+        # a packed key without its degree field
+        return polyring._key(exps) & ((1 << len(exps) * polyring.EXPONENT_BITS) - 1)
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n)
+        )
+    )
+    def test_equal_the_products_of_elementary_polynomials(self, exps):
+        # e_1^a_1 ... e_n^a_n multiplied out, its coefficients summed by
+        # the partition each monomial sorts to
+        n = len(exps)
+        product = MultiPoly.one(n)
+        for d, power in enumerate(exps, start=1):
+            for _ in range(power):
+                product = product * elementary_symmetric(d, n)
+        expected = Counter()
+        for mono, coeff in product.terms():
+            expected[tuple(sorted(mono, reverse=True))] += coeff
+        weights = polyring._monomial_weights(self._fields(exps), n, {})
+        assert dict(weights) == expected
+
+    def test_memo_is_bounded(self):
+        # more distinct e-monomials than the bound, each expanded once; the
+        # memo keeps at most the bound, and an expansion after it has been
+        # emptied is still right
+        size = polyring.MONOMIAL_WEIGHTS_CACHE_SIZE
+        monomials = [(a, b) for a in range(size // 32 + 1) for b in range(32)]
+        assert len(monomials) > size
+        for exps in monomials:
+            expand_elementary(MultiPoly(2, {exps: 1}))
+            assert len(polyring._MONOMIAL_WEIGHTS) <= size
+        e1, e2 = elementary_symmetric(1, 2), elementary_symmetric(2, 2)
+        assert expand_elementary(MultiPoly(2, {(2, 3): 1})) == e1 * e1 * e2 * e2 * e2
 
 
 class TestPieriMemo:

@@ -129,6 +129,13 @@ class TestPolyMatrix:
             PolyMatrix([])
         assert PolyMatrix([], nvars=2).size == 0
 
+    def test_column_pattern_lists_the_nonzero_entries(self):
+        one, zero = MultiPoly.one(2), MultiPoly.zero(2)
+        x1 = MultiPoly.variable(2, 1)
+        m = PolyMatrix([[x1, zero, one], [one, zero, zero], [zero, zero, x1]])
+        assert m.columns == (((0, x1), (1, one)), (), ((0, one), (2, x1)))
+        assert PolyMatrix([], nvars=2).columns == ()
+
 
 class TestJacobiTrudiMatrix:
     def test_row_shape_two_variables(self):

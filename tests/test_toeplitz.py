@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bandschur.polyring import MultiPoly, elementary_symmetric, expand_elementary
+from bandschur.polyring import (
+    MultiPoly,
+    elementary_symmetric,
+    elementary_variable,
+    expand_elementary,
+)
 from bandschur.schur import PolyMatrix, leading_minors, symbolic_det
 from bandschur.shapes import MinorSpec
 from bandschur import recurrence
@@ -419,12 +424,12 @@ class TestMinorCache:
         assert minor_det_symbolic.cache_info().misses == 0
 
 
-def _minor_specs(band: int):
-    """Every spec deleting rows and columns among 1..3 at this band."""
-    for c in range(min(band, 3) + 1):
-        for cols in combinations(range(1, 4), c):
+def _minor_specs(band: int, top: int = 3):
+    """Every spec deleting rows and columns among 1..top at this band."""
+    for c in range(min(band, top) + 1):
+        for cols in combinations(range(1, top + 1), c):
             for r in range(c + 1):
-                for rows in combinations(range(1, 4), r):
+                for rows in combinations(range(1, top + 1), r):
                     if all(a >= b for a, b in zip(rows, cols)):
                         yield MinorSpec(rows, cols, band)
 
@@ -438,3 +443,34 @@ class TestLeadingBlocks:
             dets = leading_minors(build_minor_symbolic(spec, 7))
             for k in range(8):
                 assert dets[k] == minor_det_symbolic(spec, k), (spec, k)
+
+
+class TestBandBuiltMinor:
+    # build_minor_symbolic fills the rows and the column pattern from the
+    # band alone; these pin both to the dense, entry-by-entry definition
+    @pytest.mark.parametrize("band", [1, 2, 3, 4, 5])
+    def test_equals_the_entry_by_entry_matrix(self, band):
+        for spec in _minor_specs(band, 4):
+            for k in range(11):
+                rows = surviving(spec.deleted_rows, k)
+                cols = surviving(spec.deleted_cols, k)
+                dense = PolyMatrix(
+                    [[elementary_variable(cj - ri, band) for cj in cols] for ri in rows],
+                    band,
+                )
+                built = build_minor_symbolic(spec, k)
+                assert built == dense, (spec, k)
+                assert (built.size, built.nvars) == (k, band)
+                # the stored pattern is a scan of the nonzero entries
+                scan = tuple(
+                    tuple((i, built[i, j]) for i in range(k) if not built[i, j].is_zero)
+                    for j in range(k)
+                )
+                assert built.columns == scan == dense.columns, (spec, k)
+
+    @pytest.mark.parametrize("band", [1, 2, 3, 4, 5])
+    def test_leading_minors_agree_with_the_public_constructor(self, band):
+        for spec in _minor_specs(band, 4):
+            built = build_minor_symbolic(spec, 10)
+            public = PolyMatrix([list(row) for row in built.entries], band)
+            assert leading_minors(built) == leading_minors(public), spec
