@@ -38,7 +38,8 @@ multiplying by e_d with the Pieri rule on monomial symmetric functions
 Caches, each bounded by a named constant: _pieri_step holds Pieri steps
 (PIERI_CACHE_SIZE), _run_choices the Pieri choices of a pattern of equal
 parts (RUN_CHOICES_CACHE_SIZE), _MONOMIAL_WEIGHTS the partition weights
-of one e-monomial, which expand_elementary reads for a one-term group
+of one e-monomial, which expand_elementary sums for a polynomial of at
+most DIRECT_SUM_TERMS terms and reads for a one-term Horner group
 (MONOMIAL_WEIGHTS_CACHE_SIZE), _orbit the packed keys of a partition's
 distinct permutations (ORBIT_CACHE_SIZE), _MONOMIAL_TEXT the text
 __str__ prints for a packed monomial (MONOMIAL_TEXT_CACHE_SIZE) and
@@ -66,6 +67,7 @@ RUN_CHOICES_CACHE_SIZE = 1024  # (equal-parts pattern, d) Pieri choices kept
 ORBIT_CACHE_SIZE = 4096  # partitions whose packed permutations are kept
 BASIS_CACHE_SIZE = 32  # variable counts whose elementary basis is kept
 MONOMIAL_WEIGHTS_CACHE_SIZE = 1024  # e-monomials whose weights are kept
+DIRECT_SUM_TERMS = 16  # e-terms up to which an expansion skips Horner's rule
 
 
 class MultiPoly:
@@ -443,21 +445,27 @@ def expand_elementary(p: MultiPoly) -> MultiPoly:
     each of its coefficients in y_{n-1}, and so on down to y_1; p's terms
     are grouped by the exponent fields of their keys, never unpacked.
     The x-degree of y^a is sum_d d * a_d, at most n times the y-degree, and
-    it is checked once, before any product.  Each multiplication by e_d
-    reads the Pieri step of every partition it meets from a dict local to
-    this call, which asks the memoised _pieri_step once per distinct step,
-    so a call computes each of its steps at most once however many it has.
-    A group of one term, such as every group of a polynomial homogeneous
-    in x once Horner reaches y_1, is read from the cross-call memo of
-    e-monomial weights (_monomial_weights).
+    it is checked once, before either route below and before any product.
+    Each multiplication by e_d reads the Pieri step of every partition it
+    meets from a dict local to this call, which asks the memoised
+    _pieri_step once per distinct step, so a call computes each of its
+    steps at most once however many it has.
+    A polynomial of at most DIRECT_SUM_TERMS terms skips Horner's rule:
+    each term adds its coefficient times the partition weights of its
+    e-monomial, read from a cross-call memo (_summed_weights).  A one-term
+    group of a larger polynomial, such as every group of a polynomial
+    homogeneous in x once Horner reaches y_1, is read the same way.  Past
+    that many terms, the products Horner shares cost less than one memo
+    walk per term.
     """
     n = p.nvars
     if n * _degree(p) > MAX_DEGREE:
         _check_degree(
             max(sum(d * a for d, a in enumerate(exps, 1)) for exps, _ in p)
         )
+    route = _summed_weights if len(p) <= DIRECT_SUM_TERMS else _horner_elementary
     # the steps dict is dropped before the output grows
-    weights = _horner_elementary(p._terms, n, n, {})
+    weights = route(p._terms, n, n, {})
     out: dict[int, int] = {}
     for lam, weight in weights.items():
         orbit = _orbit(lam)
@@ -474,17 +482,14 @@ def _horner_elementary(
 
     terms maps packed keys to coefficients.  At d = 0 it holds at most one
     term, a constant in y_1..y_n once the fields above are set aside.  A
-    one-term group c * y_1^a_1 ... y_d^a_d is c times the memoised weights
-    of its e-monomial (_monomial_weights).
+    one-term group is read from the memo of e-monomial weights
+    (_summed_weights).
     """
     if d == 0:
         return {(0,) * n: coeff for coeff in terms.values()}
-    shift = (n - d) * EXPONENT_BITS
     if len(terms) == 1:
-        [(key, coeff)] = terms.items()
-        # keep the fields of y_1..y_d, drop the degree and y_{d+1}..y_n
-        fields = key & ((1 << d * EXPONENT_BITS) - 1) << shift
-        return {lam: coeff * w for lam, w in _monomial_weights(fields, n, steps)}
+        return _summed_weights(terms, d, n, steps)
+    shift = (n - d) * EXPONENT_BITS
     groups: dict[int, dict[int, int]] = {}
     for key, coeff in terms.items():
         groups.setdefault(key >> shift & MAX_DEGREE, {})[key] = coeff
@@ -497,6 +502,30 @@ def _horner_elementary(
             lower = _horner_elementary(groups[power], d - 1, n, steps)
             for lam, weight in lower.items():
                 acc[lam] = acc.get(lam, 0) + weight
+    return acc
+
+
+def _summed_weights(
+    terms: Mapping[int, int], d: int, n: int, steps: dict
+) -> dict[Monomial, int]:
+    """Partition weights of terms, whose y_{d+1}..y_n exponents are equal.
+
+    Each term c * y_1^a_1 ... y_d^a_d adds c times the memoised weights of
+    its e-monomial (_monomial_weights), which takes the term's key with the
+    degree field and the fields of y_{d+1}..y_n dropped.  The first term's
+    weights seed the sum, so a one-term group costs one dict comprehension.
+    """
+    mask = ((1 << d * EXPONENT_BITS) - 1) << (n - d) * EXPONENT_BITS
+    scaled = (
+        (coeff, _monomial_weights(key & mask, n, steps))
+        for key, coeff in terms.items()
+    )
+    coeff, weights = next(scaled, (0, ()))
+    acc = {lam: coeff * weight for lam, weight in weights}
+    get = acc.get
+    for coeff, weights in scaled:
+        for lam, weight in weights:
+            acc[lam] = get(lam, 0) + coeff * weight
     return acc
 
 

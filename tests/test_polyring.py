@@ -3,7 +3,7 @@
 import json
 import struct
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -181,10 +181,18 @@ def padded_partitions(draw):
 
 @st.composite
 def y_polys(draw):
-    """A small polynomial in y_1..y_n, n <= 4."""
+    """A polynomial in y_1..y_n, n <= 4, of up to twice DIRECT_SUM_TERMS terms.
+
+    Its exponents are at most 2, so it has at most 3**n terms; the size is
+    drawn first, so expand_elementary meets both of its routes.
+    """
     n = draw(st.integers(1, 4))
+    size = draw(st.integers(0, min(2 * polyring.DIRECT_SUM_TERMS, 3**n)))
     exps = st.tuples(*([st.integers(0, 2)] * n))
-    return MultiPoly(n, draw(st.dictionaries(exps, st.integers(-5, 5), max_size=4)))
+    coeffs = st.integers(-5, 5).filter(bool)
+    return MultiPoly(
+        n, draw(st.dictionaries(exps, coeffs, min_size=size, max_size=size))
+    )
 
 
 class TestPieriStep:
@@ -387,9 +395,14 @@ class TestPackedKeys:
             polyring.sum_of_products([(half, MultiPoly.one(2)), (half, half)], 2)
         with pytest.raises(OverflowError):
             leading_minors(PolyMatrix([[half, half], [half, half]]))
-        # y2^(2^31) expands to (x1 x2)^(2^31), of degree 2^32 in x
-        with pytest.raises(OverflowError):
-            expand_elementary(MultiPoly(2, {(0, 2**31): 1}))
+        # y2^(2^31) expands to (x1 x2)^(2^31), of degree 2^32 in x; the
+        # degree is checked before either route, alone and beside terms
+        # that fit, on both sides of DIRECT_SUM_TERMS
+        bound = polyring.DIRECT_SUM_TERMS
+        for size in (1, bound, bound + 1):
+            terms = {(i, 0): 1 for i in range(size - 1)}
+            with pytest.raises(OverflowError):
+                expand_elementary(MultiPoly(2, {**terms, (0, 2**31): 1}))
 
     def test_text_memo_is_bounded(self):
         size = polyring.MONOMIAL_TEXT_CACHE_SIZE
@@ -438,6 +451,50 @@ class TestMonomialWeights:
             assert len(polyring._MONOMIAL_WEIGHTS) <= size
         e1, e2 = elementary_symmetric(1, 2), elementary_symmetric(2, 2)
         assert expand_elementary(MultiPoly(2, {(2, 3): 1})) == e1 * e1 * e2 * e2 * e2
+
+    def test_memo_is_bounded_under_few_term_polynomials(self):
+        # polynomials of four terms, summed straight from the memo, name
+        # more distinct e-monomials than the bound; the memo keeps at most
+        # the bound, is emptied on the way, and an expansion after that is
+        # still right
+        size = polyring.MONOMIAL_WEIGHTS_CACHE_SIZE
+        monomials = [(a, b) for a in range(size // 32 + 1) for b in range(32)]
+        assert len(monomials) > size
+        sizes = []
+        for i in range(0, len(monomials), 4):
+            expand_elementary(MultiPoly(2, dict.fromkeys(monomials[i : i + 4], 1)))
+            sizes.append(len(polyring._MONOMIAL_WEIGHTS))
+        assert max(sizes) <= size
+        assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+        e1, e2 = elementary_symmetric(1, 2), elementary_symmetric(2, 2)
+        y = MultiPoly(2, {(2, 3): 1, (0, 1): -2, (1, 0): 3})
+        assert expand_elementary(y) == e1 * e1 * e2 * e2 * e2 - 2 * e2 + 3 * e1
+
+    def test_both_routes_agree_at_the_bound(self, monkeypatch):
+        # DIRECT_SUM_TERMS terms are summed from the memo without Horner's
+        # rule, one more term goes through it, and either way the result
+        # is the polynomial spread from _horner_elementary's weights
+        bound = polyring.DIRECT_SUM_TERMS
+        monomials = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+        horner = polyring._horner_elementary
+        calls = []
+
+        def counted(terms, d, n, steps):
+            calls.append(d)
+            return horner(terms, d, n, steps)
+
+        monkeypatch.setattr(polyring, "_horner_elementary", counted)
+        for size in (bound, bound + 1):
+            y = MultiPoly(3, {m: 9 - 2 * i for i, m in enumerate(monomials[:size])})
+            assert len(y) == size
+            expected = Counter()
+            for lam, weight in horner(y._terms, 3, 3, {}).items():
+                orbit = set(permutations(lam))
+                for exps in orbit:
+                    expected[exps] += weight // len(orbit)
+            calls.clear()
+            assert expand_elementary(y) == MultiPoly(3, expected)
+            assert bool(calls) == (size > bound)
 
 
 class TestPieriMemo:
