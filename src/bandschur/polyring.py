@@ -35,14 +35,14 @@ expansion in x is.  expand_elementary maps the y-form to x (for printing),
 multiplying by e_d with the Pieri rule on monomial symmetric functions
 (Macdonald, Symmetric Functions and Hall Polynomials, 2nd ed., I.6).
 
-Caches, each bounded by a named constant: _pieri_step holds Pieri steps
-(PIERI_CACHE_SIZE), _run_choices the Pieri choices of a pattern of equal
-parts (RUN_CHOICES_CACHE_SIZE), _MONOMIAL_WEIGHTS the partition weights
-of one e-monomial, which expand_elementary sums for a polynomial of at
-most DIRECT_SUM_TERMS terms and reads for a one-term Horner group
-(MONOMIAL_WEIGHTS_CACHE_SIZE), _orbit the packed keys of a partition's
-distinct permutations (ORBIT_CACHE_SIZE), _MONOMIAL_TEXT the text
-__str__ prints for a packed monomial (MONOMIAL_TEXT_CACHE_SIZE) and
+Caches, each bounded by a named constant: _run_choices holds the Pieri
+choices of a pattern of equal parts, the one Pieri memo that outlives an
+expand_elementary call (RUN_CHOICES_CACHE_SIZE), _MONOMIAL_WEIGHTS the
+partition weights of one e-monomial, which expand_elementary sums for a
+polynomial of at most DIRECT_SUM_TERMS terms and reads for a one-term
+Horner group (MONOMIAL_WEIGHTS_CACHE_SIZE), _orbit the packed keys of a
+partition's distinct permutations (ORBIT_CACHE_SIZE), _MONOMIAL_TEXT the
+text __str__ prints for a packed monomial (MONOMIAL_TEXT_CACHE_SIZE) and
 _elementary_basis the basis variables of a variable count
 (BASIS_CACHE_SIZE).
 """
@@ -62,7 +62,6 @@ EXPONENT_BITS = 32  # bits per exponent field of a packed monomial key
 _FIELD = "I"  # struct code of one field: unsigned, EXPONENT_BITS // 8 bytes
 MAX_DEGREE = (1 << EXPONENT_BITS) - 1  # highest total degree a key can hold
 MONOMIAL_TEXT_CACHE_SIZE = 4096  # packed monomials whose text __str__ keeps
-PIERI_CACHE_SIZE = 4096  # (partition, d, n) steps whose products are kept
 RUN_CHOICES_CACHE_SIZE = 1024  # (equal-parts pattern, d) Pieri choices kept
 ORBIT_CACHE_SIZE = 4096  # partitions whose packed permutations are kept
 BASIS_CACHE_SIZE = 32  # variable counts whose elementary basis is kept
@@ -447,9 +446,9 @@ def expand_elementary(p: MultiPoly) -> MultiPoly:
     The x-degree of y^a is sum_d d * a_d, at most n times the y-degree, and
     it is checked once, before either route below and before any product.
     Each multiplication by e_d reads the Pieri step of every partition it
-    meets from a dict local to this call, which asks the memoised
-    _pieri_step once per distinct step, so a call computes each of its
-    steps at most once however many it has.
+    meets from a dict local to this call, which computes it with
+    _pieri_step the first time, so a call computes each of its steps at
+    most once however many it has; no step outlives the call.
     A polynomial of at most DIRECT_SUM_TERMS terms skips Horner's rule:
     each term adds its coefficient times the partition weights of its
     e-monomial, read from a cross-call memo (_summed_weights).  A one-term
@@ -601,22 +600,20 @@ def _times_elementary(
     return out
 
 
-@lru_cache(maxsize=PIERI_CACHE_SIZE)
-def _pieri_step(mu: Monomial, d: int, n: int) -> tuple[tuple[Monomial, int], ...]:
+def _pieri_step(mu: Monomial, d: int, n: int) -> list[tuple[Monomial, int]]:
     """The pairs (nu, number of v with sort(mu + v) = nu), v over e_d's monomials.
 
     mu is a partition padded to n parts.  Its equal parts come in runs;
     adding 1 to k parts of a run of m sorts to the same nu whichever k
     are chosen, so each distinct nu is mu plus ones on a prefix of each
-    run, already sorted, and counted prod C(m, k) times (_run_choices).
-    A partition that recurs across Horner steps and across polynomials
-    costs one walk over these few pairs.
+    run, already sorted, and counted prod C(m, k) times (_run_choices,
+    memoised across calls).  Callers keep the result in their per-call
+    step dict (see _times_elementary), so this is not memoised itself.
     """
     add = operator.add
     equal = tuple(map(operator.eq, mu, mu[1:]))  # which neighbours share a run
-    return tuple(
-        [(tuple(map(add, mu, ones)), count) for ones, count in _run_choices(equal, d)]
-    )
+    choices = _run_choices(equal, d)
+    return [(tuple(map(add, mu, ones)), count) for ones, count in choices]
 
 
 @lru_cache(maxsize=RUN_CHOICES_CACHE_SIZE)

@@ -7,10 +7,10 @@ every leading block (leading_minors).  The rows it must track stay in a
 window of the band width for every matrix this package builds (banded
 minors and dual Jacobi-Trudi matrices), so it is fast there.  A dense
 matrix makes the window the whole size and the work exponential in it
-(figures in the symbolic_det docstring).  A PolyMatrix keeps its column
-pattern, the nonzero (row, entry) pairs of each column, and the sweep
-reads only that: its degree bound and row window cost O(nnz), the
-number of nonzero entries, which is O(size * band) for a banded minor
+(figures in the symbolic_det docstring).  A PolyMatrix keeps only its
+column pattern, the nonzero (row, entry) pairs of each column, so the
+sweep's degree bound and row window cost O(nnz), the number of nonzero
+entries, which is O(size * band) for a banded minor
 (toeplitz.build_minor_symbolic fills the pattern from the band).
 
 Jacobi-Trudi matrices are built in the elementary basis: entry e_d is the
@@ -35,20 +35,20 @@ from .shapes import SkewShape
 class PolyMatrix:
     """Immutable square matrix of MultiPoly entries over one variable set.
 
-    Besides its rows, a matrix keeps its column pattern: columns[j] holds
-    the (row, entry) pairs of column j's nonzero entries, rows ascending.
-    The determinant sweep reads only the pattern, so its set-up costs the
-    number of nonzero entries, not size**2.
+    A matrix keeps only its column pattern: columns[j] holds the (row,
+    entry) pairs of column j's nonzero entries, rows ascending.  Indexing,
+    equality, printing and the determinant sweep read the pattern, so the
+    sweep's set-up costs the number of nonzero entries, not size**2.
     """
 
-    __slots__ = ("entries", "columns", "nvars", "size")
+    __slots__ = ("columns", "nvars", "size")
 
-    def __init__(self, entries, nvars: int | None = None):
-        entries = tuple(tuple(row) for row in entries)
-        m = len(entries)
+    def __init__(self, rows, nvars: int | None = None):
+        rows = tuple(tuple(row) for row in rows)
+        m = len(rows)
         columns = [[] for _ in range(m)]
         seen = set()
-        for i, row in enumerate(entries):
+        for i, row in enumerate(rows):
             if len(row) != m:
                 raise ValueError(f"matrix is not square: {m} rows, row of {len(row)}")
             for column, p in zip(columns, row):
@@ -61,44 +61,44 @@ class PolyMatrix:
             nvars = seen.pop()
         elif nvars is None:
             raise ValueError("empty matrix needs an explicit nvars")
-        _fill(self, entries, columns, nvars)
+        _fill(self, columns, nvars)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        i = range(self.size)[i]  # negative from the end, IndexError past it
+        return dict(self.columns[j]).get(i, MultiPoly.zero(self.nvars))
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return self.nvars == other.nvars and self.entries == other.entries
+        return self.nvars == other.nvars and self.columns == other.columns
 
     def __repr__(self):
+        m = self.size
         rows = "; ".join(
-            ", ".join(str(p) for p in row) for row in self.entries
+            ", ".join(str(self[i, j]) for j in range(m)) for i in range(m)
         )
         return f"PolyMatrix[{rows}]"
 
 
-def _fill(matrix: PolyMatrix, entries, columns, nvars: int) -> None:
+def _fill(matrix: PolyMatrix, columns, nvars: int) -> None:
     """Set the slots of a new matrix; the columns become tuples."""
-    object.__setattr__(matrix, "entries", entries)
     object.__setattr__(matrix, "columns", tuple(map(tuple, columns)))
     object.__setattr__(matrix, "nvars", nvars)
-    object.__setattr__(matrix, "size", len(entries))
+    object.__setattr__(matrix, "size", len(columns))
 
 
-def _raw_matrix(entries, columns, nvars: int) -> PolyMatrix:
+def _raw_matrix(columns, nvars: int) -> PolyMatrix:
     """Internal constructor skipping validation, as polyring._raw does.
 
-    entries must be a square tuple of row tuples of MultiPoly in nvars
-    variables, and columns[j] the (row, entry) pairs of column j's nonzero
-    entries in ascending row order.
+    columns[j] must be the (row, entry) pairs of column j's nonzero
+    entries, MultiPoly in nvars variables, in ascending row order.
     """
     matrix = object.__new__(PolyMatrix)
-    _fill(matrix, entries, columns, nvars)
+    _fill(matrix, columns, nvars)
     return matrix
 
 
@@ -168,10 +168,10 @@ def leading_minors(matrix: PolyMatrix) -> list[MultiPoly]:
     reaches.  It is checked once, before the first product, and a bound
     above polyring.MAX_DEGREE raises OverflowError, so no field can carry.
 
-    Everything the sweep reads comes from the matrix's column pattern
-    (PolyMatrix.columns), never from the dense rows: the degree bound and
-    the reach of each column cost O(nnz), the number of nonzero entries,
-    so a banded k x k minor costs O(k * band) before its first product.
+    The sweep reads the matrix's column pattern (PolyMatrix.columns): the
+    degree bound and the reach of each column cost O(nnz), the number of
+    nonzero entries, so a banded k x k minor costs O(k * band) before its
+    first product.
     """
     m, nvars, columns = matrix.size, matrix.nvars, matrix.columns
     _check_degree(

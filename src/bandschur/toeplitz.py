@@ -117,25 +117,20 @@ def build_minor_symbolic(spec: MinorSpec, k: int) -> PolyMatrix:
 
     Entry s_d is the variable y_d of MultiPoly(band): 1 at d = 0, 0 off the
     band.  Row i of the minor meets the band in the surviving columns
-    rows[i] .. rows[i] + band, a run found by bisection, so the column
-    pattern (PolyMatrix.columns) is filled in O(k * band) beside the rows.
+    rows[i] .. rows[i] + band, a run found by bisection, so its column
+    pattern, the whole matrix (PolyMatrix.columns), costs O(k * band).
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     n = spec.band
     basis = _elementary_basis(n)  # (1, y_1, ..., y_n, 0)
-    zero = basis[-1]
     rows = surviving(spec.deleted_rows, k)
     cols = surviving(spec.deleted_cols, k)
-    entries = []
     columns = [[] for _ in range(k)]
     for i, ri in enumerate(rows):
-        row = [zero] * k
         for j in range(bisect_left(cols, ri), bisect_right(cols, ri + n)):
-            row[j] = basis[cols[j] - ri]
-            columns[j].append((i, row[j]))
-        entries.append(tuple(row))
-    return _raw_matrix(tuple(entries), columns, n)
+            columns[j].append((i, basis[cols[j] - ri]))
+    return _raw_matrix(columns, n)
 
 
 def det_numeric(matrix: np.ndarray) -> complex:
@@ -159,9 +154,14 @@ def minor_det_symbolic(spec: MinorSpec, k: int) -> MultiPoly:
 def verify_minor_schur(spec: MinorSpec, k: int) -> tuple[bool, MultiPoly]:
     """Check minor determinant == skew Schur polynomial of its shape.
 
-    Both sides are computed independently (matching expansion of the minor
-    vs Jacobi-Trudi determinant of the shape), and compared in the
-    elementary basis, where they agree exactly when they agree in x.
+    The minor's determinant and the dual Jacobi-Trudi determinant of
+    shape_from_minor(spec, k) are compared in the elementary basis, where
+    they agree exactly when they agree in x.  They are not independent:
+    at equal sizes the Jacobi-Trudi matrix is the minor's matrix, its
+    transpose or a rotation of either, and both go through leading_minors.
+    So this checks shape_from_minor's index bookkeeping, not the
+    determinant engine; schur --method both checks the identity against
+    the independent tableaux engine.
     Returns (identity holds, residual in e_1..e_band).
     """
     shape = shape_from_minor(spec, k)  # raises below min_k

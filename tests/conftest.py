@@ -1,9 +1,14 @@
+import signal
 from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from bandschur.polyring import MultiPoly
+
+# wall-clock seconds a test may run, set-up included; the slowest takes a
+# few seconds, so a test past this is stuck in a loop, not slow
+TEST_TIME_LIMIT_S = 60
 
 settings.register_profile(
     "bandschur",
@@ -12,6 +17,35 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("bandschur")
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TEST_TIME_LIMIT_S.
+
+    Not an Exception, nor pytest's Failed: hypothesis catches those to
+    shrink the example, and would rerun the stuck one with no limit left.
+    """
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Fail a test that runs past TEST_TIME_LIMIT_S instead of hanging.
+
+    SIGALRM interrupts the test between bytecodes and raises
+    TimeLimitExceeded, which pytest reports as the test's failure.  The
+    previous handler is restored afterwards.
+    """
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _vieta_x_coeffs(band, extra):

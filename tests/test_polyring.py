@@ -221,7 +221,6 @@ class TestPieriStep:
 
     def test_pieri_and_orbit_caches_are_bounded(self):
         for cache, size in (
-            (polyring._pieri_step, polyring.PIERI_CACHE_SIZE),
             (polyring._run_choices, polyring.RUN_CHOICES_CACHE_SIZE),
             (polyring._orbit, polyring.ORBIT_CACHE_SIZE),
         ):
@@ -499,11 +498,11 @@ class TestMonomialWeights:
 
 class TestPieriMemo:
     def test_one_expansion_computes_each_step_once(self, monkeypatch):
-        # with the bounded memo taken away, each step the expansion of a
-        # band-4 minor needs is still computed once, from the dict local
-        # to the call
+        # _pieri_step keeps no memo of its own, so each step the expansion
+        # of a band-4 minor needs is computed once, from the dict local to
+        # the call
         calls = Counter()
-        step = polyring._pieri_step.__wrapped__
+        step = polyring._pieri_step
 
         def counted(mu, d, n):
             calls[mu, d, n] += 1

@@ -11,8 +11,9 @@ from bandschur.schur import (
     schur_jacobi_trudi,
     symbolic_det,
 )
-from bandschur.shapes import Partition, SkewShape
+from bandschur.shapes import MinorSpec, Partition, SkewShape
 from bandschur.tableaux import schur_by_tableaux
+from bandschur.toeplitz import build_minor_symbolic
 
 
 def _shape(outer, inner=()):
@@ -137,11 +138,58 @@ class TestPolyMatrix:
         assert PolyMatrix([], nvars=2).columns == ()
 
 
+class TestPatternReads:
+    # a PolyMatrix keeps only its column pattern; indexing, equality and
+    # repr read it as if the dense rows were there
+    one, zero, x1 = MultiPoly.one(2), MultiPoly.zero(2), MultiPoly.variable(2, 1)
+    m = PolyMatrix([[x1, zero, one], [one, zero, zero], [zero, zero, x1]])
+
+    def test_indexing_gives_zero_and_nonzero_entries(self):
+        m, one, zero, x1 = self.m, self.one, self.zero, self.x1
+        assert (m[0, 0], m[1, 0], m[0, 2], m[2, 2]) == (x1, one, one, x1)
+        assert [m[i, 1] for i in range(3)] == [zero] * 3
+        assert (m[2, 0], m[1, 2]) == (zero, zero)
+        assert m[2, 0].nvars == 2
+
+    def test_negative_indices_count_from_the_end(self):
+        m, one, zero, x1 = self.m, self.one, self.zero, self.x1
+        assert (m[-1, -1], m[-3, 0], m[0, -1], m[-2, -3]) == (x1, x1, one, one)
+        assert (m[-1, 0], m[-2, -1], m[0, -2]) == (zero, zero, zero)
+
+    @pytest.mark.parametrize("ij", [(3, 0), (0, 3), (-4, 0), (0, -4), (3, -4)])
+    def test_index_past_the_size_raises(self, ij):
+        with pytest.raises(IndexError):
+            self.m[ij]
+
+    def test_empty_matrix_has_no_entries(self):
+        with pytest.raises(IndexError):
+            PolyMatrix([], nvars=2)[0, 0]
+
+    def test_built_minor_equals_the_matrix_of_its_rows(self):
+        y1, y2 = self.x1, MultiPoly.variable(2, 2)
+        one, zero = self.one, self.zero
+        rows = [[y1, y2, zero], [zero, one, y1], [zero, zero, one]]
+        built = build_minor_symbolic(MinorSpec((2,), (1,), 2), 3)
+        assert built == PolyMatrix(rows, 2)
+        assert [[built[i, j] for j in range(3)] for i in range(3)] == rows
+        rows[2][0] = one
+        assert built != PolyMatrix(rows, 2)
+        assert PolyMatrix([], nvars=2) != PolyMatrix([], nvars=3)
+        assert PolyMatrix([], nvars=2) == build_minor_symbolic(MinorSpec((), (), 2), 0)
+
+    def test_repr_prints_the_dense_rows(self):
+        m = build_minor_symbolic(MinorSpec((2,), (1,), 2), 3)
+        assert repr(m) == "PolyMatrix[x1, x2, 0; 0, 1, x1; 0, 0, 1]"
+        assert repr(PolyMatrix([], nvars=2)) == "PolyMatrix[]"
+
+
 class TestJacobiTrudiMatrix:
     def test_row_shape_two_variables(self):
         m = jacobi_trudi_matrix(_shape((2,)), 2)
         e = lambda d: elementary_symmetric(d, 2)
-        in_x = tuple(tuple(map(expand_elementary, row)) for row in m.entries)
+        in_x = tuple(
+            tuple(expand_elementary(m[i, j]) for j in range(2)) for i in range(2)
+        )
         assert in_x == ((e(1), e(2)), (e(0), e(1)))
 
     def test_single_box(self):

@@ -150,14 +150,18 @@ class TestBuildMinor:
     def test_symbolic_two_by_two(self):
         m = build_minor_symbolic(MinorSpec((), (2,), 2), 2)
         e = lambda d: elementary_symmetric(d, 2)
-        in_x = tuple(tuple(map(expand_elementary, row)) for row in m.entries)
+        in_x = tuple(
+            tuple(expand_elementary(m[i, j]) for j in range(2)) for i in range(2)
+        )
         assert in_x == ((e(0), e(2)), (MultiPoly.zero(2), e(1)))
 
     def test_symbolic_three_by_three(self):
         m = build_minor_symbolic(MinorSpec((), (2,), 2), 3)
         e = lambda d: elementary_symmetric(d, 2)
         zero = MultiPoly.zero(2)
-        in_x = tuple(tuple(map(expand_elementary, row)) for row in m.entries)
+        in_x = tuple(
+            tuple(expand_elementary(m[i, j]) for j in range(3)) for i in range(3)
+        )
         assert in_x == (
             (e(0), e(2), zero),
             (zero, e(1), e(2)),
@@ -446,8 +450,8 @@ class TestLeadingBlocks:
 
 
 class TestBandBuiltMinor:
-    # build_minor_symbolic fills the rows and the column pattern from the
-    # band alone; these pin both to the dense, entry-by-entry definition
+    # build_minor_symbolic fills the column pattern from the band alone;
+    # these pin it to the dense, entry-by-entry definition
     @pytest.mark.parametrize("band", [1, 2, 3, 4, 5])
     def test_equals_the_entry_by_entry_matrix(self, band):
         for spec in _minor_specs(band, 4):
@@ -472,5 +476,7 @@ class TestBandBuiltMinor:
     def test_leading_minors_agree_with_the_public_constructor(self, band):
         for spec in _minor_specs(band, 4):
             built = build_minor_symbolic(spec, 10)
-            public = PolyMatrix([list(row) for row in built.entries], band)
+            public = PolyMatrix(
+                [[built[i, j] for j in range(10)] for i in range(10)], band
+            )
             assert leading_minors(built) == leading_minors(public), spec
