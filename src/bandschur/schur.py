@@ -10,8 +10,9 @@ matrix makes the window the whole size and the work exponential in it
 (figures in the symbolic_det docstring).  A PolyMatrix keeps only its
 column pattern, the nonzero (row, entry) pairs of each column, so the
 sweep's degree bound and row window cost O(nnz), the number of nonzero
-entries, which is O(size * band) for a banded minor
-(toeplitz.build_minor_symbolic fills the pattern from the band).
+entries, which is O(size * band) for a banded minor and for a dual
+Jacobi-Trudi matrix: both builders fill the pattern from the band
+(shapes.band_pattern), never a dense list.
 
 Jacobi-Trudi matrices are built in the elementary basis: entry e_d is the
 variable y_d (see polyring), so their determinants are polynomials in
@@ -25,11 +26,11 @@ from .polyring import (
     _addmul,
     _check_degree,
     _degree_bound,
+    _elementary_basis,
     _raw,
-    elementary_variable,
     expand_elementary,
 )
-from .shapes import SkewShape
+from .shapes import SkewShape, band_pattern
 
 
 class PolyMatrix:
@@ -44,6 +45,8 @@ class PolyMatrix:
     __slots__ = ("columns", "nvars", "size")
 
     def __init__(self, rows, nvars: int | None = None):
+        if nvars is not None and nvars < 1:
+            raise ValueError(f"nvars must be >= 1, got {nvars}")
         rows = tuple(tuple(row) for row in rows)
         m = len(rows)
         columns = [[] for _ in range(m)]
@@ -102,28 +105,35 @@ def _raw_matrix(columns, nvars: int) -> PolyMatrix:
     return matrix
 
 
+def _elementary_band(row_at, col_at, nvars: int) -> PolyMatrix:
+    """Matrix with entry e_d, d = col_at[j] - row_at[i], in the elementary basis.
+
+    e_d is the variable y_d of MultiPoly(nvars): 1 at d = 0, 0 off
+    0..nvars, so the column pattern is shapes.band_pattern's with each
+    offset mapped to its basis polynomial.  col_at must be strictly
+    increasing.  nvars < 1 raises ValueError before any entry is built.
+    """
+    basis = _elementary_basis(nvars)  # (1, y_1, ..., y_nvars, 0)
+    pattern = band_pattern(row_at, col_at, nvars)
+    return _raw_matrix([[(i, basis[d]) for i, d in pairs] for pairs in pattern], nvars)
+
+
 def jacobi_trudi_matrix(shape: SkewShape, nvars: int) -> PolyMatrix:
     """Elementary-symmetric (dual) Jacobi-Trudi matrix of a skew shape.
 
     Size is the number of columns of the outer diagram; entry (i, j) is
     e_{outer'_i - inner'_j - i + j}, written as the variable y_d of the
-    elementary basis.  The empty shape gives the 0 x 0 matrix, whose
-    determinant is 1.
+    elementary basis.  That offset is (j - inner'_j) - (i - outer'_i), and
+    both positions strictly increase, so the matrix is read from the band
+    in O(width * nvars), as a minor is.  The empty shape gives the 0 x 0
+    matrix, whose determinant is 1.
     """
-    width = shape.outer.part(1)
     outer_conj = shape.outer.conjugate()
     inner_conj = shape.inner.conjugate()
-    rows = []
-    for i in range(1, width + 1):
-        rows.append(
-            [
-                elementary_variable(
-                    outer_conj.part(i) - inner_conj.part(j) - i + j, nvars
-                )
-                for j in range(1, width + 1)
-            ]
-        )
-    return PolyMatrix(rows, nvars)
+    axis = range(1, len(outer_conj) + 1)
+    row_at = [i - outer_conj.part(i) for i in axis]
+    col_at = [j - inner_conj.part(j) for j in axis]
+    return _elementary_band(row_at, col_at, nvars)
 
 
 def schur_jacobi_trudi(shape: SkewShape, nvars: int) -> MultiPoly:

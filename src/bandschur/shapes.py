@@ -3,11 +3,15 @@
 A minor specification names the rows and columns deleted from the infinite
 banded upper-triangular Toeplitz matrix before taking the leading k x k
 block.  Every such minor determinant is a skew Schur polynomial; the shape
-it corresponds to is produced by :func:`shape_from_minor`.
+it corresponds to is produced by :func:`shape_from_minor`.  Both sides
+are matrices whose entry depends only on an offset between a row and a
+column position, zero off the band; :func:`band_pattern` lists where such
+a matrix is nonzero.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import index
 
@@ -237,3 +241,21 @@ def shape_from_minor(spec: MinorSpec, k: int) -> SkewShape:
     outer = tuple(k + i - b for i, b in enumerate(spec.deleted_cols, start=1))
     inner = tuple(k + i - a for i, a in enumerate(spec.deleted_rows, start=1))
     return SkewShape(Partition(outer), Partition(inner))
+
+
+def band_pattern(row_at, col_at, band: int) -> list[list[tuple[int, int]]]:
+    """Per column j, the (i, col_at[j] - row_at[i]) pairs whose offset is in 0..band.
+
+    A matrix whose entry (i, j) is a function of that offset, zero off
+    0..band, is nonzero only at these pairs: a banded minor has the
+    surviving rows and columns as axes, a dual Jacobi-Trudi matrix the
+    positions i - outer'_i and j - inner'_j.  col_at must be strictly
+    increasing, so row i meets the band in one run of at most band + 1
+    columns, found by bisection; the pattern costs O(len(row_at) * band)
+    beyond the bisections.  Each column lists its rows ascending.
+    """
+    pattern: list[list[tuple[int, int]]] = [[] for _ in col_at]
+    for i, r in enumerate(row_at):
+        for j in range(bisect_left(col_at, r), bisect_right(col_at, r + band)):
+            pattern[j].append((i, col_at[j] - r))
+    return pattern

@@ -17,9 +17,9 @@ row is checked as it joins its prefix, by the row and column tests of the
 one validator `_validate`, once per distinct slice of the row above in a
 call, so a prefix shared by many fillings is checked once.  What the
 validator needs from a shape (row lengths and the column ranges a row
-shares with the row above) is computed once per shape and kept in a
-bounded cache of `_Plan`s.  `_ssyt_rows` and `enumerate_ssyt` unpack the
-keys to rows; `schur_by_tableaux` counts the contents.
+shares with the row above) is its `_Plan`, computed where it is needed.
+`_ssyt_rows` and `enumerate_ssyt` unpack the keys to rows;
+`schur_by_tableaux` counts the contents.
 
 Insertion puts value i of a strictly increasing sequence into row i: a
 positive value joins the row's content, a negative value adds one skew box
@@ -43,7 +43,6 @@ validated against its own target shape.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,10 +52,8 @@ from operator import index, lt
 from .polyring import MultiPoly, _check_degree, _key, _raw
 from .shapes import Partition, SkewShape
 
-# Bounds on the per-shape caches.  One check-identity command plans its two
-# shapes and one target per sequence length and negative count; one
-# enumeration reads at most one bound vector per distinct row above.
-PLAN_CACHE_SIZE = 64
+# Bound on the row memo: one enumeration reads at most one bound vector per
+# distinct row above.
 ROW_CACHE_SIZE = 1024
 
 
@@ -76,7 +73,6 @@ class _Plan:
         self.links = links
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(shape: SkewShape) -> _Plan:
     spans = shape.row_spans()
     links: list[tuple[int, int, int, int, int] | None] = []
@@ -381,7 +377,7 @@ class InsertionSequence:
 def _insertion_target(
     shape: SkewShape, length: int, negatives: int
 ) -> tuple[SkewShape, _Plan]:
-    """Shape (and its cached plan) of every insertion of a sequence into `shape`.
+    """Shape (and its plan) of every insertion of a sequence into `shape`.
 
     The sequence has `length` values, the first `negatives` of them
     negative.  Rows 1..length gain a box, new single-box rows included;
@@ -420,9 +416,7 @@ def _insert_rows(rows, values: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         if i == len(out):
             out.append((v,) if v > 0 else ())
         elif v > 0:
-            row = list(out[i])
-            insort(row, v)
-            out[i] = tuple(row)
+            out[i] = tuple(sorted(out[i] + (v,)))
     return tuple(out)
 
 

@@ -20,12 +20,11 @@ builders and verify_minor_schur run without it.
 from __future__ import annotations
 
 import cmath
-from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 from ._numpy import np
-from .polyring import MultiPoly, _elementary_basis
-from .schur import PolyMatrix, _raw_matrix, jacobi_trudi_matrix, symbolic_det
+from .polyring import MultiPoly
+from .schur import PolyMatrix, _elementary_band, jacobi_trudi_matrix, symbolic_det
 from .shapes import MinorSpec, shape_from_minor, surviving
 
 MINOR_CACHE_SIZE = 36  # verify_minor_schur's minors; recurrences sweep their own
@@ -116,21 +115,15 @@ def build_minor_symbolic(spec: MinorSpec, k: int) -> PolyMatrix:
     """Same minor with s_d = e_d as exact entries, in the elementary basis.
 
     Entry s_d is the variable y_d of MultiPoly(band): 1 at d = 0, 0 off the
-    band.  Row i of the minor meets the band in the surviving columns
-    rows[i] .. rows[i] + band, a run found by bisection, so its column
-    pattern, the whole matrix (PolyMatrix.columns), costs O(k * band).
+    band.  The column pattern, all a PolyMatrix keeps, is read from the
+    band over the surviving rows and columns (shapes.band_pattern), so the
+    matrix costs O(k * band).
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    n = spec.band
-    basis = _elementary_basis(n)  # (1, y_1, ..., y_n, 0)
     rows = surviving(spec.deleted_rows, k)
     cols = surviving(spec.deleted_cols, k)
-    columns = [[] for _ in range(k)]
-    for i, ri in enumerate(rows):
-        for j in range(bisect_left(cols, ri), bisect_right(cols, ri + n)):
-            columns[j].append((i, basis[cols[j] - ri]))
-    return _raw_matrix(columns, n)
+    return _elementary_band(rows, cols, spec.band)
 
 
 def det_numeric(matrix: np.ndarray) -> complex:

@@ -1,9 +1,16 @@
 """Tests for Jacobi-Trudi matrices and the symbolic determinant engine."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, strategies as st
 
-from bandschur.polyring import MultiPoly, elementary_symmetric, expand_elementary
+from bandschur.polyring import (
+    MultiPoly,
+    elementary_symmetric,
+    elementary_variable,
+    expand_elementary,
+)
 from bandschur.schur import (
     PolyMatrix,
     jacobi_trudi_matrix,
@@ -130,6 +137,11 @@ class TestPolyMatrix:
             PolyMatrix([])
         assert PolyMatrix([], nvars=2).size == 0
 
+    @pytest.mark.parametrize("nvars", [0, -1])
+    def test_nvars_below_one_rejected(self, nvars):
+        with pytest.raises(ValueError, match=f"^nvars must be >= 1, got {nvars}$"):
+            PolyMatrix([], nvars=nvars)
+
     def test_column_pattern_lists_the_nonzero_entries(self):
         one, zero = MultiPoly.one(2), MultiPoly.zero(2)
         x1 = MultiPoly.variable(2, 1)
@@ -204,6 +216,52 @@ class TestJacobiTrudiMatrix:
 
     def test_size_is_outer_width(self):
         assert jacobi_trudi_matrix(_shape((4, 2, 1), (2, 2)), 3).size == 4
+
+    @pytest.mark.parametrize("nvars", [0, -1])
+    def test_nvars_below_one_rejected(self, nvars):
+        message = f"^nvars must be >= 1, got {nvars}$"
+        with pytest.raises(ValueError, match=message):
+            schur_jacobi_trudi(_shape(()), nvars)
+        with pytest.raises(ValueError, match=message):
+            jacobi_trudi_matrix(_shape((2, 1), (1,)), nvars)
+
+    def test_equals_the_entry_by_entry_matrix(self):
+        # jacobi_trudi_matrix reads its column pattern from the band; this
+        # pins it to the dense definition on every skew shape in a 4 x 4 box
+        box = [
+            Partition(sorted(parts, reverse=True))
+            for parts in combinations_with_replacement(range(5), 4)
+        ]
+        pairs = 0
+        for outer in box:
+            for inner in filter(outer.contains, box):
+                shape = SkewShape(outer, inner)
+                oc, ic = outer.conjugate(), inner.conjugate()
+                axis = range(1, outer.part(1) + 1)
+                for n in range(1, 7):
+                    dense = PolyMatrix(
+                        [
+                            [elementary_variable(oc.part(i) - ic.part(j) - i + j, n)
+                             for j in axis]
+                            for i in axis
+                        ],
+                        n,
+                    )
+                    built = jacobi_trudi_matrix(shape, n)
+                    assert built == dense, (shape, n)
+                    assert (built.size, built.nvars) == (len(axis), n)
+                    # the stored pattern is a scan of the nonzero entries
+                    scan = tuple(
+                        tuple(
+                            (i, built[i, j])
+                            for i in range(built.size)
+                            if not built[i, j].is_zero
+                        )
+                        for j in range(built.size)
+                    )
+                    assert built.columns == scan, (shape, n)
+                    pairs += 1
+        assert pairs == 10_584
 
 
 class TestSymbolicDet:

@@ -10,6 +10,7 @@ from bandschur.shapes import (
     MinorSpec,
     Partition,
     SkewShape,
+    band_pattern,
     min_k,
     parse_partition,
     shape_from_minor,
@@ -282,3 +283,35 @@ class TestSurviving:
         for j, idx in enumerate(kept):
             # idx is the (j+1)-th positive integer once deleted ones are skipped.
             assert idx - (j + 1) == sum(1 for d in deleted if d <= idx)
+
+
+class TestBandPattern:
+    def test_golden(self):
+        # rows 1, 2, 4 against columns 1, 3, 4, offsets 0..2
+        assert band_pattern([1, 2, 4], [1, 3, 4], 2) == [
+            [(0, 0)],
+            [(0, 2), (1, 1)],
+            [(1, 2), (2, 0)],
+        ]
+
+    def test_empty_axes_give_an_empty_pattern(self):
+        assert band_pattern([], [], 3) == []
+        assert band_pattern([1, 2], [], 3) == []
+        assert band_pattern([], [1, 2], 3) == [[], []]
+
+    @given(
+        st.lists(st.integers(-6, 12), max_size=8),
+        st.lists(st.integers(-6, 12), max_size=8, unique=True).map(sorted),
+        st.integers(0, 5),
+    )
+    def test_equals_the_scan_of_every_offset(self, row_at, col_at, band):
+        pattern = band_pattern(row_at, col_at, band)
+        scan = [
+            [(i, c - r) for i, r in enumerate(row_at) if 0 <= c - r <= band]
+            for c in col_at
+        ]
+        assert pattern == scan
+        for c, pairs in zip(col_at, pattern):
+            rows = [i for i, _ in pairs]
+            assert rows == sorted(set(rows))
+            assert all(0 <= d <= band and d == c - row_at[i] for i, d in pairs)

@@ -12,7 +12,6 @@ from bandschur.polyring import MultiPoly
 from bandschur.shapes import MinorSpec, Partition, SkewShape, min_k, shape_from_minor
 from bandschur.toeplitz import minor_det_symbolic
 from bandschur.tableaux import (
-    PLAN_CACHE_SIZE,
     ROW_CACHE_SIZE,
     InsertionSequence,
     InsertionStep,
@@ -697,14 +696,9 @@ class TestEnumeratorChecksRows:
 
 
 class TestBoundedCaches:
-    def test_plan_and_row_caches_stay_within_maxsize(self):
-        plans, rows = tableaux._plan.cache_info, tableaux._rows.cache_info
-        assert plans().maxsize == PLAN_CACHE_SIZE
+    def test_row_cache_stays_within_maxsize(self):
+        rows = tableaux._rows.cache_info
         assert rows().maxsize == ROW_CACHE_SIZE
-        # more distinct shapes than the plan cache holds
-        for width in range(1, PLAN_CACHE_SIZE + 20):
-            assert len(enumerate_ssyt(_shape((width,)), 1)) == 1
-            assert plans().currsize <= PLAN_CACHE_SIZE
         # two-row columns: one bound vector per first-row value and nmax,
         # more than the row memo holds
         misses = rows().misses
