@@ -39,7 +39,6 @@ from .spectra import (
     finite_section_spectrum,
     limit_set_scan,
     poly_roots,
-    root_modulus_profile,
     spectrum_vs_limitset,
 )
 from .tableaux import (
@@ -109,7 +108,6 @@ __all__ = [
     "parse_partition",
     "poly_roots",
     "recurrence_residual",
-    "root_modulus_profile",
     "schur_by_tableaux",
     "schur_jacobi_trudi",
     "shape_from_minor",

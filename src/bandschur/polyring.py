@@ -19,14 +19,15 @@ degree is at most MAX_DEGREE = 2**B - 1, since no exponent exceeds it.
 Every MultiPoly keeps that bound: the constructor raises OverflowError on
 a monomial above it, and products check the degrees of their factors
 before any term is multiplied (per product pair in __mul__ and
-sum_of_products, once per sweep in schur.leading_minors, once per call in
+_sum_of_products, once per sweep in schur.leading_minors, once per call in
 expand_elementary).  Exponent tuples appear only at the boundary: the
 constructor takes them and terms() and to_json_obj give them.
 
 All monomial products go through one multiply-accumulate, _addmul, which
-adds a product into a term dict; MultiPoly.__mul__, sum_of_products (a sum
-of products in one dict, with no product or partial sum built on its own)
-and the determinant sweep in schur call it.
+adds a product into a term dict; MultiPoly.__mul__, _sum_of_products (a
+sum of products in one dict, with no product or partial sum built on its
+own, which the recurrence residuals use) and the determinant sweep in
+schur call it.
 
 A MultiPoly in n variables is read either in x_1..x_n or in the elementary
 basis, where variable d stands for y_d = e_d(x_1..x_n).  The e_d are
@@ -317,33 +318,17 @@ def _addmul(
                 del out[key]
 
 
-def sum_of_products(
-    pairs: Iterable[tuple[MultiPoly, MultiPoly]], nvars: int
-) -> MultiPoly:
-    """The sum of a * b over pairs of polynomials in nvars variables.
-
-    Every product is added into one term dict by _addmul, with the smaller
-    factor outside, so no product is built as a polynomial of its own and
-    no partial sum is copied.  That dict keeps the slots of cancelled
-    terms, so the result holds a compact copy of it.
-    """
-
-    def checked():
-        for a, b in pairs:
-            if a.nvars != nvars or b.nvars != nvars:
-                raise ValueError(f"variable count mismatch: expected {nvars}")
-            yield a, b, _degree(a) + _degree(b)
-
-    return _sum_of_products(checked(), nvars)
-
-
 def _sum_of_products(
     triples: Iterable[tuple[MultiPoly, MultiPoly, int]], nvars: int
 ) -> MultiPoly:
-    """sum_of_products over (a, b, degree of a plus degree of b) triples.
+    """The sum of a * b over (a, b, degree of a plus degree of b) triples.
 
-    For callers that know their factors' degrees: each product's degree is
-    checked as given, and a and b must be in nvars variables.
+    a and b must be in nvars variables, and each product's degree is
+    checked as given, so a caller reads each factor's degree once.  Every
+    product is added into one term dict by _addmul, with the smaller
+    factor outside, so no product is built as a polynomial of its own and
+    no partial sum is copied.  That dict keeps the slots of cancelled
+    terms, so the result holds a compact copy of it.
     """
     acc: dict[int, int] = {}
     for a, b, degree in triples:

@@ -93,7 +93,7 @@ def _residuals(spec: MinorSpec, lo: int, hi: int) -> tuple[MultiPoly, ...]:
 
     Each smaller minor is a leading block of that one, so leading_minors
     gives every determinant the window reads.  Each residual adds its
-    b + 1 products into one term dict (polyring.sum_of_products).  The
+    b + 1 products into one term dict (polyring._sum_of_products).  The
     degree of each Q_m and each determinant is read once, and every
     product's degree is checked from those.
     """

@@ -40,6 +40,8 @@ class PolyMatrix:
     entry) pairs of column j's nonzero entries, rows ascending.  Indexing,
     equality, printing and the determinant sweep read the pattern, so the
     sweep's set-up costs the number of nonzero entries, not size**2.
+    nvars names the variable count of an empty matrix; given with
+    entries, it must be theirs.
     """
 
     __slots__ = ("columns", "nvars", "size")
@@ -61,7 +63,10 @@ class PolyMatrix:
         if len(seen) > 1:
             raise ValueError(f"mixed variable counts {sorted(seen)}")
         if seen:
-            nvars = seen.pop()
+            (found,) = seen
+            if nvars not in (None, found):
+                raise ValueError(f"entries have {found} variables, not nvars = {nvars}")
+            nvars = found
         elif nvars is None:
             raise ValueError("empty matrix needs an explicit nvars")
         _fill(self, columns, nvars)

@@ -20,10 +20,11 @@ points at once and counts a root as converged when its residual is at
 the rounding floor of evaluating the polynomial there; there is no
 tolerance to set.  Each point's iterates depend only on its own
 polynomial, so skipping points changes no other point's result.
-poly_roots solves single polynomials as companion-matrix eigenvalues
-(LAPACK), a different algorithm, so checking the scan against it is an
-independent check; root_modulus_profiles solves the few polynomials of
-such a check in one stacked call.
+Every root outside the scan is a companion-matrix eigenvalue (LAPACK),
+a different algorithm, so checking the scan against one is an
+independent check.  _companion_roots is the one routine that builds and solves
+companion matrices: poly_roots solves single polynomials with it, and
+root_modulus_profiles the few shifts of such a check in one call.
 
 Results hold only what was computed: the hits, failures and screen edge
 of a scan, the sorted eigenvalues of a minor, the two distances of a
@@ -81,30 +82,46 @@ def _initial_circle(coeffs: np.ndarray) -> np.ndarray:
 BEYOND_DOUBLE_RANGE = "root or companion entry beyond double range"
 
 
+def _companion_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Companion-matrix eigenvalues of each row of coeffs, and which are good.
+
+    coeffs holds one row c_0, ..., c_d per polynomial, complex, with
+    c_d != 0.  Each companion matrix is the one numpy.roots builds, top row
+    -c_(d-1)/c_d, ..., -c_0/c_d and ones below the diagonal, and one stacked
+    eigvals call (LAPACK) solves them all.  The eigenvalues are backward
+    stable roots (Edelman & Murakami, Math. Comp. 64, 1995); multiple roots
+    come back as near-coincident clusters.  A row is good when its
+    companion entries and its roots lie within double range; the roots of
+    any other row mean nothing.
+    """
+    with np.errstate(all="ignore"):
+        top_rows = -coeffs[:, -2::-1] / coeffs[:, -1:]
+    good = np.isfinite(top_rows).all(axis=1)
+    companion = np.repeat(
+        np.eye(top_rows.shape[1], k=-1, dtype=np.complex128)[None], len(coeffs), 0
+    )
+    # a row beyond double range gets a zero top row, so LAPACK never sees it
+    companion[:, 0] = np.where(good[:, None], top_rows, 0)
+    roots = np.linalg.eigvals(companion)
+    return roots, good & np.isfinite(roots).all(axis=1)
+
+
 def poly_roots(coeffs) -> np.ndarray:
     """All roots of c_0 + c_1 z + ... + c_d z^d, as companion-matrix eigenvalues.
 
-    The companion matrix is the one numpy.roots builds, top row
-    -c_(d-1)/c_d, ..., -c_0/c_d and ones below the diagonal, and its
-    eigenvalues (LAPACK) are backward stable roots (Edelman & Murakami,
-    Math. Comp. 64, 1995).  Multiple roots come back as near-coincident
-    clusters.  Roots are sorted by modulus, then phase.  Raises ValueError
-    when a companion entry or a root lies beyond double range.
+    The one-row case of _companion_roots.  Roots are sorted by modulus,
+    then phase.  Raises ValueError when a companion entry or a root lies
+    beyond double range.
     """
     coeffs = np.asarray([complex(v) for v in coeffs], dtype=np.complex128)
     if coeffs.ndim != 1 or len(coeffs) < 2:
         raise ValueError("need at least degree 1")
     if coeffs[-1] == 0:
         raise ValueError("leading coefficient is zero")
-    with np.errstate(all="ignore"):
-        top_row = -coeffs[-2::-1] / coeffs[-1]
-    if np.isfinite(top_row).all():
-        companion = np.eye(len(top_row), k=-1, dtype=np.complex128)
-        companion[0] = top_row
-        z = np.linalg.eigvals(companion)
-        if np.isfinite(z).all():
-            return z[np.lexsort((np.angle(z), np.abs(z)))]
-    raise ValueError(BEYOND_DOUBLE_RANGE)
+    (z,), (good,) = _companion_roots(coeffs[None])
+    if not good:
+        raise ValueError(BEYOND_DOUBLE_RANGE)
+    return z[np.lexsort((np.angle(z), np.abs(z)))]
 
 
 def _check_shift(sym: BandedSymbol, c: int) -> None:
@@ -119,37 +136,18 @@ def _check_shift(sym: BandedSymbol, c: int) -> None:
 def root_modulus_profiles(sym: BandedSymbol, c: int, vs) -> np.ndarray:
     """Ascending root moduli of sum s_i z^i - v z^c, one row per shift v in vs.
 
-    Each shift's companion matrix is the one poly_roots builds, and one
-    stacked eigvals call solves them all, so each row is the moduli of
-    poly_roots at its v, bit for bit.  The row of a shift whose companion
-    entry or root lies beyond double range, where poly_roots raises, is
-    all NaN.
+    All shifts are solved by one _companion_roots call, so each row is the
+    moduli of poly_roots at its v, bit for bit.  The row of a shift whose
+    companion entry or root lies beyond double range, where poly_roots
+    raises, is all NaN.
     """
     _check_shift(sym, c)
     coeffs = np.tile(np.asarray(sym.coeffs, dtype=np.complex128), (len(vs), 1))
     coeffs[:, c] -= np.asarray([complex(v) for v in vs], dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        top_rows = -coeffs[:, -2::-1] / coeffs[:, -1:]
-    good = np.isfinite(top_rows).all(axis=1)
-    companion = np.repeat(np.eye(sym.band, k=-1, dtype=np.complex128)[None], len(vs), 0)
-    # a row beyond double range gets a zero top row, so LAPACK never sees it
-    companion[:, 0] = np.where(good[:, None], top_rows, 0)
-    z = np.linalg.eigvals(companion)
-    moduli = np.abs(z)
-    moduli[~(good & np.isfinite(z).all(axis=1))] = np.nan
+    roots, good = _companion_roots(coeffs)
+    moduli = np.abs(roots)
+    moduli[~good] = np.nan
     return np.sort(moduli, axis=1)
-
-
-def root_modulus_profile(sym: BandedSymbol, c: int, v: complex) -> np.ndarray:
-    """Ascending root moduli of sum s_i z^i - v z^c at one shift v.
-
-    The one-row case of root_modulus_profiles; raises ValueError where
-    poly_roots does.
-    """
-    (profile,) = root_modulus_profiles(sym, c, [v])
-    if np.isnan(profile).any():
-        raise ValueError(BEYOND_DOUBLE_RANGE)
-    return profile
 
 
 @dataclass(frozen=True)

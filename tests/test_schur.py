@@ -137,6 +137,14 @@ class TestPolyMatrix:
             PolyMatrix([])
         assert PolyMatrix([], nvars=2).size == 0
 
+    def test_nvars_must_match_the_entries(self):
+        assert PolyMatrix([[MultiPoly.one(2)]], nvars=2).nvars == 2
+        with pytest.raises(ValueError, match="^entries have 2 variables, not nvars = 3$"):
+            PolyMatrix([[MultiPoly.one(2)]], nvars=3)
+        # a zero entry carries its variable count too
+        with pytest.raises(ValueError, match="not nvars = 1$"):
+            PolyMatrix([[MultiPoly.zero(2)]], nvars=1)
+
     @pytest.mark.parametrize("nvars", [0, -1])
     def test_nvars_below_one_rejected(self, nvars):
         with pytest.raises(ValueError, match=f"^nvars must be >= 1, got {nvars}$"):

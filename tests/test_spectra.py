@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kernel_reference
@@ -21,7 +21,6 @@ from bandschur.spectra import (
     finite_section_spectrum,
     limit_set_scan,
     poly_roots,
-    root_modulus_profile,
     root_modulus_profiles,
     spectrum_vs_limitset,
 )
@@ -29,6 +28,11 @@ from bandschur.toeplitz import BandedSymbol
 
 
 TRIDIAG = BandedSymbol((1, 0, 1))
+
+
+def _profile(sym, c, v):
+    """Ascending root moduli at the one shift v."""
+    return root_modulus_profiles(sym, c, [v])[0]
 
 
 class TestPolyRoots:
@@ -70,6 +74,30 @@ class TestPolyRoots:
         # companion entry -1e10 / 1e-300
         with pytest.raises(ValueError, match="beyond double range"):
             poly_roots([1, 1e10, 1e-300])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        lower=st.lists(
+            st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=8,
+        ),
+        lead=st.complex_numbers(
+            min_magnitude=1e-2, max_magnitude=10.0, allow_nan=False, allow_infinity=False
+        ),
+    )
+    # 4 + z^2: LAPACK gives 2i, then -2i, of equal moduli, so only the
+    # phase puts -2i first
+    @example(lower=[4, 0], lead=1)
+    def test_bits_are_the_companion_eigenvalues(self, lower, lead):
+        # the companion matrix numpy.roots builds, top row -c_(d-1)/c_d,
+        # ..., -c_0/c_d and ones below the diagonal, built and solved here
+        coeffs = np.array([*lower, lead], dtype=np.complex128)
+        d = len(lower)
+        companion = np.diag(np.ones(d - 1, dtype=np.complex128), -1)
+        companion[0, :] = -coeffs[-2::-1] / coeffs[-1]
+        z = np.linalg.eigvals(companion)
+        expected = z[np.lexsort((np.angle(z), np.abs(z)))]
+        assert poly_roots(coeffs).tobytes() == expected.tobytes()
 
     def test_deterministic(self):
         a = poly_roots([-6, 11, -6, 1])
@@ -121,12 +149,12 @@ class TestPolyRoots:
 
 class TestRootModulusProfile:
     def test_tridiagonal_at_origin(self):
-        profile = root_modulus_profile(TRIDIAG, 1, 0.0)
+        profile = _profile(TRIDIAG, 1, 0.0)
         assert np.allclose(profile, [1.0, 1.0], atol=1e-9)
 
     def test_golden_real_shift(self):
         # 1 - 3z + z^2 has roots (3 -+ sqrt(5))/2.
-        profile = root_modulus_profile(TRIDIAG, 1, 3.0)
+        profile = _profile(TRIDIAG, 1, 3.0)
         lo = (3 - math.sqrt(5)) / 2
         hi = (3 + math.sqrt(5)) / 2
         assert np.allclose(profile, [lo, hi], atol=1e-9)
@@ -136,23 +164,23 @@ class TestRootModulusProfile:
         sym = BandedSymbol((1, 0.4, 0.1, -0.3, 0.2))
         for _ in range(5):
             v = complex(rng.normal(), rng.normal())
-            profile = root_modulus_profile(sym, 2, v)
+            profile = _profile(sym, 2, v)
             assert np.all(np.diff(profile) >= -1e-12)
             assert np.all(profile > 0)
 
     def test_c_bounds(self):
         with pytest.raises(ValueError):
-            root_modulus_profile(TRIDIAG, 0, 0.0)
+            _profile(TRIDIAG, 0, 0.0)
         with pytest.raises(ValueError):
-            root_modulus_profile(TRIDIAG, 2, 0.0)
+            _profile(TRIDIAG, 2, 0.0)
 
     def test_degree_drop_rejected(self):
         with pytest.raises(ValueError, match="degree"):
-            root_modulus_profile(BandedSymbol((1, 1, 0)), 1, 0.0)
+            _profile(BandedSymbol((1, 1, 0)), 1, 0.0)
 
     def test_double_root_gap(self):
         # at v = -2 the polynomial is 1 + 2z + z^2 = (1 + z)^2: the true gap is 0
-        profile = root_modulus_profile(TRIDIAG, 1, -2.0)
+        profile = _profile(TRIDIAG, 1, -2.0)
         assert (profile[1] - profile[0]) / profile[1] <= 1e-7
 
     def test_reversal_pairs_moduli_reciprocally(self):
@@ -426,7 +454,7 @@ class TestScanAgainstPolyRoots:
         assert ok.all()
         sym = BandedSymbol(tuple(coeffs))
         profile, rtol = _reference(sym, c, v)
-        assert np.array_equal(profile, root_modulus_profile(sym, c, v))
+        assert np.array_equal(profile, _profile(sym, c, v))
         # the property covers separated roots: a triple root can miss even
         # the double-root floor
         if rtol[0] != DOUBLE_ROOT_FLOOR:
@@ -615,7 +643,6 @@ class TestRootModulusProfiles:
         assert rows.shape == (len(shifts), band)
         for v, row in zip(shifts, rows):
             assert row.tobytes() == _reference(sym, c, v)[0].tobytes()
-            assert row.tobytes() == root_modulus_profile(sym, c, v).tobytes()
             # numpy.roots builds the same companion matrix
             shifted = np.array(sym.coeffs, dtype=complex)
             shifted[c] -= v
@@ -629,8 +656,6 @@ class TestRootModulusProfiles:
         assert np.isfinite(rows[[0, 2]]).all()
         with pytest.raises(ValueError, match="beyond double range"):
             poly_roots([1, 1e-300 + 1e300, 1e-300])
-        with pytest.raises(ValueError, match="beyond double range"):
-            root_modulus_profile(sym, 1, -1e300)
 
     def test_no_shifts(self):
         assert root_modulus_profiles(TRIDIAG, 1, []).shape == (0, 2)
@@ -759,7 +784,7 @@ class TestPelletScreen:
             v = sym.coeffs[c] + threshold * (1 + 1e-9) * complex(
                 math.cos(theta), math.sin(theta)
             )
-            prof = root_modulus_profile(sym, c, v)
+            prof = _profile(sym, c, v)
             gap = (prof[c] - prof[c - 1]) / prof[c]
             assert gap > tol + PELLET_MARGIN - DOUBLE_ROOT_FLOOR
 
