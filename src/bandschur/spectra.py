@@ -342,10 +342,13 @@ def finite_section_spectrum(
 ) -> tuple[complex, ...]:
     """Eigenvalues of the k x k minor, sorted by (real, imag).
 
-    Dense Hessenberg reduction and shifted QR (LAPACK).  When no rows are
-    deleted and the deleted columns are exactly 1..c, the minor has
-    constant diagonal s_c; that is asserted on the built matrix as a
-    structural invariant.
+    Dense Hessenberg reduction and shifted QR (LAPACK): dgeev when the
+    minor has no nonzero imaginary part, as for every real symbol and
+    every spec, zgeev otherwise.  On the real path the complex eigenvalues
+    come in exactly conjugate pairs and the real ones have imaginary part
+    exactly 0.  When no rows are deleted and the deleted columns are
+    exactly 1..c, the minor has constant diagonal s_c; that is asserted on
+    the built matrix as a structural invariant.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -353,6 +356,8 @@ def finite_section_spectrum(
     if spec == MinorSpec.contiguous(spec.c, spec.band):
         diag = np.diagonal(matrix)
         assert np.all(diag == sym.coeffs[spec.c]), "contiguous minor lost its diagonal"
+    if not matrix.imag.any():
+        matrix = matrix.real
     eigs = np.linalg.eigvals(matrix)
     order = np.lexsort((eigs.imag, eigs.real))
     return tuple(complex(z) for z in eigs[order])

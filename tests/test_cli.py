@@ -5,6 +5,7 @@ import errno
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
 import re
@@ -720,6 +721,23 @@ class TestEigsCommand:
         assert code == 2
         assert "not both" in err
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: plain eigvals on a non-normal section; the "
+        "computed spectrum leaves the real segment by up to 0.3",
+    )
+    def test_non_normal_section_matches_closed_form(self, capsys):
+        # tridiagonal Toeplitz with diagonal 0.5 and off-diagonals 1, 0.01:
+        # eigenvalues 0.5 + 2 sqrt(0.01) cos(j pi/41), all real
+        code, out, err = run(
+            capsys, ["eigs", "--symbol", "1,0.5,0.01", "--c", "1", "--k", "40"]
+        )
+        assert (code, err) == (0, "")
+        got = [complex(*map(float, line.split(","))) for line in out.splitlines()[1:]]
+        expected = sorted(0.5 + 0.2 * math.cos(j * math.pi / 41) for j in range(1, 41))
+        assert len(got) == 40
+        assert max(abs(z - e) for z, e in zip(got, expected)) <= 1e-8
+
     def test_non_finite_symbol_is_usage_error(self, capsys):
         code, out, err = run(
             capsys, ["eigs", "--symbol", "1,nan", "--k", "3", "--c", "1"]
@@ -767,7 +785,8 @@ class TestCompareCommand:
 
     def test_unconverged_points_exit_one(self, capsys):
         # v = 1e200 is the one hit; iterates overflow at the 6 points with
-        # |1e200 - v| near 1e200
+        # |1e200 - v| near 1e200.  The section's eigenvalues are
+        # 1e200 + 2 cos(j pi/5), so each lies within a few ulps of 1e200.
         code, out, err = run(
             capsys,
             [
@@ -779,9 +798,11 @@ class TestCompareCommand:
         assert out == (
             "k: 4\n"
             "hits: 1\n"
-            "median-distance: 0\n"
-            "max-distance: 0\n"
+            "median-distance: 8.49820788507e+183\n"
+            "max-distance: 5.09892473104e+184\n"
         )
+        distances = [float(line.split(": ")[1]) for line in out.splitlines()[2:]]
+        assert max(distances) <= 1e-15 * 1e200
         assert err == "error: 6 grid points did not converge\n"
 
     def test_wrong_scan_fails_the_crosscheck(self, capsys, monkeypatch):
@@ -827,9 +848,16 @@ class TestCompareCommand:
         assert out == (
             "k: 10\n"
             "hits: 1\n"
-            "median-distance: 1.30972146831\n"
-            "max-distance: 1.91898594773\n"
+            "median-distance: 1.30972146755\n"
+            "max-distance: 1.91898594704\n"
         )
+        # the section is tridiagonal Toeplitz, with eigenvalues
+        # 1e6 + 2 cos(j pi/11), so the distances to v = 1e6 are |2 cos(j pi/11)|
+        closed = sorted(abs(2 * math.cos(j * math.pi / 11)) for j in range(1, 11))
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        median = (closed[4] + closed[5]) / 2
+        assert float(lines["median-distance"]) == pytest.approx(median, abs=1e-9)
+        assert float(lines["max-distance"]) == pytest.approx(closed[-1], abs=1e-9)
 
 
 SCAN_FAILED = "error: 6 grid points did not converge\n"
@@ -1058,6 +1086,21 @@ re,im
 """,
         "",
     ),
+    # a real section: conjugate pairs agree to the last digit, and real
+    # eigenvalues print no imaginary part
+    "eigs-real-text": (
+        "eigs --symbol 1,2,3,4 --c 1 --k 6 --format text",
+        0,
+        """\
+-0.20165727922-0.887734613121i
+-0.20165727922+0.887734613121i
+0.303046196466
+2.1389677407
+4.20153570305
+5.75976491822
+""",
+        "",
+    ),
     "eigs-alpha-beta-json": (
         "eigs --symbol 1,0,2 --k 3 --alpha 3 --beta 1,2 --format json",
         0,
@@ -1123,8 +1166,8 @@ max-distance: 0
 {
   "k": 4,
   "hit_count": 1,
-  "median_distance": 0.0,
-  "max_distance": 0.0
+  "median_distance": 8.498207885068274e+183,
+  "max_distance": 5.098924731040964e+184
 }
 """,
         SCAN_FAILED,
@@ -1191,6 +1234,15 @@ class TestOutputGoldens:
     )
     def test_golden(self, capsys, argv, code, out, err):
         assert run(capsys, argv.split()) == (code, out, err)
+
+    def test_compare_fail_distances_within_ulps(self, capsys):
+        # the section's eigenvalues 1e200 + 2 cos(j pi/5) round to within a
+        # few ulps of the hit v = 1e200
+        argv = OUTPUT_GOLDENS["compare-fail-json"][0]
+        code, out, _ = run(capsys, argv.split())
+        doc = json.loads(out)
+        assert code == 1
+        assert 0 <= doc["median_distance"] <= doc["max_distance"] <= 1e-15 * 1e200
 
 
 LIMITSET_SEGMENT_ARGS = [

@@ -294,15 +294,49 @@ class TestFiniteSectionSpectrum:
         assert np.allclose([z.real for z in got], expected, atol=1e-9)
 
     def test_general_band_two_closed_form(self):
-        sym = BandedSymbol((1, 0.7, 0.3))
-        k = 6
-        eigs = finite_section_spectrum(sym, MinorSpec((), (1,), 2), k)
-        expected = sorted(
-            0.7 + 2 * math.sqrt(0.3) * math.cos(m * math.pi / (k + 1))
-            for m in range(1, k + 1)
+        # eigenvalues s_1 + 2 sqrt(s_2) cos(m pi/(k+1)); k = 80 is past the
+        # size (75) where LAPACK's QR switches to multishift sweeps.  At
+        # that size only a section whose off-diagonals are near balance
+        # keeps 1e-9 (1,0.7,0.3 is 0.05 off at k = 80, items 5 and 13).
+        for coeffs, k in (((1, 0.7, 0.3), 6), ((1, 0.7, 0.3), 20), ((1, 0.3, 1.2), 80)):
+            eigs = finite_section_spectrum(BandedSymbol(coeffs), MinorSpec((), (1,), 2), k)
+            expected = sorted(
+                coeffs[1] + 2 * math.sqrt(coeffs[2]) * math.cos(m * math.pi / (k + 1))
+                for m in range(1, k + 1)
+            )
+            assert np.allclose([z.real for z in eigs], expected, atol=1e-9)
+            assert [z.imag for z in eigs] == [0.0] * k
+
+    def test_real_section_takes_the_real_solver(self, monkeypatch):
+        # dgeev for a real section, zgeev for a complex one
+        dtypes = []
+        eigvals = np.linalg.eigvals
+
+        def spy(matrix):
+            dtypes.append(matrix.dtype)
+            return eigvals(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", spy)
+        finite_section_spectrum(BandedSymbol((1, 0.7, 0.3)), MinorSpec((), (1,), 2), 5)
+        finite_section_spectrum(BandedSymbol((1, 0.5 - 2j)), MinorSpec((), (1,), 1), 5)
+        assert dtypes == [np.float64, np.complex128]
+
+    @given(st.data())
+    def test_real_spectrum_is_closed_under_conjugation(self, data):
+        # the real solver returns exact conjugate pairs and real eigenvalues
+        # with imaginary part 0, so conjugating permutes the spectrum
+        band = data.draw(st.integers(2, 5))
+        tail = data.draw(st.lists(st.floats(-2, 2), min_size=band, max_size=band))
+        c = data.draw(st.integers(1, band))
+        cols = sorted(data.draw(st.sets(st.integers(1, band + 3), min_size=c, max_size=c)))
+        r = data.draw(st.integers(0, c))
+        shifts = sorted(data.draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)))
+        spec = MinorSpec(tuple(j + d for j, d in zip(cols, shifts)), tuple(cols), band)
+        k = data.draw(st.integers(1, 30))
+        eigs = finite_section_spectrum(BandedSymbol((1, *tail)), spec, k)
+        assert sorted((z.real, z.imag) for z in eigs) == sorted(
+            (z.real, -z.imag) for z in eigs
         )
-        assert np.allclose([z.real for z in eigs], expected, atol=1e-9)
-        assert np.allclose([z.imag for z in eigs], 0, atol=1e-9)
 
     def test_single_entry(self):
         sym = BandedSymbol((1, 0.7, 0.3))
