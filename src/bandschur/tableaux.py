@@ -16,8 +16,10 @@ meet a bound vector come from a bounded memo keyed on that vector.  Each
 row is checked as it joins its prefix, by the row and column tests of the
 one validator `_validate`, once per distinct slice of the row above in a
 call, so a prefix shared by many fillings is checked once.  What the
-validator needs from a shape (row lengths and the column ranges a row
-shares with the row above) is its `_Plan`, computed where it is needed.
+validator needs from a shape is its `_plan`, computed where it is needed:
+one link per row, its length and the column range it shares with the row
+above, which is empty for a row that shares none (the first row
+included), so every row is enumerated and validated by one rule.
 `_ssyt_rows` and `enumerate_ssyt` unpack the keys to rows;
 `schur_by_tableaux` counts the contents.
 
@@ -57,34 +59,26 @@ from .shapes import Partition, SkewShape
 ROW_CACHE_SIZE = 1024
 
 
-class _Plan:
-    """Per-shape facts for validation and enumeration.
+def _plan(shape: SkewShape) -> tuple[tuple[int, ...], ...]:
+    """Per row, (length, a0, a1, b0, b1, first): how it meets the row above.
 
-    lengths holds the number of content cells of each row.  links holds,
-    per row, None or (a0, a1, b0, b1, first): cells a0..a1-1 of the row
-    above share their columns with cells b0..b1-1 of this row, the first
-    of those columns being column `first` (0-based).
+    length is the row's number of content cells.  Cells a0..a1-1 of the row
+    above share their columns with cells b0..b1-1 of this row, the first of
+    those columns being column `first` (0-based).  A row that shares no
+    column with the row above, the first row included, has the empty link
+    (length, 0, 0, length, length, 0).
     """
-
-    __slots__ = ("lengths", "links")
-
-    def __init__(self, lengths, links):
-        self.lengths = lengths
-        self.links = links
-
-
-def _plan(shape: SkewShape) -> _Plan:
-    spans = shape.row_spans()
-    links: list[tuple[int, int, int, int, int] | None] = []
-    for i, (lo, hi) in enumerate(spans):
-        link = None
-        if i:
-            plo, phi = spans[i - 1]
-            start, stop = max(lo, plo), min(hi, phi)
-            if start < stop:
-                link = (start - plo, stop - plo, start - lo, stop - lo, start)
-        links.append(link)
-    return _Plan(tuple(hi - lo for lo, hi in spans), tuple(links))
+    plan = []
+    plo = phi = 0  # the first row sits below an empty one
+    for lo, hi in shape.row_spans():
+        start, stop = max(lo, plo), min(hi, phi)
+        if start < stop:
+            link = (start - plo, stop - plo, start - lo, stop - lo, start)
+        else:
+            link = (0, 0, hi - lo, hi - lo, 0)
+        plan.append((hi - lo, *link))
+        plo, phi = lo, hi
+    return tuple(plan)
 
 
 def _check_nmax(nmax: int) -> None:
@@ -128,7 +122,7 @@ def _check_columns(above, rows, b0: int, b1: int, first: int) -> None:
                     )
 
 
-def _validate(plan: _Plan, rows: tuple[tuple[int, ...], ...], nmax: int):
+def _validate(plan, rows: tuple[tuple[int, ...], ...], nmax: int):
     """Raise ValueError unless rows fill the planned shape semistandardly.
 
     Rows must have the shape's lengths, entries in 1..nmax, be weakly
@@ -136,18 +130,15 @@ def _validate(plan: _Plan, rows: tuple[tuple[int, ...], ...], nmax: int):
     errors, and the order they are found in, are row count, nmax, then per
     row its length, an entry out of range and a decrease, then columns.
     """
-    lengths = plan.lengths
-    if len(rows) != len(lengths):
-        raise ValueError(
-            f"{len(rows)} rows for a shape with {len(lengths)} rows"
-        )
+    if len(rows) != len(plan):
+        raise ValueError(f"{len(rows)} rows for a shape with {len(plan)} rows")
     _check_nmax(nmax)
-    for i, want, row in zip(count(1), lengths, rows):
+    for i, (want, *_), row in zip(count(1), plan, rows):
         _check_rows(i, want, (row,), nmax)
-    for i, link in enumerate(plan.links):
-        if link is not None:
-            a0, a1, b0, b1, first = link
-            _check_columns(rows[i - 1][a0:a1], (rows[i],), b0, b1, first)
+    above: tuple[int, ...] = ()
+    for (_, a0, a1, b0, b1, first), row in zip(plan, rows):
+        _check_columns(above[a0:a1], (row,), b0, b1, first)
+        above = row
 
 
 class Tableau:
@@ -224,10 +215,6 @@ def _rows(nmax: int, floor: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _succ(v: int) -> int:
-    return v + 1
-
-
 def _width(boxes: int) -> int:
     """Bits per multiplicity field for fillings of at most `boxes` boxes.
 
@@ -236,16 +223,6 @@ def _width(boxes: int) -> int:
     the next.
     """
     return boxes.bit_length()
-
-
-def _check_width(boxes: int, width: int) -> None:
-    if boxes >> width:
-        raise ValueError(f"{boxes} boxes overflow {width}-bit fields")
-
-
-def _units(nmax: int, width: int) -> list[int]:
-    """unit[v] is the packed row (v,) for v in 1..nmax; unit[0] is 0."""
-    return [0] + [1 << j * width for j in range(nmax)]
 
 
 def _fields(packed: int, count: int, width: int) -> list[int]:
@@ -264,12 +241,6 @@ def _unpack(key: int, nmax: int, width: int, nrows: int):
     )
 
 
-def _extensions(rows, unit: list[int], shift: int, shared: slice):
-    """(key step, row key, slice the next row sits below) per checked row."""
-    packed = [sum(map(unit.__getitem__, row)) for row in rows]
-    return [(local << shift, local, row[shared]) for row, local in zip(rows, packed)]
-
-
 def _fillings(shape: SkewShape, nmax: int, width: int) -> list[tuple[int, int]]:
     """(key, content) of every semistandard filling of `shape`, 1..nmax.
 
@@ -277,50 +248,46 @@ def _fillings(shape: SkewShape, nmax: int, width: int) -> list[tuple[int, int]]:
     nmax fields of `width` bits from bit i * nmax * width; `content` is the
     sum of the row keys, shifted down to bit 0.  Deterministic row-major
     lexicographic order (cells filled left to right, top to bottom, values
-    ascending).  Rows are checked as they join a prefix: once per row with
-    no shared column, and once per distinct slice of the row above
-    otherwise, so every filling passes the tests of _validate.  The empty
-    shape yields one empty filling; nmax < 1 raises ValueError for every
-    shape, and so does a width below _width(box count).
+    ascending).  Each row is checked as it joins a prefix, once per
+    distinct slice of the row above that its shared columns sit below (the
+    empty slice for a row with no shared column), so every filling passes
+    the tests of _validate.  The empty shape yields one empty filling;
+    nmax < 1 raises ValueError for every shape, and so does a width below
+    _width(box count).
     """
     _check_nmax(nmax)
-    _check_width(shape.box_count(), width)
+    boxes = shape.box_count()
+    if boxes >> width:
+        raise ValueError(f"{boxes} boxes overflow {width}-bit fields")
     plan = _plan(shape)
-    links = plan.links
-    unit = _units(nmax, width)
-    # each prefix carries the slice of its last row that the next row's
-    # shared columns sit below
+    # unit[v] is the packed row (v,) for v in 1..nmax
+    unit = [0] + [1 << j * width for j in range(nmax)]
+    # the slice of each row that the next row's shared columns sit below
+    below = [slice(a0, a1) for _, a0, a1, _, _, _ in plan[1:]] + [slice(0)]
+    # each prefix carries that slice of its last row
     partial: list[tuple[int, int, tuple[int, ...]]] = [(0, 0, ())]
-    for i, length, link in zip(count(1), plan.lengths, links):
-        below = links[i] if i < len(links) else None
-        shared = slice(*below[:2]) if below else slice(0)
+    for i, (length, _, _, b0, b1, first), shared in zip(count(1), plan, below):
         shift = (i - 1) * nmax * width
-        if link is None:
-            rows = _rows(nmax, (1,) * length)
-            _check_rows(i, length, rows, nmax)
-            ext = _extensions(rows, unit, shift, shared)
-            partial = [
-                (key + step, content + local, nxt)
-                for key, content, _ in partial
-                for step, local, nxt in ext
-            ]
-        else:
-            # the outer shape is a partition, so the shared columns run to
-            # the end of this row and only the first b0 cells are free
-            a0, a1, b0, b1, first = link
-            free = (1,) * b0
-            exts: dict[tuple[int, ...], list] = {}
-            for _, _, above in partial:
-                if above not in exts:
-                    rows = _rows(nmax, free + tuple(map(_succ, above)))
-                    _check_rows(i, length, rows, nmax)
-                    _check_columns(above, rows, b0, b1, first)
-                    exts[above] = _extensions(rows, unit, shift, shared)
-            partial = [
-                (key + step, content + local, nxt)
-                for key, content, above in partial
-                for step, local, nxt in exts[above]
-            ]
+        # the outer shape is a partition, so the shared columns run to the
+        # end of this row and only the first b0 cells are free (all of them
+        # on an empty link)
+        free = (1,) * b0
+        exts: dict[tuple[int, ...], list] = {}
+        for _, _, above in partial:
+            if above not in exts:
+                rows = _rows(nmax, free + tuple(v + 1 for v in above))
+                _check_rows(i, length, rows, nmax)
+                _check_columns(above, rows, b0, b1, first)
+                packed = [sum(map(unit.__getitem__, row)) for row in rows]
+                exts[above] = [
+                    (local << shift, local, row[shared])
+                    for row, local in zip(rows, packed)
+                ]
+        partial = [
+            (key + step, content + local, nxt)
+            for key, content, above in partial
+            for step, local, nxt in exts[above]
+        ]
     return [(key, content) for key, content, _ in partial]
 
 
@@ -376,7 +343,7 @@ class InsertionSequence:
 
 def _insertion_target(
     shape: SkewShape, length: int, negatives: int
-) -> tuple[SkewShape, _Plan]:
+) -> tuple[SkewShape, tuple[tuple[int, ...], ...]]:
     """Shape (and its plan) of every insertion of a sequence into `shape`.
 
     The sequence has `length` values, the first `negatives` of them
@@ -484,7 +451,9 @@ def insertion_step(
     be its source's plus the sequence's weight.  Every other image is
     unpacked and validated against its target shape, which raises the
     ValueError that insert_sequence would, in the same order; a valid one
-    is kept as (target, key), so it never counts toward covering.
+    is kept as (target, key), so it never counts toward covering.  Adding
+    one _delta to distinct keys cannot merge two of them, so `injective`
+    fails only if _fillings hands back a repeated key.
     """
     grow = max((len(s.values) - _negatives(s.values) for s in seqs), default=0)
     width = _width(max(shape_next.box_count(), shape.box_count() + grow))
@@ -492,7 +461,7 @@ def insertion_step(
     keys = [key for key, _ in source]
     contents = [content for _, content in source]
     next_contents = dict(_fillings(shape_next, nmax, width))
-    targets: dict[tuple[int, int], tuple[SkewShape, _Plan]] = {}
+    targets: dict[tuple[int, int], tuple[SkewShape, tuple]] = {}
     built: set = set()
     injective = weighted = True
     # with no filling to insert into, no sequence is applied or checked
@@ -517,7 +486,7 @@ def insertion_step(
             for at, after in enumerate(afters):
                 if after is None:
                     image = images[at]
-                    rows = _unpack(image, nmax, width, len(plan.lengths))
+                    rows = _unpack(image, nmax, width, len(plan))
                     _validate(plan, rows, nmax)
                     images[at] = (target, image)
                     afters[at] = weighed[at]

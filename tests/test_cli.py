@@ -17,12 +17,18 @@ from pathlib import Path
 import pytest
 
 import bandschur
-from bandschur import cli, recurrence, spectra, tableaux
-from bandschur.cli import COMMAND_OPERATIONS, build_parser, main
+from bandschur import cli, recurrence, spectra, tableaux, toeplitz
+from bandschur.cli import COMMAND_OPERATIONS, DUAL_ROUTE_TOL, build_parser, main
 from bandschur.polyring import MultiPoly
-from bandschur.shapes import Partition, SkewShape
+from bandschur.schur import symbolic_det
+from bandschur.shapes import MinorSpec, Partition, SkewShape
 from bandschur.spectra import LimitSetReport
-from bandschur.toeplitz import BandedSymbol
+from bandschur.toeplitz import (
+    BandedSymbol,
+    build_minor_numeric,
+    build_minor_symbolic,
+    det_numeric,
+)
 
 
 def run(capsys, argv):
@@ -117,6 +123,26 @@ class TestSchurCommand:
         assert obj["equal"] is True
         assert len(obj["tableaux"]) == 3
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_engines_disagree_exits_one(self, capsys, monkeypatch, fmt):
+        # a Jacobi-Trudi engine that doubles every coefficient
+        real = cli.schur_jacobi_trudi
+        monkeypatch.setattr(cli, "schur_jacobi_trudi", lambda *args: real(*args) * 2)
+        argv = ["schur", "--outer", "2,1", "--nvars", "2", "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (1, "error: engines disagree\n")
+        if fmt == "json":
+            obj = json.loads(out)
+            assert obj["equal"] is False
+            assert [t["coeff"] for t in obj["tableaux"]] == ["1", "1"]
+            assert [t["coeff"] for t in obj["jacobi_trudi"]] == ["2", "2"]
+        else:
+            assert out == (
+                "tableaux: x1^2*x2 + x1*x2^2\n"
+                "jacobi-trudi: 2*x1^2*x2 + 2*x1*x2^2\n"
+                "equal: false\n"
+            )
+
     def test_bad_partition_is_usage_error(self, capsys):
         code, out, err = run(capsys, ["schur", "--outer", "2,x", "--nvars", "2"])
         assert code == 2
@@ -144,6 +170,53 @@ class TestMinorDetCommand:
         assert lines[1] == "det-numeric: 19"
         rel = float(lines[3].split(": ")[1])
         assert rel <= 1e-8
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_routes_disagree_exits_one(self, capsys, monkeypatch, fmt):
+        # a numeric route off by 1e-6 relative, far above DUAL_ROUTE_TOL
+        real = cli.det_numeric
+        monkeypatch.setattr(cli, "det_numeric", lambda m: real(m) * (1 + 1e-6))
+        argv = ["minor-det", "--beta", "2", "--k", "3", "--nvars", "2",
+                "--symbol", "1,5,6", "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert err == "error: symbolic and numeric routes disagree: 1.000e-06\n"
+        if fmt == "json":
+            obj = json.loads(out)
+            assert (obj["det_numeric"], obj["det_evaluated"]) == ("19.000019", "19")
+            assert obj["rel_diff"] == pytest.approx(1e-6 / (1 + 1e-6))
+        else:
+            assert out.splitlines()[1:] == [
+                "det-numeric: 19.000019",
+                "det-evaluated: 19",
+                "rel-diff: 9.9999899972e-07",
+            ]
+
+    # s = 1 + 2t + 3t^2, beta = 1, k = 60: the minor is h_60 at e = (2, 3)
+    DEFECT_ARGV = ["minor-det", "--nvars", "2", "--symbol", "1,2,3",
+                   "--beta", "1", "--k", "60"]
+    DEFECT_EXACT = 249146898018349
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: the exact polynomial evaluated in floating "
+        "point at s prints 2.47202657847e+14, 0.78% off the exact value",
+    )
+    def test_dual_route_holds_at_large_k(self, capsys):
+        code, out, err = run(capsys, self.DEFECT_ARGV)
+        assert (code, err) == (0, "")
+        rel = float(out.splitlines()[3].removeprefix("rel-diff: "))
+        assert rel <= DUAL_ROUTE_TOL
+
+    def test_numeric_route_is_exact_at_large_k(self):
+        # the numeric route is right where the dual route fails; the
+        # printed det-numeric has too few digits to show it
+        spec = MinorSpec.contiguous(1, 2)
+        det = symbolic_det(build_minor_symbolic(spec, 60))
+        exact = sum(int(c) * 2 ** a * 3 ** b for (a, b), c in det.terms())
+        assert exact == self.DEFECT_EXACT
+        value = det_numeric(build_minor_numeric(BandedSymbol.parse("1,2,3"), spec, 60))
+        assert abs(value - exact) <= 1e-14 * exact
 
     def test_symbolic_only(self, capsys):
         code, out, _ = run(
@@ -329,6 +402,55 @@ class TestCheckIdentityCommand:
             "insertion-step: FAILED (built 18 tableaux, next shape has 18)"
         )
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_minor_vs_schur_failure_prints_the_residual(
+        self, capsys, monkeypatch, fmt
+    ):
+        # the identity compared against the shape of k + 1: the residual is
+        # h_1 - h_2, printed in x
+        real = toeplitz.shape_from_minor
+        monkeypatch.setattr(
+            toeplitz, "shape_from_minor", lambda spec, k: real(spec, k + 1)
+        )
+        argv = ["check-identity", "--beta", "2", "--nvars", "2", "--k", "2",
+                "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (1, "error: identity check failed\n")
+        if fmt == "json":
+            obj = json.loads(out)
+            assert (obj["minor_vs_schur"], obj["insertion_step"]) == (False, True)
+        else:
+            assert out.splitlines()[-2:] == [
+                "minor-vs-schur: FAILED (residual: -x1^2 - x1*x2 - x2^2 + x1 + x2)",
+                "insertion-step: ok (2 tableaux, 2 sequences, 3 next-shape tableaux)",
+            ]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_repeated_filling_fails_the_injective_check(
+        self, capsys, monkeypatch, fmt
+    ):
+        # adding one delta to distinct keys cannot merge them, so only an
+        # enumeration that hands back a key twice reaches this branch
+        real = tableaux._fillings
+
+        def repeated(*args):
+            fillings = real(*args)
+            return fillings + fillings[:1]
+
+        monkeypatch.setattr(tableaux, "_fillings", repeated)
+        argv = ["check-identity", "--beta", "1", "--nvars", "2", "--k", "2",
+                "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (1, "error: identity check failed\n")
+        if fmt == "json":
+            obj = json.loads(out)
+            assert (obj["minor_vs_schur"], obj["insertion_step"]) == (True, False)
+        else:
+            assert out.splitlines()[-2:] == [
+                "minor-vs-schur: ok",
+                "insertion-step: FAILED (a sequence merged two tableaux)",
+            ]
+
     def test_enumerated_fillings_are_not_validated_again(self, capsys, monkeypatch):
         # every image of this step is an enumerated filling of the next
         # shape, and enumeration checks rows as it builds them, so no
@@ -366,6 +488,37 @@ class TestRecurrenceCommand:
         obj = json.loads(out)
         assert obj["report"]["all_zero"] is True
         assert obj["report"]["b"] == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_nonzero_residual_fails(self, capsys, monkeypatch, fmt):
+        # Q_2 = e_2 with its sign flipped: every residual from j = 0 on is
+        # nonzero, and the first one the threshold counts is j = 1
+        real = recurrence.char_coeffs
+
+        def flipped(band, extra):
+            q = real(band, extra)
+            return (*q[:-1], -q[-1])
+
+        monkeypatch.setattr(recurrence, "char_coeffs", flipped)
+        argv = ["recurrence", "--beta", "2", "--nvars", "2", "--jmax", "3",
+                "--format", fmt]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (1, "error: nonzero residual at j = 1\n")
+        if fmt == "json":
+            obj = json.loads(out)
+            assert obj["report"]["all_zero"] is False
+            assert obj["report"]["first_failure"] == 1
+            assert [r["zero"] for r in obj["residuals"]] == [False] * 4
+        else:
+            assert out == (
+                "b: 2\n"
+                "min_k: 1\n"
+                "j=0: nonzero (-x1*x2)\n"
+                "j=1: nonzero (-2*x1*x2)\n"
+                "j=2: nonzero (-2*x1^2*x2 - 2*x1*x2^2)\n"
+                "j=3: nonzero (-2*x1^3*x2 - 2*x1^2*x2^2 - 2*x1*x2^3)\n"
+                "holds: FAILED at j = 1\n"
+            )
 
     @pytest.mark.parametrize(
         "alpha, beta, nvars, jmax",
@@ -644,6 +797,17 @@ class TestLimitsetCommand:
         assert err.startswith("error: screened point v = 0+0i has direct profile gap ")
         assert err.endswith(", not above tol 0.01\n")
 
+    def test_scan_with_no_point_to_check(self, capsys, monkeypatch):
+        # one grid point, neither a hit nor skipped by the screen: the
+        # spot-check has no point and solves nothing
+        def unused(*args):
+            raise AssertionError("root_modulus_profiles called")
+
+        monkeypatch.setattr(cli, "root_modulus_profiles", unused)
+        argv = ["limitset", "--symbol", "1,0.5,-0.3,0.2", "--c", "1",
+                "--grid=-0.95,-0.95,-0.25,-0.25,1,1"]
+        assert run(capsys, argv) == (0, "re_v,im_v,gap\n", "")
+
     def test_tol_one_reports_every_gap(self, capsys):
         # tol + PELLET_MARGIN >= 1 leaves no room for the screen
         code, out, err = run(capsys, self.ARGS[:-1] + ["1"])
@@ -864,7 +1028,7 @@ SCAN_FAILED = "error: 6 grid points did not converge\n"
 
 # (argv, exit code, stdout, stderr) of every layout a command prints from
 # a library result: limitset, eigs and compare in each --format, and
-# recurrence --format json.
+# recurrence and widom --format json.
 OUTPUT_GOLDENS = {
     "limitset-csv": (
         "limitset --symbol 1,0,1 --c 1 --grid=-1.5,1.5,-0.5,0.5,7,3 --tol"
@@ -1219,6 +1383,35 @@ max-distance: 0
       "zero": true
     }
   ]
+}
+""",
+        "",
+    ),
+    "widom-json": (
+        "widom --symbol 1,5,6 --c 1 --k 2 --format json",
+        0,
+        """\
+{
+  "symbol": [
+    "1",
+    "5",
+    "6"
+  ],
+  "c": 1,
+  "k": 2,
+  "psi_roots": [
+    "-0.333333333333",
+    "-0.5"
+  ],
+  "chi_points": [
+    "3",
+    "2"
+  ],
+  "widom_original": "19",
+  "widom_modified": "19",
+  "hall_schur": "19",
+  "minor_det": "19",
+  "max_rel_diff": 1.3088945132422901e-15
 }
 """,
         "",

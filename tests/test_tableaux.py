@@ -541,6 +541,46 @@ class TestPackedStep:
         assert insertion_step(shape, grown, seqs, 1).ok
 
 
+def _spans_oracle(shape, nmax):
+    """Every semistandard filling of `shape`, read from row_spans() alone.
+
+    Brute force in row-major lexicographic order: each row weakly
+    increases, and wherever two adjacent rows share an absolute column,
+    the lower entry is the larger.
+    """
+    spans = shape.row_spans()
+    candidates = [
+        [
+            row
+            for row in itertools.product(range(1, nmax + 1), repeat=hi - lo)
+            if all(map(operator.le, row, row[1:]))
+        ]
+        for lo, hi in spans
+    ]
+    return [
+        rows
+        for rows in itertools.product(*candidates)
+        if all(
+            above[j - plo] < row[j - lo]
+            for (plo, phi), (lo, hi), above, row in zip(
+                spans, spans[1:], rows, rows[1:]
+            )
+            for j in range(max(lo, plo), min(hi, phi))
+        )
+    ]
+
+
+class TestSpansOracle:
+    """The enumerator against an oracle that shares none of its plan."""
+
+    @pytest.mark.parametrize("nmax", [1, 2, 3])
+    def test_small_box_shapes(self, nmax):
+        for shape in BOX_SHAPES:
+            if shape.box_count() <= 8:
+                found = [t.rows for t in enumerate_ssyt(shape, nmax)]
+                assert found == _spans_oracle(shape, nmax), shape
+
+
 def _small_specs(band):
     """Every minor spec of `band` whose deleted indices are at most c + 2."""
     for c in range(band + 1):
