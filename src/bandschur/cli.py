@@ -112,6 +112,7 @@ COMMAND_OPERATIONS = {
         "toeplitz.build_minor_symbolic",
         "schur.leading_minors",
         "schur.symbolic_det",
+        "schur.transfer_map",
         "shapes.min_k",
         "polyring.expand_elementary",
     ),
@@ -836,7 +837,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # The reader has gone.  Point the descriptor at devnull, so that the

@@ -10,22 +10,22 @@ prod over subsets (t - x_{i1}...x_{id}) as sum Q_{b-m} t^m defines Q.
 Residuals are formed in the elementary basis (see polyring): one
 leading_minors sweep over the largest symbolic minor a j range reads gives
 every smaller minor as a leading block, and the memoised char_coeffs
-reads each Q off the characteristic polynomial of an exterior power of a
-companion matrix, both in e_1..e_n.  A residual is zero in e exactly when
-it is zero in x.  recurrence_residual and RecurrenceReport.residuals hand
-out the e-form; polyring.expand_elementary gives the x-form.  A report
-holds only what was checked; the recurrence command lays it out.
+reads each Q off det(t - M), M the map one column applies to that sweep's
+states (schur.transfer_map), both in e_1..e_n.  A residual is zero in e
+exactly when it is zero in x.  recurrence_residual and
+RecurrenceReport.residuals hand out the e-form;
+polyring.expand_elementary gives the x-form.  A report holds only what
+was checked; the recurrence command lays it out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 from .polyring import MultiPoly, _degree, _sum_of_products, elementary_variable
-from .schur import PolyMatrix, leading_minors, symbolic_det
+from .schur import PolyMatrix, leading_minors, symbolic_det, transfer_map
 from .shapes import MinorSpec, min_k
 from .toeplitz import build_minor_symbolic
 
@@ -36,42 +36,29 @@ CHAR_COEFFS_CACHE_SIZE = 32  # (band, extra) pairs; a sweep of bands 3-4 uses < 
 def char_coeffs(band: int, extra: int) -> tuple[MultiPoly, ...]:
     """Recurrence coefficients Q_0..Q_b in e_1..e_band, for d = extra.
 
-    Q is read off the characteristic polynomial of an exterior power.  The
-    companion matrix C of prod (u - x_i) has 1 on its subdiagonal and
-    (-1)^(n-i+1) e_{n-i} in row i (from 0) of its last column.  Entry (I, J)
-    of its extra-th exterior power A is the minor of C on rows I, columns
-    J, and A has eigenvalues x_S, so det(t - A) = prod_S (t - x_S): one
-    more symbolic_det, with t as variable band + 1, gives Q_m as the
-    coefficient of t^(b-m).  The subsets run in colex order, so a column J
-    without index band - 1 holds its single entry, a 1 in row J + 1, below
-    the diagonal, and the dense columns come last: the column sweep stays
-    narrow (lex order took more than twice as long at band 7, extra 3).
-    extra = 0 gives Q = (1, -1): consecutive determinants are equal.  Only
-    the band width and the row/column count difference enter; the deleted
-    index values do not.
+    Q is read off det(t - M), M the sweep's column step
+    (schur.transfer_map): entry (source, target) of M is sign * e_offset,
+    rows and columns in transfer_map's state order.  M's eigenvalues are
+    the x_S, so det(t - M) = prod_S (t - x_S): one symbolic_det, with t as
+    variable band + 1, gives Q_m as the coefficient of t^(b-m).  The
+    states run in descending mask order, which keeps the determinant's
+    column sweep narrow (in ascending order, band 7 at extra 3 or 4 ran
+    out of a 3 GB address-space limit).  extra = 0 gives Q = (1, -1):
+    consecutive determinants are equal.  Only the band width and the
+    row/column count difference enter; the deleted index values do not.
     """
-    if band < 1:
-        raise ValueError(f"band must be >= 1, got {band}")
-    if not 0 <= extra <= band:
-        raise ValueError(f"extra must be in 0..{band}, got {extra}")
+    states, steps = transfer_map(band, extra)
     nvars = band + 1
-    one, zero = MultiPoly.one(nvars), MultiPoly.zero(nvars)
+    zero = MultiPoly.zero(nvars)
     t = MultiPoly.variable(nvars, nvars)
-    c = [[one if i == j + 1 else zero for j in range(band)] for i in range(band)]
-    for i in range(band):
-        c[i][-1] = (-1) ** (band - i + 1) * elementary_variable(band - i, nvars)
-    subsets = sorted(combinations(range(band), extra), key=lambda s: s[::-1])
-    t_minus_a = [
-        [
-            (t if rows == cols else zero)
-            - symbolic_det(PolyMatrix([[c[i][j] for j in cols] for i in rows], nvars))
-            for cols in subsets
-        ]
-        for rows in subsets
-    ]
-    b = len(subsets)
+    index = {s: i for i, s in enumerate(states)}
+    b = len(states)
+    t_minus_m = [[t if i == j else zero for j in range(b)] for i in range(b)]
+    for source, target, offset, sign in steps:
+        i, j = index[source], index[target]
+        t_minus_m[i][j] -= sign * elementary_variable(offset, nvars)
     q = [{} for _ in range(b + 1)]  # term dicts of Q_0..Q_b
-    for exps, coeff in symbolic_det(PolyMatrix(t_minus_a)):
+    for exps, coeff in symbolic_det(PolyMatrix(t_minus_m)):
         q[b - exps[band]][exps[:band]] = coeff
     return tuple(MultiPoly(band, terms) for terms in q)
 

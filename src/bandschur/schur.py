@@ -171,8 +171,8 @@ def leading_minors(matrix: PolyMatrix) -> list[MultiPoly]:
     is the bit mask of used rows, and the rows it must track stay in a
     window for banded nonzero patterns.  After column j the state whose
     used rows are exactly 0..j holds the leading (j+1) x (j+1)
-    determinant.  Signs count the used rows below each chosen row.
-    Division-free: only (partial sum) x (entry) products occur.
+    determinant.  Signs follow _sign.  Division-free: only (partial sum)
+    x (entry) products occur.
 
     A state is a term dict keyed by packed monomials (see polyring: the
     total degree in the top field, then x1..xn in EXPONENT_BITS-bit fields,
@@ -210,9 +210,57 @@ def leading_minors(matrix: PolyMatrix) -> list[MultiPoly]:
                 # a finished block is kept even when the rest cannot follow
                 if need & ~grown and grown != block:
                     continue
-                sign = -1 if (used >> i).bit_count() & 1 else 1
                 # the entry has few terms, so it goes on the outside
-                _addmul(new_states.setdefault(grown, {}), entry, acc, sign)
+                _addmul(new_states.setdefault(grown, {}), entry, acc, _sign(used, i))
         states = new_states
         dets.append(_raw(nvars, states.get(block, {})))
     return dets
+
+
+def _sign(used: int, i: int) -> int:
+    """Sign of matching row i next, given the bit mask of used rows.
+
+    A permutation's sign is -1 to the number of its inversions; matching
+    the rows column by column, choosing row i adds one inversion for each
+    used row below it (a larger index), so the sign is -1 to that count.
+    """
+    return -1 if (used >> i).bit_count() & 1 else 1
+
+
+def transfer_map(
+    band: int, d: int
+) -> tuple[tuple[int, ...], tuple[tuple[int, int, int, int], ...]]:
+    """The map one column of a banded minor applies to leading_minors' states.
+
+    Past its deleted indices, a band-n minor with d more deleted columns
+    than rows repeats one column step.  A column meets n + 1 consecutive
+    rows, offsets 0..n, with entry s_{n-o} = e_{n-o} at offset o; its
+    window is the first n, the rows just above its newest.  Before the
+    column every row above the window is used, none below it, and n - d
+    inside it, so a state is an (n - d)-subset S of offsets 0..n-1.
+    Choosing a free o takes S to (S | 1 << o) >> 1, a state of the next
+    column's window, provided offset 0, which then leaves it, is used.
+    This is the transfer-matrix method (Stanley, EC I, section 4.7);
+    recurrence.char_coeffs reads Q off it.
+
+    Returns (states, steps): the states as bit masks, descending, and
+    one (source, target, offset, sign) per step, offset being the band
+    offset n - o of its entry and sign _sign(S, o).  From the state
+    u = (1 << (n - d)) - 1, whose used rows precede the matrix, the
+    k-step walks back to u sum to the leading k x k determinant of the
+    minor deleting columns 1..d.
+    """
+    if band < 1:
+        raise ValueError(f"band must be >= 1, got {band}")
+    if not 0 <= d <= band:
+        raise ValueError(f"d must be in 0..{band}, got {d}")
+    states = tuple(
+        s for s in range((1 << band) - 1, -1, -1) if s.bit_count() == band - d
+    )
+    steps = tuple(
+        (s, (s | 1 << o) >> 1, band - o, _sign(s, o))
+        for s in states
+        for o in range(band + 1)
+        if not s >> o & 1 and (s | 1 << o) & 1
+    )
+    return states, steps

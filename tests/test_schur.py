@@ -1,6 +1,7 @@
 """Tests for Jacobi-Trudi matrices and the symbolic determinant engine."""
 
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from bandschur.schur import (
     leading_minors,
     schur_jacobi_trudi,
     symbolic_det,
+    transfer_map,
 )
 from bandschur.shapes import MinorSpec, Partition, SkewShape
 from bandschur.tableaux import schur_by_tableaux
@@ -318,6 +320,44 @@ class TestLeadingMinors:
         one, zero = MultiPoly.one(1), MultiPoly.zero(1)
         m = PolyMatrix([[one, zero, one], [one, zero, one], [zero, zero, one]])
         assert leading_minors(m) == [one, one, zero, zero]
+
+
+class TestTransferMap:
+    @pytest.mark.parametrize("band", range(1, 7))
+    def test_walks_from_u_back_to_u_are_the_contiguous_minors(self, band):
+        # k steps of the map from u = (1 << (n - d)) - 1 back to u sum to
+        # the leading k x k determinant of the minor deleting columns 1..d
+        k_max = 2 * band + 10
+        one, zero = MultiPoly.one(band), MultiPoly.zero(band)
+        for d in range(band + 1):
+            _, steps = transfer_map(band, d)
+            u = (1 << (band - d)) - 1
+            vector, walks = {u: one}, [one]
+            for _ in range(k_max):
+                grown = {}
+                for source, target, offset, sign in steps:
+                    if source in vector:
+                        term = sign * elementary_variable(offset, band) * vector[source]
+                        grown[target] = grown.get(target, zero) + term
+                vector = grown
+                walks.append(vector.get(u, zero))
+            minor = build_minor_symbolic(MinorSpec.contiguous(d, band), k_max)
+            assert walks == leading_minors(minor), (band, d)
+
+    @pytest.mark.parametrize("band", range(1, 8))
+    def test_states_are_the_window_subsets_in_descending_order(self, band):
+        for d in range(band + 1):
+            states, steps = transfer_map(band, d)
+            assert len(states) == comb(band, d)
+            assert list(states) == sorted(states, reverse=True)
+            assert all(s.bit_count() == band - d for s in states)
+            assert {target for _, target, _, _ in steps} <= set(states)
+
+    @pytest.mark.parametrize("band", range(1, 6))
+    def test_extremes_have_one_step(self, band):
+        full = (1 << band) - 1
+        assert transfer_map(band, 0) == ((full,), ((full, full, 0, 1),))
+        assert transfer_map(band, band) == ((0,), ((0, 0, band, 1),))
 
 
 class TestSchurAgreement:
