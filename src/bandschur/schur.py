@@ -228,34 +228,26 @@ def _sign(used: int, i: int) -> int:
 
 
 def transfer_map(
-    band: int, d: int
+    band: int, extra: int
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int, int, int], ...]]:
-    """The map one column of a banded minor applies to leading_minors' states.
+    """The column step leading_minors repeats on a band-n minor, d = extra = c - r.
 
-    Past its deleted indices, a band-n minor with d more deleted columns
-    than rows repeats one column step.  A column meets n + 1 consecutive
-    rows, offsets 0..n, with entry s_{n-o} = e_{n-o} at offset o; its
-    window is the first n, the rows just above its newest.  Before the
-    column every row above the window is used, none below it, and n - d
-    inside it, so a state is an (n - d)-subset S of offsets 0..n-1.
-    Choosing a free o takes S to (S | 1 << o) >> 1, a state of the next
-    column's window, provided offset 0, which then leaves it, is used.
-    This is the transfer-matrix method (Stanley, EC I, section 4.7);
-    recurrence.char_coeffs reads Q off it.
+    A state is the set S of used rows among the n just above a column's
+    newest row, as a bit mask of offsets 0..n-1 with n - d bits set;
+    states run in descending mask order.  A step matches a free offset o
+    in 0..n, whose entry is e_{n-o}, provided offset 0 is then used, and
+    goes to (S | 1 << o) >> 1 in the next column's window.
 
-    Returns (states, steps): the states as bit masks, descending, and
-    one (source, target, offset, sign) per step, offset being the band
-    offset n - o of its entry and sign _sign(S, o).  From the state
-    u = (1 << (n - d)) - 1, whose used rows precede the matrix, the
-    k-step walks back to u sum to the leading k x k determinant of the
-    minor deleting columns 1..d.
+    Returns (states, steps), one (source, target, n - o, _sign(S, o)) per
+    step.  The k-step walks from u = (1 << (n - d)) - 1 back to u sum to
+    the leading k x k determinant of the minor deleting columns 1..d.
     """
     if band < 1:
         raise ValueError(f"band must be >= 1, got {band}")
-    if not 0 <= d <= band:
-        raise ValueError(f"d must be in 0..{band}, got {d}")
+    if not 0 <= extra <= band:
+        raise ValueError(f"extra must be in 0..{band}, got {extra}")
     states = tuple(
-        s for s in range((1 << band) - 1, -1, -1) if s.bit_count() == band - d
+        s for s in range((1 << band) - 1, -1, -1) if s.bit_count() == band - extra
     )
     steps = tuple(
         (s, (s | 1 << o) >> 1, band - o, _sign(s, o))

@@ -58,7 +58,7 @@ def _caches():
     return found
 
 
-OOM = "Unable to allocate an index array for k = 100000"
+OOM = "Unable to allocate an index array for k = {k}"
 
 SCHUR_GOLDEN = (
     "tableaux: x1^3 + 2*x1^2*x2 + 2*x1^2*x3 + 2*x1*x2^2 + 3*x1*x2*x3"
@@ -1478,7 +1478,7 @@ class TestHarness:
     def test_out_of_memory_is_an_error_line(self, capsys, monkeypatch, argv, message):
         # a real k this large may be killed by the host instead of raising
         def refuse(sym, spec, k):
-            raise MemoryError() if message is None else MemoryError(message)
+            raise MemoryError() if message is None else MemoryError(message.format(k=k))
 
         monkeypatch.setattr(cli, "build_minor_numeric", refuse)
         monkeypatch.setattr(spectra, "build_minor_numeric", refuse)
@@ -1486,7 +1486,8 @@ class TestHarness:
         assert (code, out) == (1, "")
         assert err == (
             "error: out of memory\n" if message is None
-            else f"error: out of memory: {message}\n"
+            else "error: out of memory: Unable to allocate an index array for "
+            "k = 100000\n"
         )
 
     @pytest.mark.parametrize("argv, message", [

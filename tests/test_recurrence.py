@@ -108,11 +108,12 @@ class TestCharCoeffs:
         assert char_coeffs(3, 1) is not char_coeffs(3, 2)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        # the messages name char_coeffs' own arguments
+        with pytest.raises(ValueError, match="^band must be >= 1, got 0$"):
             char_coeffs(0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^extra must be in 0\.\.2, got 3$"):
             char_coeffs(2, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^extra must be in 0\.\.2, got -1$"):
             char_coeffs(2, -1)
 
 
