@@ -171,7 +171,7 @@ def leading_minors(matrix: PolyMatrix) -> list[MultiPoly]:
     is the bit mask of used rows, and the rows it must track stay in a
     window for banded nonzero patterns.  After column j the state whose
     used rows are exactly 0..j holds the leading (j+1) x (j+1)
-    determinant.  Signs follow _sign.  Division-free: only (partial sum)
+    determinant.  Steps follow _moves.  Division-free: only (partial sum)
     x (entry) products occur.
 
     A state is a term dict keyed by packed monomials (see polyring: the
@@ -203,28 +203,28 @@ def leading_minors(matrix: PolyMatrix) -> list[MultiPoly]:
         block = (1 << (j + 1)) - 1
         new_states: dict[int, dict[int, int]] = {}
         for used, acc in states.items():
-            for i, entry in columns[j]:
-                grown = used | (1 << i)
-                if grown == used:
-                    continue
-                # a finished block is kept even when the rest cannot follow
-                if need & ~grown and grown != block:
-                    continue
+            for grown, entry, sign in _moves(used, columns[j], need, block):
                 # the entry has few terms, so it goes on the outside
-                _addmul(new_states.setdefault(grown, {}), entry, acc, _sign(used, i))
+                _addmul(new_states.setdefault(grown, {}), entry, acc, sign)
         states = new_states
         dets.append(_raw(nvars, states.get(block, {})))
     return dets
 
 
-def _sign(used: int, i: int) -> int:
-    """Sign of matching row i next, given the bit mask of used rows.
+def _moves(used: int, column, need: int, block: int | None):
+    """The one move rule: yield (grown, entry, sign) per (i, entry) of column.
 
-    A permutation's sign is -1 to the number of its inversions; matching
-    the rows column by column, choosing row i adds one inversion for each
-    used row below it (a larger index), so the sign is -1 to that count.
+    Row i must be unused, and grown = used | 1 << i must hold the rows of
+    need unless it is block, a finished block kept although the rest
+    cannot follow.  A permutation's sign is -1 to the number of its
+    inversions; matching the rows column by column, choosing row i adds
+    one inversion for each used row below it (a larger index), so the
+    sign is -1 to that count.
     """
-    return -1 if (used >> i).bit_count() & 1 else 1
+    for i, entry in column:
+        grown = used | 1 << i
+        if grown != used and (not need & ~grown or grown == block):
+            yield grown, entry, -1 if (used >> i).bit_count() & 1 else 1
 
 
 def transfer_map(
@@ -234,13 +234,13 @@ def transfer_map(
 
     A state is the set S of used rows among the n just above a column's
     newest row, as a bit mask of offsets 0..n-1 with n - d bits set;
-    states run in descending mask order.  A step matches a free offset o
-    in 0..n, whose entry is e_{n-o}, provided offset 0 is then used, and
-    goes to (S | 1 << o) >> 1 in the next column's window.
+    states run in descending mask order.  A step is a _moves move over the
+    window column, offsets o = 0..n with entries e_{n-o}, that uses offset
+    0, which no later column reaches; it goes to (S | 1 << o) >> 1.
 
-    Returns (states, steps), one (source, target, n - o, _sign(S, o)) per
-    step.  The k-step walks from u = (1 << (n - d)) - 1 back to u sum to
-    the leading k x k determinant of the minor deleting columns 1..d.
+    Returns (states, steps), one (source, target, n - o, sign) per step.
+    The k-step walks from u = (1 << (n - d)) - 1 back to u sum to the
+    leading k x k determinant of the minor deleting columns 1..d.
     """
     if band < 1:
         raise ValueError(f"band must be >= 1, got {band}")
@@ -249,10 +249,10 @@ def transfer_map(
     states = tuple(
         s for s in range((1 << band) - 1, -1, -1) if s.bit_count() == band - extra
     )
+    (window,) = band_pattern(range(band + 1), (band,), band)
     steps = tuple(
-        (s, (s | 1 << o) >> 1, band - o, _sign(s, o))
+        (s, grown >> 1, offset, sign)
         for s in states
-        for o in range(band + 1)
-        if not s >> o & 1 and (s | 1 << o) & 1
+        for grown, offset, sign in _moves(s, window, 1, None)
     )
     return states, steps

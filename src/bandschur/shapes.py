@@ -151,7 +151,8 @@ class MinorSpec:
 
     deleted_rows and deleted_cols are strictly increasing positive integers;
     with r = len(deleted_rows) and c = len(deleted_cols) the constraints are
-    r <= c <= band and deleted_rows[i] >= deleted_cols[i] for each i.
+    r <= c <= band and deleted_rows[i] >= deleted_cols[i] for each i.  As
+    with Partition's parts, a float index or band raises TypeError.
     """
 
     deleted_rows: tuple[int, ...]
@@ -159,16 +160,14 @@ class MinorSpec:
     band: int
 
     def __post_init__(self):
-        object.__setattr__(self, "deleted_rows", tuple(self.deleted_rows))
-        object.__setattr__(self, "deleted_cols", tuple(self.deleted_cols))
-        for name, seq in (
-            ("deleted_rows", self.deleted_rows),
-            ("deleted_cols", self.deleted_cols),
-        ):
+        for name in ("deleted_rows", "deleted_cols"):
+            seq = tuple(map(index, getattr(self, name)))
+            object.__setattr__(self, name, seq)
             if any(v < 1 for v in seq):
                 raise ValueError(f"{name} must be positive: {seq}")
             if any(a >= b for a, b in zip(seq, seq[1:])):
                 raise ValueError(f"{name} must be strictly increasing: {seq}")
+        object.__setattr__(self, "band", index(self.band))
         r, c = len(self.deleted_rows), len(self.deleted_cols)
         if self.band < 1:
             raise ValueError(f"band must be >= 1, got {self.band}")

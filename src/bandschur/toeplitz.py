@@ -102,11 +102,11 @@ def build_minor_numeric(sym: BandedSymbol, spec: MinorSpec, k: int) -> np.ndarra
         raise ValueError(f"spec band {spec.band} != symbol band {sym.band}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
+    out = np.zeros((k, k), dtype=np.complex128)  # a huge k is refused before any loop
     rows = np.array(surviving(spec.deleted_rows, k), dtype=np.intp)
     cols = np.array(surviving(spec.deleted_cols, k), dtype=np.intp)
     d = cols[None, :] - rows[:, None]
     on_band = (d >= 0) & (d <= sym.band)
-    out = np.zeros((k, k), dtype=np.complex128)
     out[on_band] = np.array(sym.coeffs, dtype=np.complex128)[d[on_band]]
     return out
 

@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -1489,6 +1490,24 @@ class TestHarness:
             else "error: out of memory: Unable to allocate an index array for "
             "k = 100000\n"
         )
+
+    @pytest.mark.parametrize("argv", [
+        ["minor-det", "--symbol", "1,2,1", "--beta", "1", "--k", "3000000000"],
+        ["eigs", "--symbol", "1,2,1", "--c", "1", "--k", "9999999999"],
+    ], ids=["minor-det", "eigs"])
+    def test_huge_k_is_refused_before_any_k_step_loop(self, capsys, monkeypatch, argv):
+        # numpy refuses a k x k section this large before it allocates
+        # anything; a loop over k first would run for minutes, so fail it
+        def no_loop(deleted, count):
+            raise AssertionError(f"looped over k = {count} before sizing the section")
+
+        monkeypatch.setattr(toeplitz, "surviving", no_loop)
+        start = time.monotonic()
+        code, out, err = run(capsys, argv)
+        assert time.monotonic() - start < 5
+        assert (code, out) == (1, "")
+        assert err.startswith("error: array is too big")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("argv, message", [
         (

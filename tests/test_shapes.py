@@ -223,6 +223,20 @@ class TestMinorSpec:
         spec = MinorSpec((), (), 2)
         assert spec.r == 0 and spec.c == 0
 
+    @pytest.mark.parametrize(
+        "rows, cols, band",
+        [((), (1.5,), 3), ((2.0,), (1,), 2), ((), (1,), 2.0)],
+    )
+    def test_non_integer_index_or_band_is_refused(self, rows, cols, band):
+        # a float would pass the range checks and give a wrong min_k
+        with pytest.raises(TypeError):
+            MinorSpec(rows, cols, band)
+
+    def test_bools_are_read_as_ints(self):
+        spec = MinorSpec([True], (True,), True)
+        assert spec == MinorSpec((1,), (1,), 1)
+        assert str(spec) == "rows=(1) cols=(1) band=1"
+
 
 class TestMinKAndShapes:
     def test_min_k_goldens(self):
