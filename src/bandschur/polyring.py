@@ -386,9 +386,7 @@ def elementary_symmetric(degree: int, nvars: int) -> MultiPoly:
 
     e_0 = 1; e_d = 0 for d < 0 or d > nvars.  Built on each call.
     """
-    if degree == 0:
-        return MultiPoly.one(nvars)
-    if not 0 < degree <= nvars:
+    if nvars < 1 or not 0 <= degree <= nvars:  # MultiPoly.zero refuses nvars < 1
         return MultiPoly.zero(nvars)
     return _raw(nvars, dict.fromkeys(map(_key, _unit_vectors(degree, nvars)), 1))
 
@@ -464,13 +462,10 @@ def _horner_elementary(
 ) -> dict[Monomial, int]:
     """Partition weights of terms, whose y_{d+1}..y_n exponents are equal.
 
-    terms maps packed keys to coefficients.  At d = 0 it holds at most one
-    term, a constant in y_1..y_n once the fields above are set aside.  A
-    one-term group is read from the memo of e-monomial weights
-    (_summed_weights).
+    terms maps packed keys to coefficients and is never empty.  A one-term
+    group is read from the memo of e-monomial weights (_summed_weights);
+    that covers d = 0, where every exponent is set and one term is left.
     """
-    if d == 0:
-        return {(0,) * n: coeff for coeff in terms.values()}
     if len(terms) == 1:
         return _summed_weights(terms, d, n, steps)
     shift = (n - d) * EXPONENT_BITS

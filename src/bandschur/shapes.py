@@ -100,22 +100,19 @@ def parse_partition(text: str) -> Partition:
 class SkewShape:
     """Pair of partitions outer/inner with inner contained in outer.
 
-    Equality and hashing read the parts of both, paired once at
-    construction.
+    Equality and hashing read the parts of both, as Partition's read its
+    parts; nothing else is stored.
     """
 
-    __slots__ = ("outer", "inner", "_key", "_hash")
+    __slots__ = ("outer", "inner")
 
     def __init__(self, outer, inner=()):
         outer = outer if isinstance(outer, Partition) else Partition(outer)
         inner = inner if isinstance(inner, Partition) else Partition(inner)
         if not outer.contains(inner):
             raise ValueError(f"inner {inner} not contained in outer {outer}")
-        key = (outer.parts, inner.parts)
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewShape is immutable")
@@ -123,10 +120,10 @@ class SkewShape:
     def __eq__(self, other):
         if not isinstance(other, SkewShape):
             return NotImplemented
-        return self._key == other._key
+        return self.outer == other.outer and self.inner == other.inner
 
     def __hash__(self):
-        return self._hash
+        return hash((self.outer.parts, self.inner.parts))
 
     def __repr__(self):
         return f"SkewShape({self.outer.parts}, {self.inner.parts})"
@@ -202,14 +199,18 @@ class MinorSpec:
 
 
 def surviving(deleted: tuple[int, ...], count: int) -> list[int]:
-    """First `count` positive integers not in the deleted set, ascending."""
-    dropped = set(deleted)
+    """First `count` positive integers not in the deleted set, ascending.
+
+    Each gap below a deleted value is one range, so beyond the list itself
+    the work is in len(deleted), not in count.
+    """
     out: list[int] = []
-    v = 1
-    while len(out) < count:
-        if v not in dropped:
-            out.append(v)
-        v += 1
+    start = 1
+    for d in sorted(set(deleted)):
+        if d >= start:  # skips values below 1
+            out += range(start, min(d, start + count - len(out)))
+            start = d + 1
+    out += range(start, start + count - len(out))
     return out
 
 

@@ -194,12 +194,6 @@ class GridSpec:
     def im_values(self) -> np.ndarray:
         return np.linspace(self.im_min, self.im_max, self.ny)
 
-    def pitch(self) -> float:
-        """Largest step between neighboring grid points along either axis."""
-        dx = (self.re_max - self.re_min) / (self.nx - 1) if self.nx > 1 else 0.0
-        dy = (self.im_max - self.im_min) / (self.ny - 1) if self.ny > 1 else 0.0
-        return max(dx, dy)
-
 
 @dataclass(frozen=True)
 class LimitSetReport:

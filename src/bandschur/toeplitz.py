@@ -131,8 +131,6 @@ def det_numeric(matrix: np.ndarray) -> complex:
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"need a square matrix, got shape {matrix.shape}")
-    if matrix.shape[0] == 0:
-        return 1.0 + 0j
     # an overflowing determinant comes back inf or nan; callers check it
     with np.errstate(over="ignore", invalid="ignore"):
         return complex(np.linalg.det(matrix))

@@ -22,14 +22,18 @@ SEPARATION = 1e-9
 
 
 def _power(base: complex, e: int) -> complex:
-    """base**e; where that overflows, the repeated product (inf or nan)."""
-    try:
-        return base**e
-    except OverflowError:
-        value = 1 + 0j
-        for _ in range(e):
+    """base**e for e >= 0 by repeated squaring, inf or nan past double range.
+
+    The products come in the order of CPython's complex power for small
+    integer exponents, so for e <= 100 the result is base**e bit for bit.
+    """
+    value = 1 + 0j
+    while e:
+        if e & 1:
             value *= base
-        return value
+        e >>= 1
+        base *= base
+    return value
 
 
 def check_separated(roots, label: str = "roots") -> tuple[complex, ...]:

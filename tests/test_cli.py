@@ -1494,7 +1494,9 @@ class TestHarness:
     @pytest.mark.parametrize("argv", [
         ["minor-det", "--symbol", "1,2,1", "--beta", "1", "--k", "3000000000"],
         ["eigs", "--symbol", "1,2,1", "--c", "1", "--k", "9999999999"],
-    ], ids=["minor-det", "eigs"])
+        # the closed forms run first: each x^k is about log2(k) squarings
+        ["widom", "--symbol", "1,2,3", "--c", "1", "--k", "9999999999"],
+    ], ids=["minor-det", "eigs", "widom"])
     def test_huge_k_is_refused_before_any_k_step_loop(self, capsys, monkeypatch, argv):
         # numpy refuses a k x k section this large before it allocates
         # anything; a loop over k first would run for minutes, so fail it

@@ -112,6 +112,11 @@ class TestElementarySymmetric:
     def test_degree_zero_is_one(self):
         assert elementary_symmetric(0, 3) == MultiPoly.one(3)
 
+    @pytest.mark.parametrize("degree", [-1, 0, 1])
+    def test_no_variables_is_refused(self, degree):
+        with pytest.raises(ValueError, match="nvars must be >= 1"):
+            elementary_symmetric(degree, 0)
+
     def test_out_of_range_degrees_vanish(self):
         assert elementary_symmetric(-1, 3).is_zero
         assert elementary_symmetric(4, 3).is_zero

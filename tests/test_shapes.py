@@ -3,7 +3,7 @@
 from collections.abc import Hashable
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bandschur.polyring import MultiPoly
 from bandschur.shapes import (
@@ -140,7 +140,9 @@ def related_values(draw):
     """Two values built from one small seed, so they are often equal.
 
     Each is a partition, a tuple or list of its parts with or without
-    trailing zeros, a constant MultiPoly or a plain int.
+    trailing zeros, a skew shape with those parts outside (built from
+    partitions or from the padded tuples, its inner parts one less or the
+    same), a constant MultiPoly or a plain int.
     """
     parts = tuple(sorted(draw(st.lists(st.integers(1, 3), max_size=3)), reverse=True))
     value = draw(st.integers(-1, 3))
@@ -148,6 +150,12 @@ def related_values(draw):
 
     def view():
         padded = parts + (0,) * draw(st.integers(0, 2))
+        if draw(st.booleans()):  # half are shapes, so shape pairs are common
+            shift = draw(st.integers(0, 1))
+            inner = tuple(max(p - shift, 0) for p in padded)
+            if draw(st.booleans()):
+                return SkewShape(Partition(padded), Partition(inner))
+            return SkewShape(padded, inner)
         kind = draw(st.sampled_from(["partition", "tuple", "list", "poly", "int"]))
         if kind == "partition":
             return Partition(padded)
@@ -163,6 +171,7 @@ def related_values(draw):
 
 
 class TestHashContract:
+    @settings(max_examples=200)
     @given(related_values())
     def test_equal_hashable_values_hash_alike(self, pair):
         a, b = pair
@@ -280,10 +289,27 @@ class TestMinKAndShapes:
             assert delta == spec.c - spec.r
 
 
+def _surviving_by_steps(deleted, count):
+    """surviving as one step per positive integer, the reference it must match."""
+    dropped = set(deleted)
+    out = []
+    v = 1
+    while len(out) < count:
+        if v not in dropped:
+            out.append(v)
+        v += 1
+    return out
+
+
 class TestSurviving:
     def test_golden(self):
         assert surviving((2, 5), 5) == [1, 3, 4, 6, 7]
         assert surviving((), 3) == [1, 2, 3]
+
+    @given(st.lists(st.integers(-3, 15), max_size=6), st.integers(-2, 14))
+    def test_matches_stepwise_loop(self, deleted, count):
+        # unsorted, repeated and non-positive deleted values included
+        assert surviving(tuple(deleted), count) == _surviving_by_steps(deleted, count)
 
     @given(
         st.lists(st.integers(1, 10), max_size=4, unique=True).map(sorted),

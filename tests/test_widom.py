@@ -1,5 +1,7 @@
 """Tests for the closed-form minor determinant evaluations."""
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from bandschur.schur import schur_jacobi_trudi
 from bandschur.shapes import MinorSpec, Partition, SkewShape
 from bandschur.toeplitz import BandedSymbol, build_minor_numeric, det_numeric
 from bandschur.widom import (
+    _power,
     check_separated,
     hall_schur_eval,
     widom_modified,
@@ -220,3 +223,29 @@ class TestValidation:
     def test_coincident_roots_rejected(self):
         with pytest.raises(ValueError):
             widom_modified((1.0, 1.0 + 1e-12), 1, 2)
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    """Both parts of z as exact hex strings: -0.0 and 0.0 differ, nans agree."""
+    return z.real.hex(), z.imag.hex()
+
+
+class TestPower:
+    @given(
+        st.complex_numbers(allow_nan=False, allow_infinity=False),
+        st.integers(0, 100),
+    )
+    def test_matches_builtin_power_bit_for_bit(self, base, e):
+        try:
+            expected = base**e
+        except (OverflowError, ZeroDivisionError):
+            return
+        assert _bits(_power(base, e)) == _bits(expected)
+
+    @pytest.mark.parametrize("base", [1.5 + 0j, 10 + 0j, 3 - 4j])
+    @pytest.mark.parametrize("e", [2000, 9999999999])
+    def test_past_double_range_is_inf_or_nan(self, base, e):
+        # no OverflowError, and about log2(e) squarings, not e products
+        value = _power(base, e)
+        assert not cmath.isfinite(value)
+
