@@ -28,6 +28,7 @@ import math
 import os
 import sys
 
+from ._numpy import np
 from .polyring import MultiPoly, expand_elementary
 from .recurrence import verify_recurrence
 from .schur import schur_jacobi_trudi, symbolic_det
@@ -444,7 +445,9 @@ def _run_widom(args) -> tuple[str, int, str | None]:
     t_roots = poly_roots(list(sym.coeffs))
     # widom_original checks the symbol roots apart before it sums
     w_orig = widom_original(t_roots, sym.coeffs[-1], args.c, args.k)
-    chi_points = tuple(-1.0 / t for t in t_roots)
+    # a root of 0 gives a non-finite point, which the checks below report
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chi_points = tuple(-1.0 / t for t in t_roots)
     check_separated(chi_points, "reciprocal points")
     w_mod = widom_modified(chi_points, args.c, args.k)
     w_hall = hall_schur_eval((args.k,) * args.c, chi_points)
@@ -509,14 +512,15 @@ def _crosscheck_scan(sym: BandedSymbol, c: int, tol: float, report) -> None:
     for (re_v, im_v, gap), prof in zip(points, root_modulus_profiles(sym, c, shifts)):
         if math.isnan(prof[0]):  # the whole row, where poly_roots would raise
             raise ValueError(BEYOND_DOUBLE_RANGE)
-        direct = (prof[c] - prof[c - 1]) / prof[c]
+        # moduli ascend, so prof[c] == 0 leaves 0 / 0: no direct gap
+        direct = (prof[c] - prof[c - 1]) / prof[c] if prof[c] else math.nan
         if gap is None:
             if not direct > tol:
                 raise RuntimeError(
                     f"screened point v = {re_v:.6g}+{im_v:.6g}i has direct profile "
                     f"gap {direct:.6g}, not above tol {tol:.6g}"
                 )
-        elif abs(direct - gap) > GAP_CROSSCHECK_TOL:
+        elif not abs(direct - gap) <= GAP_CROSSCHECK_TOL:  # nan fails too
             raise RuntimeError(
                 f"scan gap {gap:.6g} disagrees with direct profile "
                 f"{direct:.6g} at v = {re_v:.6g}+{im_v:.6g}i"

@@ -11,8 +11,9 @@ Residuals are formed in the elementary basis (see polyring): one
 leading_minors sweep over the largest symbolic minor a j range reads gives
 every smaller minor as a leading block, and the memoised char_coeffs
 reads each Q off det(t - M), M the map one column applies to that sweep's
-states (schur.transfer_map), both in e_1..e_n.  A residual is zero in e
-exactly when it is zero in x.  recurrence_residual and
+states (schur.transfer_map), both in e_1..e_n; transfer_start reads the
+map's start vector on a minor off that sweep's own state.  A residual is
+zero in e exactly when it is zero in x.  recurrence_residual and
 RecurrenceReport.residuals hand out the e-form;
 polyring.expand_elementary gives the x-form.  A report holds only what
 was checked; the recurrence command lays it out.
@@ -22,10 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from math import comb
 
-from .polyring import MultiPoly, _degree, _sum_of_products, elementary_variable
-from .schur import PolyMatrix, leading_minors, symbolic_det, transfer_map
+from .polyring import MultiPoly, _degree, _raw, _sum_of_products, elementary_variable
+from .schur import PolyMatrix, _sweep, leading_minors, symbolic_det, transfer_map
 from .shapes import MinorSpec, min_k
 from .toeplitz import build_minor_symbolic
 
@@ -61,6 +63,36 @@ def char_coeffs(band: int, extra: int) -> tuple[MultiPoly, ...]:
     for exps, coeff in symbolic_det(PolyMatrix(t_minus_m)):
         q[b - exps[band]][exps[:band]] = coeff
     return tuple(MultiPoly(band, terms) for terms in q)
+
+
+def transfer_start(spec: MinorSpec) -> tuple[int, dict[int, MultiPoly]]:
+    """Start (k0, u) of transfer_map's column map M on the spec's minor, in e.
+
+    From column k0 on, every column of the minor is transfer_map(n, d)'s
+    window column, d = c - r: at k0 = max(0, beta_c - c, alpha_r - r +
+    n - d), a term dropping out when its index set is empty, the columns
+    are past the deleted ones and the window's rows past the deleted
+    rows; k0 = min_k(spec) when r = 0.  u is the state schur._sweep holds
+    after column k0 - 1 of the minor built with k0 + d + 1 columns (the
+    first k0 columns reach rows up to k0 + d - 1, and a later column
+    follows), each used-row mask re-keyed as a window mask,
+    used >> (k0 + d - n), with rows above the matrix counted as used.
+    No row below the window is lost: no later column reaches one, so the
+    sweep keeps only states that hold them all.  Then for every k >= k0
+    the leading k x k determinant is (M^(k - k0) u)[t], with
+    t = (1 << (n - d)) - 1, the state of rows 0..k-1.
+    """
+    n, d = spec.band, spec.c - spec.r
+    k0 = max(
+        0,
+        spec.deleted_cols[-1] - spec.c if spec.deleted_cols else 0,
+        spec.deleted_rows[-1] - spec.r + n - d if spec.deleted_rows else 0,
+    )
+    states = next(islice(_sweep(build_minor_symbolic(spec, k0 + d + 1)), k0, None))
+    above = (1 << n) - 1  # n used rows put above the matrix: the window is at k0 + d
+    return k0, {
+        (used << n | above) >> (k0 + d): _raw(n, acc) for used, acc in states.items()
+    }
 
 
 def recurrence_residual(spec: MinorSpec, j: int) -> MultiPoly:

@@ -2,17 +2,18 @@
 
 One exact, division-free determinant engine: an expansion over column
 matchings that walks the columns in order and only ever multiplies a
-running sum by a single small entry; one walk gives the determinant of
-every leading block (leading_minors).  The rows it must track stay in a
-window of the band width for every matrix this package builds (banded
-minors and dual Jacobi-Trudi matrices), so it is fast there.  A dense
-matrix makes the window the whole size and the work exponential in it
-(figures in the symbolic_det docstring).  A PolyMatrix keeps only its
-column pattern, the nonzero (row, entry) pairs of each column, so the
-sweep's degree bound and row window cost O(nnz), the number of nonzero
-entries, which is O(size * band) for a banded minor and for a dual
-Jacobi-Trudi matrix: both builders fill the pattern from the band
-(shapes.band_pattern), never a dense list.
+running sum by a single small entry; one walk (_sweep) gives the
+determinant of every leading block (leading_minors), and its state at a
+column the start of the column map (recurrence.transfer_start).  The
+rows it must track stay in a window of the band width for every matrix
+this package builds (banded minors and dual Jacobi-Trudi matrices), so
+it is fast there.  A dense matrix makes the window the whole size and
+the work exponential in it (figures in the symbolic_det docstring).  A
+PolyMatrix keeps only its column pattern, the nonzero (row, entry) pairs
+of each column, so the sweep's degree bound and row window cost O(nnz),
+the number of nonzero entries, which is O(size * band) for a banded
+minor and for a dual Jacobi-Trudi matrix: both builders fill the pattern
+from the band (shapes.band_pattern), never a dense list.
 
 Jacobi-Trudi matrices are built in the elementary basis: entry e_d is the
 variable y_d (see polyring), so their determinants are polynomials in
@@ -20,6 +21,8 @@ e_1..e_n.  schur_jacobi_trudi expands that determinant to x_1..x_n.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .polyring import (
     MultiPoly,
@@ -167,12 +170,24 @@ def symbolic_det(matrix: PolyMatrix) -> MultiPoly:
 def leading_minors(matrix: PolyMatrix) -> list[MultiPoly]:
     """Determinants of the leading k x k blocks, k = 0..size, in one sweep.
 
+    Reads _sweep's states: after column k - 1 the state whose used rows
+    are exactly 0..k-1 holds the leading k x k determinant.
+    """
+    nvars = matrix.nvars
+    return [
+        _raw(nvars, states.get((1 << k) - 1, {}))
+        for k, states in enumerate(_sweep(matrix))
+    ]
+
+
+def _sweep(matrix: PolyMatrix):
+    """The column sweep: yield its states before column 0 and after each column.
+
     Walks the columns in order, choosing the matched row for each; a state
     is the bit mask of used rows, and the rows it must track stay in a
-    window for banded nonzero patterns.  After column j the state whose
-    used rows are exactly 0..j holds the leading (j+1) x (j+1)
-    determinant.  Steps follow _moves.  Division-free: only (partial sum)
-    x (entry) products occur.
+    window for banded nonzero patterns.  Steps follow _moves.
+    Division-free: only (partial sum) x (entry) products occur.  Each
+    yield is a fresh dict {used: term dict}, left alone by later columns.
 
     A state is a term dict keyed by packed monomials (see polyring: the
     total degree in the top field, then x1..xn in EXPONENT_BITS-bit fields,
@@ -197,7 +212,7 @@ def leading_minors(matrix: PolyMatrix) -> list[MultiPoly]:
         top = columns[j][0][0] if columns[j] else m  # pairs run rows ascending
         reach[j] = min(reach[j + 1], top)
     states: dict[int, dict[int, int]] = {0: {0: 1}}
-    dets = [_raw(nvars, states[0])]
+    yield states
     for j in range(m):
         need = (1 << reach[j + 1]) - 1  # rows no later column reaches
         block = (1 << (j + 1)) - 1
@@ -207,8 +222,7 @@ def leading_minors(matrix: PolyMatrix) -> list[MultiPoly]:
                 # the entry has few terms, so it goes on the outside
                 _addmul(new_states.setdefault(grown, {}), entry, acc, sign)
         states = new_states
-        dets.append(_raw(nvars, states.get(block, {})))
-    return dets
+        yield states
 
 
 def _moves(used: int, column, need: int, block: int | None):
@@ -239,15 +253,20 @@ def transfer_map(
     0, which no later column reaches; it goes to (S | 1 << o) >> 1.
 
     Returns (states, steps), one (source, target, n - o, sign) per step.
-    The k-step walks from u = (1 << (n - d)) - 1 back to u sum to the
-    leading k x k determinant of the minor deleting columns 1..d.
+    The k-step walks from a start vector u to t = (1 << (n - d)) - 1 sum
+    to the leading (k0 + k) x (k0 + k) determinant of a minor, with k0
+    and u from recurrence.transfer_start.  The minor deleting columns
+    1..d is the case k0 = 0, u = {t: 1}: walks from t back to t.  The
+    C(n, d) states are built from their set bits, not found among all
+    2^n masks.
     """
     if band < 1:
         raise ValueError(f"band must be >= 1, got {band}")
     if not 0 <= extra <= band:
         raise ValueError(f"extra must be in 0..{band}, got {extra}")
     states = tuple(
-        s for s in range((1 << band) - 1, -1, -1) if s.bit_count() == band - extra
+        sum(1 << o for o in s)
+        for s in combinations(range(band - 1, -1, -1), band - extra)
     )
     (window,) = band_pattern(range(band + 1), (band,), band)
     steps = tuple(

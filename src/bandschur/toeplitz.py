@@ -132,7 +132,7 @@ def det_numeric(matrix: np.ndarray) -> complex:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"need a square matrix, got shape {matrix.shape}")
     # an overflowing determinant comes back inf or nan; callers check it
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         return complex(np.linalg.det(matrix))
 
 

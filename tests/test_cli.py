@@ -13,6 +13,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -1557,6 +1558,39 @@ class TestHarness:
         )
         assert proc.returncode == 1
         assert proc.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, code, err", [
+        # the profile at v = 0 is [0, 0, 1]: the direct gap is 0 / 0, which
+        # no longer passes the spot check unseen
+        (
+            [
+                "limitset", "--symbol", "1,2i,1e308,1e308", "--c", "1",
+                "--grid", "0,0,0,0,1,1",
+            ],
+            1,
+            "error: scan gap 0 disagrees with direct profile nan at v = 0+0i\n",
+        ),
+        # a root that comes back 0 has no finite reciprocal point
+        (
+            ["widom", "--symbol", "1,1e300,1", "--c", "1", "--k", "2"],
+            1,
+            "error: numeric determinant is not finite: inf+nani\n",
+        ),
+        # LAPACK's determinant divides by zero
+        (
+            ["widom", "--symbol", "1,2i,1e-320,0,1e200", "--c", "3", "--k", "2"],
+            1,
+            "error: numeric determinant is not finite: nan+nani\n",
+        ),
+        # band 40: C(40, 0) = 1 state, not a pass over 2^40 masks
+        (["recurrence", "--nvars", "40", "--jmax", "0"], 0, ""),
+    ], ids=["limitset-nan-gap", "widom-zero-root", "widom-det-divide", "recurrence-band-40"])
+    def test_edge_values_warn_nothing(self, capsys, argv, code, err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(capsys, argv)
+        assert [str(w.message) for w in caught] == []
+        assert (result[0], result[2]) == (code, err)
 
     @pytest.mark.parametrize("write_raises", [True, False])
     def test_closed_stdout_exits_one_without_traceback(

@@ -10,24 +10,61 @@ from bandschur.polyring import MultiPoly, elementary_variable, expand_elementary
 from bandschur.recurrence import (
     char_coeffs,
     recurrence_residual,
+    transfer_start,
     verify_recurrence,
 )
-from bandschur.schur import leading_minors
+from bandschur.schur import leading_minors, transfer_map
 from bandschur.shapes import MinorSpec, min_k
 from bandschur.toeplitz import build_minor_symbolic
 
 
-def _all_specs(max_band: int, max_index: int = 4) -> list[MinorSpec]:
-    """Every spec with band <= max_band and deleted indices <= max_index."""
+def _all_specs(
+    max_band: int, max_index: int = 4, max_row: int | None = None
+) -> list[MinorSpec]:
+    """Every spec with band <= max_band and deleted indices <= max_index.
+
+    max_row, when given, bounds the deleted rows instead.
+    """
+    max_row = max_index if max_row is None else max_row
     specs = []
     for band in range(1, max_band + 1):
         for c in range(band + 1):
             for beta in combinations(range(1, max_index + 1), c):
                 for r in range(c + 1):
-                    for alpha in combinations(range(1, max_index + 1), r):
+                    for alpha in combinations(range(1, max_row + 1), r):
                         if all(a >= b for a, b in zip(alpha, beta)):
                             specs.append(MinorSpec(alpha, beta, band))
     return specs
+
+
+def _walk_mismatches(specs) -> list[MinorSpec]:
+    """The specs whose walks from transfer_start miss a leading minor.
+
+    With (k0, u) = transfer_start(spec) and M = transfer_map's steps for
+    d = c - r, (M^(k - k0) u)[t], t = (1 << (n - d)) - 1, must equal the
+    leading k x k determinant in e for every k from k0 through
+    min_k + 2n + 10, and every key of u must be one of M's states.
+    """
+    bad = []
+    for spec in specs:
+        n, d = spec.band, spec.c - spec.r
+        k0, u = transfer_start(spec)
+        states, steps = transfer_map(n, d)
+        zero, t = MultiPoly.zero(n), (1 << (n - d)) - 1
+        k_max = min_k(spec) + 2 * n + 10
+        dets = leading_minors(build_minor_symbolic(spec, k_max))
+        vector = u
+        for k in range(k0, k_max + 1):
+            if not set(vector) <= set(states) or vector.get(t, zero) != dets[k]:
+                bad.append(spec)
+                break
+            grown = {}
+            for source, target, offset, sign in steps:
+                if source in vector:
+                    term = sign * elementary_variable(offset, n) * vector[source]
+                    grown[target] = grown.get(target, zero) + term
+            vector = grown
+    return bad
 
 
 class TestCharCoeffs:
@@ -247,3 +284,50 @@ class TestThreshold:
             assert report.all_zero, spec
             early += self._first_zero(report.residuals) < min_k(spec)
         assert early == 36
+
+
+class TestTransferStart:
+    """D_k = (M^(k - k0) u)[t] from the sweep's own state after column k0 - 1.
+
+    SPECS are every spec of bands 1-4 deleting columns in 1..5 and rows
+    in 1..6.  The same check over bands 1-5 (2,209 specs) runs in CI.
+    """
+
+    SPECS = _all_specs(4, 5, 6)
+
+    def test_spec_count(self):
+        assert len(self.SPECS) == 1417
+
+    @pytest.mark.parametrize("band", range(1, 5))
+    def test_walks_are_the_leading_minors(self, band):
+        specs = [spec for spec in self.SPECS if spec.band == band]
+        assert _walk_mismatches(specs) == []
+
+    def test_k0_against_min_k(self):
+        # k0 = max(0, beta_c - c, alpha_r - r + n - d) is min_k(spec) when
+        # r = 0, and at most n - d above it otherwise
+        for spec in self.SPECS:
+            k0, _ = transfer_start(spec)
+            extra = k0 - min_k(spec)
+            assert 0 <= extra <= spec.band - (spec.c - spec.r), spec
+            assert spec.r or not extra, spec
+
+    @pytest.mark.parametrize("band", range(1, 7))
+    def test_contiguous_minor_starts_at_t(self, band):
+        for d in range(band + 1):
+            start = transfer_start(MinorSpec.contiguous(d, band))
+            assert start == (0, {(1 << (band - d)) - 1: MultiPoly.one(band)}), d
+
+    @pytest.mark.parametrize("spec, k0, keys", [
+        # d = 0: one state, every window row used
+        (MinorSpec((2,), (1,), 3), 4, [0b111]),
+        (MinorSpec((3, 5, 6), (1, 2, 4), 3), 6, [0b111]),
+        # d = n: one state, no window row used
+        (MinorSpec((), (1, 3, 4), 3), 1, [0]),
+        (MinorSpec((), (2, 3), 2), 1, [0]),
+    ])
+    def test_extremes_have_one_state(self, spec, k0, keys):
+        start, u = transfer_start(spec)
+        assert (start, sorted(u)) == (k0, keys)
+        minor = build_minor_symbolic(spec, k0 + 3)
+        assert list(u.values()) == [leading_minors(minor)[k0]]

@@ -348,10 +348,18 @@ class TestTransferMap:
     def test_states_are_the_window_subsets_in_descending_order(self, band):
         for d in range(band + 1):
             states, steps = transfer_map(band, d)
-            assert len(states) == comb(band, d)
+            assert len(set(states)) == len(states) == comb(band, d)
             assert list(states) == sorted(states, reverse=True)
             assert all(s.bit_count() == band - d for s in states)
             assert {target for _, target, _, _ in steps} <= set(states)
+
+    @pytest.mark.parametrize("extra, count", [(0, 1), (39, 40)])
+    def test_wide_band_builds_only_its_states(self, extra, count):
+        # C(40, extra) states, from their set bits: a filter over all 2^40
+        # masks would run for days
+        states, steps = transfer_map(40, extra)
+        assert len(states) == count
+        assert {source for source, _, _, _ in steps} == set(states)
 
     @pytest.mark.parametrize("band", range(1, 6))
     def test_extremes_have_one_step(self, band):
