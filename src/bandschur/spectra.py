@@ -331,18 +331,85 @@ def limit_set_scan(
     return LimitSetReport(hits=hits, failures=failures, screen_edge=edge)
 
 
+# diagonals m and -m count as conjugate within HERMITIAN_ULPS * m ulps
+HERMITIAN_ULPS = 8
+
+
+def _hermitian_scale(
+    sym: BandedSymbol, spec: MinorSpec
+) -> list[tuple[float, float]] | None:
+    """Factors (r^(-m), r^m), m = 1..c, that make the section Hermitian.
+
+    The section of spec = MinorSpec.contiguous(c, n) has s_{c+m} on
+    diagonal m, for -c <= m <= n - c.  Multiplying diagonal m by r^(-m)
+    is the similarity D^(-1) A D with D = diag(r^i), and gives h_m =
+    s_{c+m} r^(-m).  The result is Hermitian when n = 2c, s_c is real and
+    h_m = conj(h_(-m)) for m = 1..c.  The m = 1 pair fixes r^2 =
+    s_{c+1} / conj(s_{c-1}), which must be real and positive: r is taken
+    as sqrt(|s_{c+1}| / |s_{c-1}|), and the m = 1 test checks the phase.
+    Returns None when any condition fails, when s_{c-1} or s_{c+1} is 0,
+    or when a power of r leaves double range.  The factors returned are
+    the very powers the pair test ran with, so the caller scales by
+    exactly what was checked.
+
+    Each pair must agree to HERMITIAN_ULPS * m ulps of the larger modulus.
+    Rounding r and its powers moves h_m and conj(h_(-m)) apart by under
+    3m ulps on symbols built from a drawn r and h.  The tolerance costs
+    nothing in accuracy: eigvalsh solves the Hermitian H of the lower
+    triangle, and the scaled section is H + E with E strictly upper
+    triangular, |E| on diagonal m within HERMITIAN_ULPS * m ulps of
+    ||H||_2, so ||E||_2 <= 4 c (c + 1) eps ||H||_2.  By Weyl's bound, in
+    the Bauer-Fike form that holds for a normal H and any E, every
+    eigenvalue of the section lies within ||E||_2 of one of H's, the size
+    of eigvalsh's own backward error.
+    """
+    c, s = spec.c, sym.coeffs
+    if spec != MinorSpec.contiguous(c, sym.band) or sym.band != 2 * c or s[c].imag:
+        return None
+    if not s[c - 1] or not s[c + 1]:
+        return None
+    r = math.sqrt(abs(s[c + 1]) / abs(s[c - 1]))
+    if not 0.0 < r < math.inf:
+        return None
+    factors = []
+    up = down = 1.0
+    for m in range(1, c + 1):
+        up /= r
+        down *= r
+        h_up, h_down = s[c + m] * up, s[c - m] * down
+        slack = HERMITIAN_ULPS * m * _kernels.EPS * max(abs(h_up), abs(h_down))
+        if not abs(h_up - h_down.conjugate()) <= slack < math.inf:
+            return None
+        factors.append((up, down))
+    return factors
+
+
 def finite_section_spectrum(
     sym: BandedSymbol, spec: MinorSpec, k: int
 ) -> tuple[complex, ...]:
     """Eigenvalues of the k x k minor, sorted by (real, imag).
 
-    Dense Hessenberg reduction and shifted QR (LAPACK): dgeev when the
-    minor has no nonzero imaginary part, as for every real symbol and
-    every spec, zgeev otherwise.  On the real path the complex eigenvalues
-    come in exactly conjugate pairs and the real ones have imaginary part
-    exactly 0.  When no rows are deleted and the deleted columns are
-    exactly 1..c, the minor has constant diagonal s_c; that is asserted on
-    the built matrix as a structural invariant.
+    A section that a scaling z -> z/r of the symbol makes Hermitian, as
+    _hermitian_scale decides (a contiguous spec, band n = 2c, real s_c,
+    and s_{c+m} r^(-m) = conj(s_{c-m} r^m) for m = 1..c), has diagonal m
+    multiplied by r^(-m), one strided write per offset with the factors
+    _hermitian_scale returns; r^k is never formed.  That covers every
+    Hermitian symbol (r = 1) and every real tridiagonal one with
+    s_0 s_2 > 0.  It goes to LAPACK's Hermitian solver, eigvalsh: dsyevd
+    when the entries are real, zheevd otherwise.  eigvalsh reads the lower
+    triangle and the real part of the diagonal; the upper triangle agrees
+    with it to the tolerance _hermitian_scale bounds.  The eigenvalues
+    come back real, with imaginary part exactly 0, and accurate however
+    far from normal the unscaled section is.
+
+    Every other section goes to dense Hessenberg reduction and shifted QR
+    (LAPACK eigvals): dgeev when the minor has no nonzero imaginary part,
+    as for every real symbol and every spec, zgeev otherwise.  On the
+    real path the complex eigenvalues come in exactly conjugate pairs and
+    the real ones have imaginary part exactly 0.  When no rows are
+    deleted and the deleted columns are exactly 1..c, the minor has
+    constant diagonal s_c; that is asserted on the built matrix as a
+    structural invariant.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -350,9 +417,15 @@ def finite_section_spectrum(
     if spec == MinorSpec.contiguous(spec.c, spec.band):
         diag = np.diagonal(matrix)
         assert np.all(diag == sym.coeffs[spec.c]), "contiguous minor lost its diagonal"
+    factors = _hermitian_scale(sym, spec)
+    if factors is not None:
+        flat = matrix.reshape(-1)  # a view: the built matrix is C-ordered
+        for m, (up, down) in enumerate(factors, 1):  # empty slices once m >= k
+            flat[m : (k - m) * k : k + 1] *= up  # diagonal m
+            flat[m * k :: k + 1] *= down  # diagonal -m
     if not matrix.imag.any():
         matrix = matrix.real
-    eigs = np.linalg.eigvals(matrix)
+    eigs = np.linalg.eigvals(matrix) if factors is None else np.linalg.eigvalsh(matrix)
     order = np.lexsort((eigs.imag, eigs.real))
     return tuple(complex(z) for z in eigs[order])
 

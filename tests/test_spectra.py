@@ -15,6 +15,7 @@ from bandschur.spectra import (
     PELLET_MARGIN,
     ComparisonResult,
     GridSpec,
+    _hermitian_scale,
     _initial_circle,
     _pellet_threshold,
     _unit_phases,
@@ -24,7 +25,7 @@ from bandschur.spectra import (
     root_modulus_profiles,
     spectrum_vs_limitset,
 )
-from bandschur.toeplitz import BandedSymbol
+from bandschur.toeplitz import BandedSymbol, build_minor_numeric
 
 
 TRIDIAG = BandedSymbol((1, 0, 1))
@@ -294,20 +295,26 @@ class TestFiniteSectionSpectrum:
 
     def test_general_band_two_closed_form(self):
         # eigenvalues s_1 + 2 sqrt(s_2) cos(m pi/(k+1)); k = 80 is past the
-        # size (75) where LAPACK's QR switches to multishift sweeps.  At
-        # that size only a section whose off-diagonals are near balance
-        # keeps 1e-9 (1,0.7,0.3 is 0.05 off at k = 80, items 5 and 13).
-        for coeffs, k in (((1, 0.7, 0.3), 6), ((1, 0.7, 0.3), 20), ((1, 0.3, 1.2), 80)):
+        # size (75) where LAPACK's QR switches to multishift sweeps, and
+        # dgeev on the unscaled 1,0.7,0.3 section is 0.14 off there.  The
+        # 1,0.5,0.01 sections are far from normal: dgeev on them is 0.19,
+        # 0.31 and 0.52 off at k = 40, 160 and 400.  With s_2 > 0 the
+        # scaling z -> z/sqrt(s_2) makes each section symmetric.
+        cases = (((1, 0.7, 0.3), 6), ((1, 0.7, 0.3), 20), ((1, 0.7, 0.3), 80),
+                 ((1, 0.3, 1.2), 80), ((1, 0.5, 0.01), 40), ((1, 0.5, 0.01), 160),
+                 ((1, 0.5, 0.01), 400))
+        for coeffs, k in cases:
             eigs = finite_section_spectrum(BandedSymbol(coeffs), MinorSpec((), (1,), 2), k)
             expected = sorted(
                 coeffs[1] + 2 * math.sqrt(coeffs[2]) * math.cos(m * math.pi / (k + 1))
                 for m in range(1, k + 1)
             )
-            assert np.allclose([z.real for z in eigs], expected, atol=1e-9)
+            assert np.allclose([z.real for z in eigs], expected, rtol=0, atol=1e-12)
             assert [z.imag for z in eigs] == [0.0] * k
 
     def test_real_section_takes_the_real_solver(self, monkeypatch):
-        # dgeev for a real section, zgeev for a complex one
+        # dgeev for a real section, zgeev for a complex one; s_0 s_2 < 0,
+        # so no scaling makes the real one symmetric
         dtypes = []
         eigvals = np.linalg.eigvals
 
@@ -316,9 +323,120 @@ class TestFiniteSectionSpectrum:
             return eigvals(matrix)
 
         monkeypatch.setattr(np.linalg, "eigvals", spy)
-        finite_section_spectrum(BandedSymbol((1, 0.7, 0.3)), MinorSpec((), (1,), 2), 5)
+        finite_section_spectrum(BandedSymbol((1, 0.7, -0.3)), MinorSpec((), (1,), 2), 5)
         finite_section_spectrum(BandedSymbol((1, 0.5 - 2j)), MinorSpec((), (1,), 1), 5)
         assert dtypes == [np.float64, np.complex128]
+
+    @staticmethod
+    def _solver_calls(monkeypatch, sym, spec, k=6):
+        """(solver name, dtype) of each LAPACK call one spectrum makes."""
+        calls = []
+        for name in ("eigvals", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+
+            def spy(matrix, solver=solver, name=name):
+                calls.append((name, matrix.dtype))
+                return solver(matrix)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        finite_section_spectrum(sym, spec, k)
+        return calls
+
+    @pytest.mark.parametrize("coeffs, c, dtype", [
+        ((1, 0.5, 0.01), 1, np.float64),
+        ((1, 0.3, 1.2), 1, np.float64),
+        ((1, 2, 3, 2, 1), 2, np.float64),
+        ((1, 0.5, 3, 2, 16), 2, np.float64),  # r = 2
+        ((1, 0.2 + 0.1j, 3, 0.2 - 0.1j, 1), 2, np.complex128),
+    ])
+    def test_hermitian_scalable_section_takes_eigvalsh(self, monkeypatch, coeffs, c, dtype):
+        sym = BandedSymbol(coeffs)
+        calls = self._solver_calls(monkeypatch, sym, MinorSpec.contiguous(c, sym.band))
+        assert calls == [("eigvalsh", dtype)]
+
+    @pytest.mark.parametrize("coeffs, spec", [
+        ((1, 2, 3, 2, 1 + 1e-6), MinorSpec.contiguous(2, 4)),  # m = 2 pair off by 1e-6
+        ((1, 0.5 + 0.1j, 0.01), MinorSpec.contiguous(1, 2)),  # complex s_c
+        ((1, 0.7, -0.3), MinorSpec.contiguous(1, 2)),  # r^2 = -0.3
+        ((1, 0.5, 0.3j), MinorSpec.contiguous(1, 2)),  # r^2 = 0.3i
+        ((1, 0.5, 0), MinorSpec.contiguous(1, 2)),  # r^2 = 0
+        ((1, 0.7, 0.3, 0.1), MinorSpec.contiguous(1, 3)),  # n = 3 != 2c
+        ((1, 0.7, 0.3), MinorSpec.contiguous(2, 2)),  # n = 2 != 2c
+        ((1, 0.5, 0.01), MinorSpec((), (2,), 2)),  # --beta 2
+        ((1, 0.5, 0.01), MinorSpec((1,), (1,), 2)),  # --alpha 1 --beta 1
+    ], ids=["m2-off", "complex-sc", "negative-r2", "complex-r2", "zero-r2",
+            "band3-c1", "band2-c2", "beta2", "alpha1-beta1"])
+    def test_near_miss_keeps_eigvals(self, monkeypatch, coeffs, spec):
+        sym = BandedSymbol(coeffs)
+        assert _hermitian_scale(sym, spec) is None
+        calls = self._solver_calls(monkeypatch, sym, spec)
+        assert [name for name, _ in calls] == ["eigvals"]
+
+    @pytest.mark.parametrize("coeffs, c, r", [
+        ((1, 0.5, 0.01), 1, 0.1),
+        ((1, 2, 3, 2, 1), 2, 1.0),
+        ((1, 0.5, 3, 2, 16), 2, 2.0),
+        ((1, 0.2 + 0.1j, 3, 0.2 - 0.1j, 1), 2, 1.0),
+    ])
+    def test_hermitian_scale_value(self, coeffs, c, r):
+        sym = BandedSymbol(coeffs)
+        got = _hermitian_scale(sym, MinorSpec.contiguous(c, sym.band))
+        want = [(r**-m, r**m) for m in range(1, c + 1)]
+        assert np.allclose(got, want, rtol=1e-15, atol=0)
+
+    @staticmethod
+    def _balanced_oracle(sym, c, r, k):
+        """eigvals of the section with diagonal m times r^(-m), built densely.
+
+        The balanced matrix is Hermitian up to rounding, so normal, and
+        dgeev/zgeev is accurate on it without eigvalsh.
+        """
+        section = build_minor_numeric(sym, MinorSpec.contiguous(c, sym.band), k)
+        i = np.arange(k)
+        balanced = section * r ** np.subtract.outer(i, i)
+        return np.sort(np.linalg.eigvals(balanced).real)
+
+    @pytest.mark.parametrize("coeffs, r", [
+        ((1, 2, 3, 2, 1), 1.0),
+        ((1, 0.2 + 0.1j, 3, 0.2 - 0.1j, 1), 1.0),
+        ((1, 0.5, 3, 2, 16), 2.0),
+        ((1, -0.25, 0.4, -1 / 64, 1 / 256), 0.25),  # r < 1
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 5, 30])
+    def test_pentadiagonal_matches_balanced_oracle(self, coeffs, r, k):
+        sym = BandedSymbol(coeffs)
+        eigs = finite_section_spectrum(sym, MinorSpec.contiguous(2, 4), k)
+        want = self._balanced_oracle(sym, 2, r, k)
+        assert [z.imag for z in eigs] == [0.0] * k
+        assert np.max(np.abs(np.array([z.real for z in eigs]) - want)) <= 1e-11
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_drawn_hermitian_scaling_matches_balanced_oracle(self, data):
+        # s_{c+m} = h_m r^m and s_{c-m} = conj(h_m) r^(-m); s_0 = 1 fixes
+        # h_c = r^c, the other h_m are drawn, with h_1 != 0
+        c = data.draw(st.integers(1, 3))
+        r = data.draw(st.floats(0.25, 4))
+        part = st.integers(-16, 16).map(lambda v: v / 8)
+        h = [complex(data.draw(part), data.draw(part)) for _ in range(1, c)]
+        assume(c == 1 or h[0] != 0)
+        h.append(complex(r**c))
+        s = [0j] * (2 * c + 1)
+        s[c] = complex(data.draw(part))
+        for m in range(1, c + 1):
+            s[c + m] = h[m - 1] * r**m
+            s[c - m] = h[m - 1].conjugate() / r**m
+        s[0] = 1
+        sym = BandedSymbol(s)
+        spec = MinorSpec.contiguous(c, 2 * c)
+        k = data.draw(st.integers(1, 30))
+        factors = [(r**-m, r**m) for m in range(1, c + 1)]
+        assert np.allclose(_hermitian_scale(sym, spec), factors, rtol=1e-14, atol=0)
+        eigs = finite_section_spectrum(sym, spec, k)
+        want = self._balanced_oracle(sym, c, r, k)
+        norm = abs(s[c]) + 2 * sum(abs(v) for v in h)  # bounds ||H||_2
+        assert [z.imag for z in eigs] == [0.0] * k
+        assert np.max(np.abs(np.array([z.real for z in eigs]) - want)) <= 1e-13 * k * norm
 
     @given(st.data())
     def test_real_spectrum_is_closed_under_conjugation(self, data):
